@@ -123,7 +123,7 @@ pub fn lint_crf(
     }
     let empty_lists = model
         .candidate_entries()
-        .filter(|(_, suggestions)| suggestions.is_empty())
+        .filter(|(_, labels, _)| labels.is_empty())
         .count();
     if empty_lists > 0 {
         diags.push(Diagnostic::new(
@@ -196,9 +196,8 @@ pub fn lint_crf(
 /// enforced by the decoder itself; any violation surfaces here as one
 /// `artifact-format` error naming the problem. A file that decodes
 /// cleanly then gets the same health lints as a JSON model (dead
-/// tables, dead labels, candidate coverage) via [`lint_crf`], which
-/// reads the artifact-backed model through its frozen CSR arrays, plus
-/// an informational section-layout summary.
+/// tables, dead labels, candidate coverage) via [`lint_crf`], plus an
+/// informational section-layout summary.
 pub fn lint_artifact(unit: &str, bytes: &[u8]) -> Vec<Diagnostic> {
     let art = match artifact::read_artifact(bytes) {
         Ok(art) => art,

@@ -8,7 +8,7 @@
 
 use pigeon_analysis::{audit_sources, check_split, cross_check, AuditConfig, Severity, SourceUnit};
 use pigeon_corpus::{generate, CorpusConfig, Language};
-use pigeon_crf::CrfModel;
+use pigeon_crf::{train, CrfConfig, CrfModel, Instance, Node};
 use pigeon_word2vec::SgnsModel;
 use proptest::prelude::*;
 
@@ -31,12 +31,16 @@ fn crf_json(weight: &str, max_candidates: usize, global: &str) -> String {
     )
 }
 
-fn lint_crf_codes(json: &str) -> Vec<(String, Severity)> {
-    let model = CrfModel::from_json(json).expect("fixture must deserialize");
-    pigeon_analysis::lint_crf("model.json", &model, 2, 2)
+fn lint_codes(model: &CrfModel, num_features: usize) -> Vec<(String, Severity)> {
+    pigeon_analysis::lint_crf("model.json", model, num_features, 2)
         .into_iter()
         .map(|d| (d.code.to_string(), d.severity))
         .collect()
+}
+
+fn lint_crf_codes(json: &str) -> Vec<(String, Severity)> {
+    let model = CrfModel::from_json(json, 2, 2).expect("fixture must deserialize");
+    lint_codes(&model, 2)
 }
 
 #[test]
@@ -50,9 +54,16 @@ fn healthy_crf_fixture_lints_clean() {
 
 #[test]
 fn nonfinite_crf_weight_is_an_error() {
-    // The JSON number 1e999 overflows f64 to +inf on parse — exactly
-    // how a non-finite weight sneaks through a textual model file.
-    let codes = lint_crf_codes(&crf_json("1e999", 8, "[0,1]"));
+    // A degenerate learning rate overflows the trained weights to ±inf.
+    // (Loading refuses such a file, so training is how one arises.)
+    let mut inst = Instance::new(vec![Node::unknown(0), Node::known(1)]);
+    inst.add_pair(0, 1, 0);
+    let cfg = CrfConfig {
+        learning_rate: f32::INFINITY,
+        ..CrfConfig::default()
+    };
+    let model = train(&[inst], 2, &cfg);
+    let codes = lint_codes(&model, 2);
     assert!(
         codes.contains(&("model-nonfinite-weight".to_string(), Severity::Error)),
         "{codes:?}"
@@ -70,13 +81,10 @@ fn empty_candidate_tables_are_flagged() {
 
 #[test]
 fn out_of_range_ids_are_an_error() {
-    // Label id 7 against a 2-entry label vocabulary.
-    let json = crf_json("1.25", 8, "[0,7]");
-    let model = CrfModel::from_json(&json).unwrap();
-    let codes: Vec<_> = pigeon_analysis::lint_crf("model.json", &model, 2, 2)
-        .into_iter()
-        .map(|d| (d.code.to_string(), d.severity))
-        .collect();
+    // The unary weight's path 1 against a 1-entry feature vocabulary.
+    let json = crf_json("1.25", 8, "[0,1]");
+    let model = CrfModel::from_json(&json, 2, 2).unwrap();
+    let codes = lint_codes(&model, 1);
     assert!(
         codes.contains(&("model-id-range".to_string(), Severity::Error)),
         "{codes:?}"

@@ -13,9 +13,9 @@
 use pigeon_ast::Ast;
 use std::collections::HashMap;
 
-/// 64-bit FNV-1a, the workhorse hash of the fingerprint module: stable
-/// across platforms and runs (no `RandomState`), so fingerprints can be
-/// recorded in docs and compared between processes.
+/// 64-bit FNV-1a, the workspace's one content hash: stable across
+/// platforms and runs (no `RandomState`), so fingerprints, cache keys and
+/// artifact checksums can be recorded and compared between processes.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -171,5 +171,17 @@ mod tests {
         // input yields the FNV-1a offset basis by definition.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv64(b"pigeon"), fnv64(b"pigeons"));
+    }
+
+    #[test]
+    fn fnv_matches_published_test_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        // Incremental hashing equals one-shot hashing.
+        let mut h = Fnv64::new();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! JSON model files are the archival format: editable, diffable, and
 //! carrying the full entry tables. Serving replicas want the opposite
-//! trade — the *compiled* CSR form ([`crate::compiled`]) written flat,
-//! so a cold start is one read plus a handful of bulk array decodes
-//! with no per-entry allocation, hashing, or sorting. This module
+//! trade — the model's packed CSR tables ([`crate::engine`]) written
+//! flat, so a cold start is one read plus a handful of bulk array
+//! decodes with no per-entry allocation, hashing, or sorting. This module
 //! defines that format:
 //!
 //! ```text
@@ -36,17 +36,20 @@
 //! byte-identical for every quantization mode (property-tested in
 //! `tests/artifact.rs`).
 //!
+//! The sections are the model's own packed arrays, so a load fills the
+//! same [`CrfModel`] tables training and JSON loading build — except the
+//! candidate co-occurrence counts, which the format does not carry.
+//!
 //! Decoding trusts nothing: magic, version, section bounds, checksums,
-//! CSR monotonicity, key ordering, id ranges against the shipped
-//! vocabularies, weight finiteness and the inference-cap bounds are all
-//! checked, and every failure is an `Err` — never a panic — on
-//! truncated or bit-flipped input.
+//! CSR monotonicity and key ordering are checked here, then
+//! [`CrfModel::validate`] checks id ranges against the shipped
+//! vocabularies, weight finiteness and the inference-cap bounds — the
+//! same checks a JSON load runs. Every failure is an `Err` — never a
+//! panic — on truncated or bit-flipped input.
 
-use crate::compiled::{
-    shared_from_parts, CompiledCrf, FrozenWeights, PackedCandidates, PackedWeights,
-};
-use crate::model::{CrfModel, MAX_CANDIDATES_BOUND, MAX_PASSES_BOUND};
-use std::sync::Arc;
+use crate::engine::{PackedCandidates, PackedWeights};
+use crate::model::CrfModel;
+use pigeon_core::{fnv64, Fnv64};
 
 /// The four magic bytes every artifact starts with.
 pub const MAGIC: [u8; 4] = *b"PGNC";
@@ -189,19 +192,11 @@ pub fn section_name(id: u32) -> &'static str {
     }
 }
 
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// FNV-1a-64 over `bytes` — the artifact's checksum function. Public so
 /// tests can forge otherwise-consistent corrupted files and assert the
 /// deeper validation layers fire.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    fnv(0xcbf2_9ce4_8422_2325, bytes)
+    fnv64(bytes)
 }
 
 /// The whole-file checksum: FNV-1a-64 over the complete file with the
@@ -210,9 +205,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// covered and any single flipped bit is detected. Public for tests
 /// that forge corrupted-but-consistent files.
 pub fn file_checksum(data: &[u8]) -> u64 {
-    let h = checksum(&data[..16]);
-    let h = fnv(h, &[0u8; 8]);
-    fnv(h, &data[24..])
+    let mut h = Fnv64::new();
+    h.write(&data[..16]);
+    h.write(&[0u8; 8]);
+    h.write(&data[24..]);
+    h.finish()
 }
 
 /// Weight quantization mode, recorded in the header.
@@ -714,8 +711,8 @@ pub struct ArtifactMeta {
     pub dataflow_contexts: bool,
 }
 
-/// A fully decoded artifact: metadata, vocabularies, and an
-/// artifact-backed [`CrfModel`] ready for inference.
+/// A fully decoded artifact: metadata, vocabularies, and a validated
+/// [`CrfModel`] ready for inference.
 #[derive(Debug)]
 pub struct ModelArtifact {
     /// Facade metadata.
@@ -726,7 +723,9 @@ pub struct ModelArtifact {
     pub features: Vec<String>,
     /// The weight quantization the file used.
     pub quant: Quant,
-    /// The loaded model (`CrfModel::is_artifact_backed() == true`).
+    /// The loaded model, without candidate counts
+    /// (`CrfModel::has_candidate_counts() == false` unless it has no
+    /// candidates at all).
     pub model: CrfModel,
 }
 
@@ -822,11 +821,18 @@ fn decode_weights(
                     ));
                 }
             }
+            // The offsets end at the key count (checked before this
+            // call); one byte per key keeps every slice below in bounds.
+            let num_keys = offsets[num_paths] as usize;
+            if bytes.len() != num_keys {
+                return Err(format!(
+                    "{what} holds {} entries for {num_keys} keys",
+                    bytes.len()
+                ));
+            }
             let mut out = Vec::with_capacity(bytes.len());
             for p in 0..num_paths {
                 let (s, e) = (offsets[p] as usize, offsets[p + 1] as usize);
-                // Offsets were bounds-checked against the entry count
-                // before this call.
                 for &q in &bytes[s..e] {
                     out.push(f32::from(q as i8) * scales[p]);
                 }
@@ -834,34 +840,14 @@ fn decode_weights(
             out
         }
     };
-    for (i, &v) in weights.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(format!("{what}: weight {i} decodes to non-finite {v}"));
-        }
-    }
     Ok(weights)
 }
 
-/// Checks one CSR offsets array: starts at 0, monotone, ends at
-/// `num_entries`, and stays within the feature vocabulary.
-fn check_offsets(
-    offsets: &[u32],
-    num_entries: usize,
-    num_features: usize,
-    what: &str,
-) -> Result<(), String> {
+/// Checks one CSR offsets array: starts at 0, monotone, and ends at
+/// `num_entries`.
+fn check_offsets(offsets: &[u32], num_entries: usize, what: &str) -> Result<(), String> {
     if offsets.is_empty() || offsets[0] != 0 {
         return Err(format!("{what} must start with offset 0"));
-    }
-    // Path ids are feature ids; an offsets table longer than the
-    // vocabulary (plus the one-path floor of an empty model) smuggles
-    // out-of-range ids in by construction.
-    if offsets.len() - 1 > num_features.max(1) {
-        return Err(format!(
-            "{what} describes {} paths, but the feature vocabulary has \
-             {num_features} entries",
-            offsets.len() - 1
-        ));
     }
     for w in offsets.windows(2) {
         if w[1] < w[0] {
@@ -895,7 +881,33 @@ fn check_sorted_keys(offsets: &[u32], keys: &[u64], what: &str) -> Result<(), St
     Ok(())
 }
 
-/// Encodes `model`'s compiled form plus facade metadata and
+/// Decodes one weight table's offsets, keys and (dequantized) weights,
+/// checking its CSR structure.
+fn decode_weight_table(
+    r: &Reader,
+    [offsets_id, keys_id, weights_id, scales_id]: [u32; 4],
+) -> Result<PackedWeights, String> {
+    let offsets = decode_u32s(r.section(offsets_id)?, section_name(offsets_id))?;
+    let keys = decode_u64s(r.section(keys_id)?, section_name(keys_id))?;
+    check_offsets(&offsets, keys.len(), section_name(offsets_id))?;
+    check_sorted_keys(&offsets, &keys, section_name(keys_id))?;
+    let weights = decode_weights(r, weights_id, scales_id, offsets.len() - 1, &offsets)?;
+    if weights.len() != keys.len() {
+        return Err(format!(
+            "{} holds {} entries for {} keys",
+            section_name(weights_id),
+            weights.len(),
+            keys.len()
+        ));
+    }
+    Ok(PackedWeights {
+        offsets,
+        keys,
+        weights,
+    })
+}
+
+/// Encodes `model`'s packed tables plus facade metadata and
 /// vocabularies into a complete artifact.
 ///
 /// # Errors
@@ -909,7 +921,6 @@ pub fn write_artifact(
     model: &CrfModel,
     quant: Quant,
 ) -> Result<Vec<u8>, String> {
-    let compiled = model.compiled();
     let mut w = Writer::new();
     let mut meta_bytes = encode_strings([
         meta.language.as_str(),
@@ -935,17 +946,21 @@ pub fn write_artifact(
         SEC_FEATURES,
         encode_strings(features.iter().map(String::as_str)),
     );
-    w.section(SEC_LABEL_COUNTS, encode_u32s(&model.label_counts));
-    w.section(SEC_GLOBAL_CANDIDATES, encode_u32s(&model.global_candidates));
-    let pair = &compiled.weights.pair;
+    let shared = &model.shared;
+    w.section(SEC_LABEL_COUNTS, encode_u32s(&shared.label_counts));
+    w.section(
+        SEC_GLOBAL_CANDIDATES,
+        encode_u32s(&shared.global_candidates),
+    );
+    let pair = &model.pair;
     w.section(SEC_PAIR_OFFSETS, encode_u32s(&pair.offsets));
     w.section(SEC_PAIR_KEYS, encode_u64s(&pair.keys));
     encode_weights(&mut w, SEC_PAIR_WEIGHTS, SEC_PAIR_SCALES, pair, quant)?;
-    let unary = &compiled.weights.unary;
+    let unary = &model.unary;
     w.section(SEC_UNARY_OFFSETS, encode_u32s(&unary.offsets));
     w.section(SEC_UNARY_KEYS, encode_u64s(&unary.keys));
     encode_weights(&mut w, SEC_UNARY_WEIGHTS, SEC_UNARY_SCALES, unary, quant)?;
-    let cands = &compiled.shared.cands;
+    let cands = &shared.cands;
     w.section(SEC_CAND_OFFSETS, encode_u32s(&cands.offsets));
     let mut entry_bytes = Vec::with_capacity(cands.entries.len() * 16);
     for &(key, start, len) in &cands.entries {
@@ -957,7 +972,7 @@ pub fn write_artifact(
     w.section(SEC_CAND_LABELS, encode_u32s(&cands.labels));
     w.section(
         SEC_CAPS,
-        encode_u64s(&[model.max_candidates as u64, model.max_passes as u64]),
+        encode_u64s(&[shared.max_candidates as u64, shared.max_passes as u64]),
     );
     Ok(w.finish(quant))
 }
@@ -968,10 +983,10 @@ pub fn write_artifact(
 /// # Errors
 ///
 /// A message naming the first problem found, at any layer: container
-/// (magic/version/bounds/checksums), section shape, CSR structure, id
-/// ranges against the shipped vocabularies, non-finite weights, or
-/// out-of-bounds inference caps. Never panics on arbitrary input
-/// (fuzzed in `tests/artifact.rs`).
+/// (magic/version/bounds/checksums), section shape, CSR structure, or a
+/// [`CrfModel::validate`] issue (id ranges against the shipped
+/// vocabularies, non-finite weights, out-of-bounds inference caps).
+/// Never panics on arbitrary input (fuzzed in `tests/artifact.rs`).
 pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
     let r = Reader::parse(bytes)?;
     if r.kind() != KIND_MODEL {
@@ -1025,100 +1040,30 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
     if !rest.is_empty() {
         return Err("features section has trailing bytes".into());
     }
-    let num_labels = labels.len();
-    let num_features = features.len();
-    let check_label = |what: &str, id: u32| -> Result<(), String> {
-        if id as usize >= num_labels {
-            return Err(format!(
-                "{what} references label id {id}, but the label vocabulary has \
-                 {num_labels} entries"
-            ));
-        }
-        Ok(())
-    };
-
     let label_counts = decode_u32s(r.section(SEC_LABEL_COUNTS)?, "label-counts")?;
-    if label_counts.len() != num_labels {
-        return Err(format!(
-            "label-count table has {} entries, but the label vocabulary has \
-             {num_labels}",
-            label_counts.len()
-        ));
-    }
     let global_candidates = decode_u32s(r.section(SEC_GLOBAL_CANDIDATES)?, "global-candidates")?;
-    for &l in &global_candidates {
-        check_label("global candidate list", l)?;
-    }
-
     let caps = decode_u64s(r.section(SEC_CAPS)?, "caps")?;
     let [max_candidates, max_passes]: [u64; 2] = caps
         .try_into()
         .map_err(|_| "caps section must hold exactly 2 fields".to_string())?;
-    if max_candidates > MAX_CANDIDATES_BOUND as u64 {
-        return Err(format!(
-            "max_candidates is {max_candidates}, above the bound of {MAX_CANDIDATES_BOUND}"
-        ));
-    }
-    if max_passes > MAX_PASSES_BOUND as u64 {
-        return Err(format!(
-            "max_passes is {max_passes}, above the bound of {MAX_PASSES_BOUND}"
-        ));
-    }
-
-    // Pairwise weight table.
-    let pair_offsets = decode_u32s(r.section(SEC_PAIR_OFFSETS)?, "pair-offsets")?;
-    let pair_keys = decode_u64s(r.section(SEC_PAIR_KEYS)?, "pair-keys")?;
-    check_offsets(&pair_offsets, pair_keys.len(), num_features, "pair-offsets")?;
-    check_sorted_keys(&pair_offsets, &pair_keys, "pair-keys")?;
-    for &key in &pair_keys {
-        check_label("pairwise weight", (key >> 32) as u32)?;
-        check_label("pairwise weight", key as u32)?;
-    }
-    let pair_weights = decode_weights(
+    let pair = decode_weight_table(
         &r,
-        SEC_PAIR_WEIGHTS,
-        SEC_PAIR_SCALES,
-        pair_offsets.len() - 1,
-        &pair_offsets,
+        [
+            SEC_PAIR_OFFSETS,
+            SEC_PAIR_KEYS,
+            SEC_PAIR_WEIGHTS,
+            SEC_PAIR_SCALES,
+        ],
     )?;
-    if pair_weights.len() != pair_keys.len() {
-        return Err(format!(
-            "pair-weights holds {} entries for {} keys",
-            pair_weights.len(),
-            pair_keys.len()
-        ));
-    }
-
-    // Unary weight table.
-    let unary_offsets = decode_u32s(r.section(SEC_UNARY_OFFSETS)?, "unary-offsets")?;
-    let unary_keys = decode_u64s(r.section(SEC_UNARY_KEYS)?, "unary-keys")?;
-    check_offsets(
-        &unary_offsets,
-        unary_keys.len(),
-        num_features,
-        "unary-offsets",
-    )?;
-    check_sorted_keys(&unary_offsets, &unary_keys, "unary-keys")?;
-    for &key in &unary_keys {
-        if key > u64::from(u32::MAX) {
-            return Err(format!("unary weight key {key} is not a label id"));
-        }
-        check_label("unary weight", key as u32)?;
-    }
-    let unary_weights = decode_weights(
+    let unary = decode_weight_table(
         &r,
-        SEC_UNARY_WEIGHTS,
-        SEC_UNARY_SCALES,
-        unary_offsets.len() - 1,
-        &unary_offsets,
+        [
+            SEC_UNARY_OFFSETS,
+            SEC_UNARY_KEYS,
+            SEC_UNARY_WEIGHTS,
+            SEC_UNARY_SCALES,
+        ],
     )?;
-    if unary_weights.len() != unary_keys.len() {
-        return Err(format!(
-            "unary-weights holds {} entries for {} keys",
-            unary_weights.len(),
-            unary_keys.len()
-        ));
-    }
 
     // Candidate index.
     let cand_offsets = decode_u32s(r.section(SEC_CAND_OFFSETS)?, "cand-offsets")?;
@@ -1142,21 +1087,10 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
         })
         .collect();
     let cand_labels = decode_u32s(r.section(SEC_CAND_LABELS)?, "cand-labels")?;
-    check_offsets(
-        &cand_offsets,
-        cand_entries.len(),
-        num_features,
-        "cand-offsets",
-    )?;
+    check_offsets(&cand_offsets, cand_entries.len(), "cand-offsets")?;
     let entry_keys: Vec<u64> = cand_entries.iter().map(|&(k, _, _)| k).collect();
     check_sorted_keys(&cand_offsets, &entry_keys, "cand-entries")?;
     for &(key, start, len) in &cand_entries {
-        check_label("candidate table", (key >> 1) as u32)?;
-        if len == 0 {
-            return Err(format!(
-                "candidate entry with key {key} carries no suggestions"
-            ));
-        }
         if u64::from(start) + u64::from(len) > cand_labels.len() as u64 {
             return Err(format!(
                 "candidate entry with key {key} points at labels {start}..{} \
@@ -1166,47 +1100,24 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
             ));
         }
     }
-    for &l in &cand_labels {
-        check_label("candidate suggestion", l)?;
-    }
 
-    // Assemble the frozen engine directly from the decoded arrays — the
-    // same constructor path `CrfModel::compile` ends in, so priors and
-    // label-slot bounds are bit-identical to a JSON load.
-    let shared = shared_from_parts(
+    let model = CrfModel::from_parts(
+        pair,
+        unary,
         PackedCandidates {
             offsets: cand_offsets,
             entries: cand_entries,
             labels: cand_labels,
+            counts: Vec::new(),
         },
-        &label_counts,
-        global_candidates.clone(),
+        label_counts,
+        global_candidates,
         max_candidates as usize,
         max_passes as usize,
     );
-    let compiled = CompiledCrf {
-        shared,
-        weights: FrozenWeights {
-            pair: PackedWeights {
-                offsets: pair_offsets,
-                keys: pair_keys,
-                weights: pair_weights,
-            },
-            unary: PackedWeights {
-                offsets: unary_offsets,
-                keys: unary_keys,
-                weights: unary_weights,
-            },
-        },
-    };
-    let model = CrfModel {
-        label_counts,
-        global_candidates,
-        max_candidates: max_candidates as usize,
-        max_passes: max_passes as usize,
-        frozen: Some(Arc::new(compiled)),
-        ..CrfModel::default()
-    };
+    model
+        .validate(features.len(), labels.len())
+        .map_err(|issue| issue.to_string())?;
     Ok(ModelArtifact {
         meta,
         labels,

@@ -8,14 +8,14 @@
 //! optima that a greedy sweep gets stuck in, at a cost linear in the
 //! beam width.
 
-use crate::compiled::Workspace;
+use crate::engine::Workspace;
 use crate::instance::Instance;
 use crate::model::CrfModel;
 
 impl CrfModel {
     /// MAP inference by beam search with the given beam width.
     ///
-    /// Runs on the compiled engine, like [`CrfModel::predict`]: scoring
+    /// Runs on the packed tables, like [`CrfModel::predict`]: scoring
     /// hits the indexed weights and the adjacency/candidate buffers come
     /// from a reused workspace, so widening the beam scales only the
     /// state cloning, not the lookup cost.
@@ -29,13 +29,12 @@ impl CrfModel {
     /// Panics if `width == 0`.
     pub fn predict_beam(&self, inst: &Instance, width: usize) -> Vec<u32> {
         assert!(width > 0, "beam width must be positive");
-        let eng = self.compiled();
         let mut ws = Workspace::new();
-        eng.prepare(inst, &mut ws);
+        self.prepare(inst, &mut ws);
         let base: Vec<u32> = {
             // Start from the ICM solution's evidence-blanked baseline so
             // unknown slots carry a safe default while unassigned.
-            let blank = eng.global_head();
+            let blank = self.global_head();
             inst.nodes
                 .iter()
                 .map(|n| if n.known { n.label } else { blank })
@@ -45,20 +44,20 @@ impl CrfModel {
         // Most-constrained-first: nodes with more adjacent factors have
         // sharper scores and should commit earlier.
         let mut unknowns = inst.unknown_nodes();
-        unknowns.sort_by_key(|&u| std::cmp::Reverse(eng.degree(&ws, u)));
+        unknowns.sort_by_key(|&u| std::cmp::Reverse(self.degree(&ws, u)));
 
         let mut beam: Vec<(Vec<u32>, f32)> = vec![(base, 0.0)];
         for &u in &unknowns {
             let mut next: Vec<(Vec<u32>, f32)> = Vec::new();
             for (labels, score) in &beam {
-                let candidates = eng.node_candidates(inst, &mut ws, labels, u);
+                let candidates = self.node_candidates(inst, &mut ws, labels, u);
                 let candidates = if candidates.is_empty() {
-                    vec![eng.global_head()]
+                    vec![self.global_head()]
                 } else {
                     candidates
                 };
                 for c in candidates {
-                    let delta = eng.score(inst, &ws, labels, u, c);
+                    let delta = self.score(inst, &ws, labels, u, c);
                     let mut assigned = labels.clone();
                     assigned[u] = c;
                     next.push((assigned, score + delta));
@@ -73,11 +72,11 @@ impl CrfModel {
         // ordering artefacts.
         let (mut labels, _) = beam.into_iter().next().expect("beam is non-empty");
         for &u in &unknowns {
-            let candidates = eng.node_candidates(inst, &mut ws, &labels, u);
+            let candidates = self.node_candidates(inst, &mut ws, &labels, u);
             let mut best = labels[u];
             let mut best_score = f32::NEG_INFINITY;
             for c in candidates {
-                let s = eng.score(inst, &ws, &labels, u, c);
+                let s = self.score(inst, &ws, &labels, u, c);
                 if s > best_score {
                     best_score = s;
                     best = c;

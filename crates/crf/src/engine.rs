@@ -1,45 +1,45 @@
-//! The compiled inference engine: indexed weights, a reusable inference
-//! workspace, and sweep-exact delta-ICM.
+//! The model's packed tables, a reusable inference workspace, and
+//! sweep-exact delta-ICM.
 //!
-//! [`CrfModel`] keeps its weights in tuple-keyed hash maps — the right
-//! shape for serialisation and for sparse updates, but the wrong shape
-//! for the inference inner loop, where every score is a tuple-hash
-//! lookup and every sweep reallocates candidate vectors. This module
-//! freezes a model into an indexed, cache-friendly form:
+//! [`CrfModel`] stores every table in one indexed, cache-friendly form —
+//! the form training finishes into, JSON parses into and the binary
+//! artifact carries verbatim:
 //!
 //! * **Packed weights** — `(path, lᵃ, lᵇ)` / `(path, l)` keys collapse to
 //!   a `u64` per entry (`lᵃ << 32 | lᵇ`, resp. `l`), stored sorted in one
-//!   flat array with a per-path offset index. A lookup is an O(1) offset
-//!   fetch plus a binary search over that path's slice — no hashing, and
-//!   the slice is contiguous in cache. Training uses the mutable sibling
-//!   [`BucketWeights`] (per-path sorted buckets) so subgradient updates
-//!   write back in O(bucket) instead of recompiling.
+//!   flat array with a per-path offset index (CSR). A lookup is an O(1)
+//!   offset fetch plus a binary search over that path's slice — no
+//!   hashing, and the slice is contiguous in cache. Training uses the
+//!   mutable sibling [`BucketWeights`] (per-path sorted buckets) so
+//!   subgradient updates write back in O(bucket), then packs the
+//!   epoch-averaged result once.
 //! * **Packed candidates** — the `(path, other_label, side)` suggestion
-//!   table compiles the same way, with suggestion lists materialised in
-//!   one flat label array.
+//!   table packs the same way, with suggestion lists in one flat label
+//!   pool and their co-occurrence counts in a parallel array. The binary
+//!   artifact ships no counts, so that array is empty after a `.pgnc`
+//!   load.
 //! * **Workspace** — per-instance CSR adjacency, the candidate buffer and
 //!   the label-dedup stamps live in a [`Workspace`] reused across
 //!   `infer` calls; steady-state inference allocates nothing.
 //! * **Delta-ICM** — after a node flips, only its factor-graph neighbours
 //!   can change their best response, so sweeps re-score just the nodes
 //!   marked dirty by a neighbour flip. The schedule still walks unknowns
-//!   in the reference order and a clean node provably re-derives its
-//!   current label, so the assignment trajectory — and therefore the
-//!   trained model — is **bit-identical** to the reference sweeps
-//!   (property-tested in `tests/prop_crf.rs`, pinned in
+//!   in plain-ICM order and a clean node provably re-derives its current
+//!   label, so the assignment trajectory — and therefore the trained
+//!   model — is **bit-identical** to full sweeps (property-tested against
+//!   a hash-map reference in `tests/prop_crf.rs`, pinned in
 //!   `tests/golden_train.rs`).
 //!
 //! Candidate sets depend on the *current* labels of a node's neighbours,
 //! so they cannot be frozen once per `infer` call without changing
 //! results; instead the workspace materialises them into a reused buffer
-//! with O(1) stamp dedup, eliminating the per-node-per-sweep allocation
-//! and the O(k²) `contains` scan of the reference.
+//! with O(1) stamp dedup.
 
 use crate::instance::Instance;
 use crate::model::CrfModel;
 use pigeon_telemetry as telemetry;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::ops::AddAssign;
 
 thread_local! {
     /// Per-thread inference scratch, so `CrfModel::predict(&self)` keeps
@@ -54,32 +54,38 @@ pub(crate) fn pair_key(la: u32, lb: u32) -> u64 {
     (u64::from(la) << 32) | u64::from(lb)
 }
 
-/// A weight store the ICM engine can score against. Implemented by the
-/// frozen [`PackedWeights`] pair (prediction) and by [`BucketWeights`]
+/// A weight store the ICM engine can score against. Implemented by
+/// [`CrfModel`] (prediction) and by a pair of [`BucketWeights`]
 /// (training, where updates interleave with inference).
 pub(crate) trait WeightStore {
     fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32;
     fn unary_w(&self, path: u32, l: u32) -> f32;
 }
 
-/// Frozen weights for one factor arity: sorted `u64` keys in a flat
+/// The number of path slots a set of tables spans: one past the largest
+/// path id, and at least one.
+pub(crate) fn path_span(paths: impl IntoIterator<Item = u32>) -> usize {
+    1 + paths.into_iter().max().unwrap_or(0) as usize
+}
+
+/// The weight table of one factor arity: sorted `u64` keys in a flat
 /// array, indexed by a per-path offset table.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedWeights {
     /// `offsets[p]..offsets[p + 1]` is path `p`'s slice of `keys`.
     pub(crate) offsets: Vec<u32>,
-    /// Sorted within each path's slice.
+    /// Strictly increasing within each path's slice.
     pub(crate) keys: Vec<u64>,
     /// Parallel to `keys`.
     pub(crate) weights: Vec<f32>,
 }
 
 impl PackedWeights {
-    /// Builds the packed form from `(path, key, weight)` triples.
-    fn build(mut entries: Vec<(u32, u64, f32)>, num_paths: usize) -> Self {
-        entries.sort_unstable_by_key(|&(p, k, _)| (p, k));
+    /// Packs `(path, key, weight)` entries sorted by `(path, key)` into
+    /// `num_paths` path slots.
+    pub(crate) fn from_sorted(entries: &[(u32, u64, f32)], num_paths: usize) -> Self {
         let mut offsets = vec![0u32; num_paths + 1];
-        for &(p, _, _) in &entries {
+        for &(p, _, _) in entries {
             offsets[p as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
@@ -105,9 +111,8 @@ impl PackedWeights {
         }
     }
 
-    /// Visits every entry as `(path, key, weight)`, in packed (path,
-    /// key-sorted) order — the artifact codec and frozen-aware audit
-    /// accessors walk the CSR form through this.
+    /// Visits every entry as `(path, key, weight)`, in `(path, key)`
+    /// order.
     pub(crate) fn iter_entries(&self) -> impl Iterator<Item = (u32, u64, f32)> + '_ {
         (0..self.offsets.len().saturating_sub(1)).flat_map(move |p| {
             let (s, e) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
@@ -116,73 +121,51 @@ impl PackedWeights {
     }
 }
 
-/// The frozen pair of weight tables predictions score against.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FrozenWeights {
-    pub(crate) pair: PackedWeights,
-    pub(crate) unary: PackedWeights,
-}
-
-impl WeightStore for FrozenWeights {
-    #[inline]
-    fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32 {
-        self.pair.get(path, pair_key(la, lb))
-    }
-
-    #[inline]
-    fn unary_w(&self, path: u32, l: u32) -> f32 {
-        self.unary.get(path, u64::from(l))
-    }
-}
-
-/// Mutable indexed weights for the training loop: one sorted
-/// `(key, weight)` bucket per path id. Lookups binary-search a small
-/// contiguous bucket; subgradient write-back inserts in O(bucket size),
-/// which stays cheap because features distribute across paths.
+/// Mutable indexed values for the training loop: one sorted
+/// `(key, value)` bucket per path id. Lookups binary-search a small
+/// contiguous bucket; write-back inserts in O(bucket size), which stays
+/// cheap because features distribute across paths. `f32` buckets hold
+/// the live weights, `f64` buckets the epoch-average sums.
 ///
-/// An entry, once inserted, is never removed even when its weight
-/// returns to zero — matching the `entry().or_insert(0.0)` presence
-/// semantics of the hash-map reference, which the epoch-averaging step
-/// observes.
+/// An entry, once inserted, is never removed even when its value
+/// returns to zero — the epoch-averaging step sums every entry ever
+/// touched.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct BucketWeights {
-    buckets: Vec<Vec<(u64, f32)>>,
+pub(crate) struct BucketWeights<T = f32> {
+    buckets: Vec<Vec<(u64, T)>>,
 }
 
-impl BucketWeights {
-    pub(crate) fn new(num_paths: usize) -> Self {
-        BucketWeights {
-            buckets: vec![Vec::new(); num_paths],
-        }
-    }
-
+impl<T: Copy + Default + AddAssign> BucketWeights<T> {
     #[inline]
-    fn get(&self, path: u32, key: u64) -> f32 {
+    fn get(&self, path: u32, key: u64) -> T {
         match self.buckets.get(path as usize) {
             Some(b) => match b.binary_search_by_key(&key, |&(k, _)| k) {
                 Ok(i) => b[i].1,
-                Err(_) => 0.0,
+                Err(_) => T::default(),
             },
-            None => 0.0,
+            None => T::default(),
         }
     }
 
-    /// Adds `delta` to the entry, inserting it (at zero) first when
-    /// absent — the indexed equivalent of `entry().or_insert(0.0) += d`.
-    pub(crate) fn add(&mut self, path: u32, key: u64, delta: f32) {
+    /// Adds `delta` to the entry, inserting it at zero first when absent.
+    pub(crate) fn add(&mut self, path: u32, key: u64, delta: T) {
         let p = path as usize;
         if p >= self.buckets.len() {
             self.buckets.resize(p + 1, Vec::new());
         }
         let b = &mut self.buckets[p];
-        match b.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => b[i].1 += delta,
-            Err(i) => b.insert(i, (key, delta)),
-        }
+        let i = b
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .unwrap_or_else(|i| {
+                b.insert(i, (key, T::default()));
+                i
+            });
+        b[i].1 += delta;
     }
 
-    /// Visits every entry as `(path, key, weight)`.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(u32, u64, f32)) {
+    /// Visits every entry as `(path, key, value)`, in `(path, key)`
+    /// order.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(u32, u64, T)) {
         for (p, b) in self.buckets.iter().enumerate() {
             for &(k, w) in b {
                 f(p as u32, k, w);
@@ -203,8 +186,8 @@ impl WeightStore for (BucketWeights, BucketWeights) {
     }
 }
 
-/// The compiled `(path, other_label, side)` → suggestions index: per-path
-/// sorted entry slices pointing into one flat label array.
+/// The `(path, other_label, side)` → suggestions index: per-path sorted
+/// entry slices pointing into one flat label pool.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PackedCandidates {
     /// `offsets[p]..offsets[p + 1]` is path `p`'s slice of `entries`.
@@ -213,31 +196,30 @@ pub(crate) struct PackedCandidates {
     pub(crate) entries: Vec<(u64, u32, u32)>,
     /// Suggested labels, in stored (frequency-ranked) order.
     pub(crate) labels: Vec<u32>,
+    /// Training co-occurrence count of each pooled label, parallel to
+    /// `labels` — or empty when the model was loaded from a binary
+    /// artifact, which ships no counts.
+    pub(crate) counts: Vec<u32>,
 }
 
-/// The model's training-time candidate map: `(path, other_label, side)`
-/// to frequency-ranked `(label, count)` suggestions.
-type CandidateMap = HashMap<(u32, u32, u8), Vec<(u32, u32)>>;
-
-/// One flattened candidate row: `(path, packed key, suggestions)`.
-type CandidateRow<'a> = (u32, u64, &'a [(u32, u32)]);
+/// One candidate row before packing: `(path, other_label, side)` and its
+/// frequency-ranked `(label, count)` suggestions.
+pub(crate) type CandidateRow = ((u32, u32, u8), Vec<(u32, u32)>);
 
 impl PackedCandidates {
-    fn build(map: &CandidateMap, num_paths: usize) -> Self {
-        let mut rows: Vec<CandidateRow> = map
-            .iter()
-            .map(|(&(p, other, side), v)| {
-                (p, (u64::from(other) << 1) | u64::from(side), v.as_slice())
-            })
-            .collect();
-        rows.sort_unstable_by_key(|&(p, k, _)| (p, k));
-        let mut offsets = vec![0u32; num_paths + 1];
+    /// Packs rows sorted by `(path, other_label, side)`, keeping their
+    /// counts.
+    pub(crate) fn from_sorted(rows: &[CandidateRow]) -> Self {
+        let mut offsets = vec![0u32; path_span(rows.iter().map(|&((p, _, _), _)| p)) + 1];
         let mut entries = Vec::with_capacity(rows.len());
         let mut labels = Vec::new();
-        for &(p, k, v) in &rows {
-            offsets[p as usize + 1] += 1;
-            entries.push((k, labels.len() as u32, v.len() as u32));
-            labels.extend(v.iter().map(|&(l, _)| l));
+        let mut counts = Vec::new();
+        for ((p, other, side), suggested) in rows {
+            offsets[*p as usize + 1] += 1;
+            let key = (u64::from(*other) << 1) | u64::from(*side);
+            entries.push((key, labels.len() as u32, suggested.len() as u32));
+            labels.extend(suggested.iter().map(|&(l, _)| l));
+            counts.extend(suggested.iter().map(|&(_, c)| c));
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
@@ -246,7 +228,31 @@ impl PackedCandidates {
             offsets,
             entries,
             labels,
+            counts,
         }
+    }
+
+    /// Number of path slots the offsets index spans.
+    pub(crate) fn num_paths(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Whether every pooled label carries its co-occurrence count.
+    pub(crate) fn has_counts(&self) -> bool {
+        self.counts.len() == self.labels.len()
+    }
+
+    /// Visits every entry as `(path, key, labels, counts)` in `(path,
+    /// key)` order; `counts` is empty when the model ships none.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (u32, u64, &[u32], &[u32])> + '_ {
+        (0..self.num_paths()).flat_map(move |p| {
+            let (s, e) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
+            self.entries[s..e].iter().map(move |&(key, start, len)| {
+                let range = start as usize..(start + len) as usize;
+                let counts = self.counts.get(range.clone()).unwrap_or(&[]);
+                (p as u32, key, &self.labels[range], counts)
+            })
+        })
     }
 
     #[inline]
@@ -267,14 +273,18 @@ impl PackedCandidates {
     }
 }
 
-/// Everything about a model that stays frozen during inference *and*
-/// during training: the candidate index, the precomputed label prior,
-/// the global fallback candidates and the inference caps.
+/// Everything about a model except its weights — the candidate index,
+/// the label statistics and prior, the global fallback candidates and
+/// the inference caps. It stays fixed while training updates the
+/// weights.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EngineShared {
     pub(crate) cands: PackedCandidates,
-    /// `prior[l]` for every label slot the engine can ever score.
+    /// Training-corpus frequency of each label (indexed by label id).
+    pub(crate) label_counts: Vec<u32>,
+    /// The smoothing prior of each counted label.
     pub(crate) prior: Vec<f32>,
+    /// Global fallback candidates (most frequent labels, descending).
     pub(crate) global_candidates: Vec<u32>,
     pub(crate) max_candidates: usize,
     pub(crate) max_passes: usize,
@@ -283,99 +293,49 @@ pub(crate) struct EngineShared {
     pub(crate) num_label_slots: usize,
 }
 
-/// A [`CrfModel`] frozen into the indexed form. Built once by
-/// [`CrfModel::compile`] (cached behind the model) and shared by every
-/// prediction thread.
-#[derive(Debug, Clone, Default)]
-pub struct CompiledCrf {
-    pub(crate) shared: EngineShared,
-    pub(crate) weights: FrozenWeights,
-}
-
-/// Builds the frozen, training-invariant part of the engine from a
-/// model's statistics tables.
-pub(crate) fn compile_shared(model: &CrfModel) -> EngineShared {
-    let num_paths = 1 + model
-        .candidates
-        .keys()
-        .map(|&(p, _, _)| p as usize)
-        .max()
-        .unwrap_or(0);
-    let cands = PackedCandidates::build(&model.candidates, num_paths);
-    shared_from_parts(
-        cands,
-        &model.label_counts,
-        model.global_candidates.clone(),
-        model.max_candidates,
-        model.max_passes,
-    )
-}
-
-/// Assembles an [`EngineShared`] from already-packed candidate tables —
-/// shared between [`compile_shared`] and the binary-artifact loader so
-/// both derive the prior and label-slot bound identically (the artifact
-/// round-trip tests assert byte-identical predictions across the two).
-pub(crate) fn shared_from_parts(
-    cands: PackedCandidates,
-    label_counts: &[u32],
-    global_candidates: Vec<u32>,
-    max_candidates: usize,
-    max_passes: usize,
-) -> EngineShared {
-    // Label slots must cover every id inference can touch: the counted
-    // labels, every suggestion and every global candidate (hand-built
-    // models may exceed the count table).
-    let mut slots = label_counts.len();
-    for l in cands.labels.iter().chain(&global_candidates) {
-        slots = slots.max(*l as usize + 1);
-    }
-    // The reference prior: out-of-range labels count as frequency zero.
-    let prior = (0..slots)
-        .map(|l| {
-            let c = label_counts.get(l).copied().unwrap_or(0);
-            1e-3 * (1.0 + f32::ln(1.0 + c as f32))
-        })
-        .collect();
-    EngineShared {
-        cands,
-        prior,
-        global_candidates,
-        max_candidates,
-        max_passes,
-        num_label_slots: slots,
-    }
-}
-
-impl CrfModel {
-    /// Freezes the model's hash-map tables into the indexed
-    /// [`CompiledCrf`] the inference engine runs on.
-    pub fn compile(&self) -> CompiledCrf {
-        let num_paths = 1 + self
-            .pair_weights
-            .keys()
-            .map(|&(p, _, _)| p as usize)
-            .chain(self.unary_weights.keys().map(|&(p, _)| p as usize))
-            .chain(self.candidates.keys().map(|&(p, _, _)| p as usize))
-            .max()
-            .unwrap_or(0);
-        let pair = PackedWeights::build(
-            self.pair_weights
-                .iter()
-                .map(|(&(p, la, lb), &w)| (p, pair_key(la, lb), w))
-                .collect(),
-            num_paths,
-        );
-        let unary = PackedWeights::build(
-            self.unary_weights
-                .iter()
-                .map(|(&(p, l), &w)| (p, u64::from(l), w))
-                .collect(),
-            num_paths,
-        );
-        CompiledCrf {
-            shared: compile_shared(self),
-            weights: FrozenWeights { pair, unary },
+impl EngineShared {
+    /// Derives the label prior and the label-slot bound from the tables.
+    pub(crate) fn new(
+        cands: PackedCandidates,
+        label_counts: Vec<u32>,
+        global_candidates: Vec<u32>,
+        max_candidates: usize,
+        max_passes: usize,
+    ) -> EngineShared {
+        // Label slots must cover every id inference can touch: the counted
+        // labels, every suggestion and every global candidate (hand-built
+        // models may exceed the count table).
+        let mut slots = label_counts.len();
+        for l in cands.labels.iter().chain(&global_candidates) {
+            slots = slots.max(*l as usize + 1);
         }
+        // Uncounted labels score the frequency-zero prior (see
+        // `node_score`), so the table only covers the counted ones.
+        let prior = label_counts
+            .iter()
+            .map(|&c| 1e-3 * (1.0 + f32::ln(1.0 + c as f32)))
+            .collect();
+        EngineShared {
+            cands,
+            label_counts,
+            prior,
+            global_candidates,
+            max_candidates,
+            max_passes,
+            num_label_slots: slots,
+        }
+    }
+}
+
+impl WeightStore for CrfModel {
+    #[inline]
+    fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32 {
+        self.pair.get(path, pair_key(la, lb))
+    }
+
+    #[inline]
+    fn unary_w(&self, path: u32, l: u32) -> f32 {
+        self.unary.get(path, u64::from(l))
     }
 }
 
@@ -385,7 +345,7 @@ impl CrfModel {
 /// inferences; nothing is reallocated once the high-water marks are
 /// reached.
 #[derive(Debug, Clone, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     labels: Vec<u32>,
     unknowns: Vec<u32>,
     /// CSR over pairwise factors: node `i` touches factor indices
@@ -405,7 +365,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// A fresh workspace; buffers grow on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Workspace::default()
     }
 
@@ -425,7 +385,7 @@ impl Workspace {
         );
 
         // Degree count → prefix sum → fill, preserving factor order per
-        // node (the reference adjacency pushes factors in index order).
+        // node.
         self.pair_off.clear();
         self.pair_off.resize(n + 1, 0);
         for pf in &inst.pairwise {
@@ -481,9 +441,9 @@ impl Workspace {
     }
 }
 
-/// Materialises `node`'s candidate set into `ws.cand`, in the reference
-/// order: per-factor suggestions (factor order, suggestion rank order),
-/// then global candidates, deduplicated and capped at `max_candidates`.
+/// Materialises `node`'s candidate set into `ws.cand`: per-factor
+/// suggestions (factor order, suggestion rank order), then global
+/// candidates, deduplicated and capped at `max_candidates`.
 fn collect_candidates(shared: &EngineShared, inst: &Instance, ws: &mut Workspace, node: usize) {
     ws.cand.clear();
     ws.stamp = ws.stamp.wrapping_add(1);
@@ -519,8 +479,8 @@ fn collect_candidates(shared: &EngineShared, inst: &Instance, ws: &mut Workspace
 }
 
 /// The score of assigning `label` to `node` with every other node held
-/// at `ws.labels` — accumulation order matches the reference bit-for-bit
-/// (prior, pairwise factors in adjacency order, unary factors, margin).
+/// at `labels`, accumulated in a fixed order (prior, pairwise factors in
+/// adjacency order, unary factors, margin) so results are bit-stable.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn node_score<W: WeightStore>(
@@ -534,6 +494,7 @@ fn node_score<W: WeightStore>(
     label: u32,
     loss_augment: bool,
 ) -> f32 {
+    // A label outside the count table has frequency zero.
     let mut s = shared
         .prior
         .get(label as usize)
@@ -557,7 +518,7 @@ fn node_score<W: WeightStore>(
 }
 
 /// Best candidate for `node` against the current workspace labels; the
-/// reference tie-break (first strict improvement wins) is preserved.
+/// first strict improvement wins ties.
 fn argmax<W: WeightStore>(
     shared: &EngineShared,
     weights: &W,
@@ -588,14 +549,16 @@ fn argmax<W: WeightStore>(
         }
     }
     if ws.cand.is_empty() {
+        // No evidence at all: the most frequent training label.
         best = shared.global_candidates.first().copied().unwrap_or(0);
     }
     best
 }
 
-/// MAP inference: the compiled rewrite of [`CrfModel::infer`], identical
-/// in output. Initialisation (blank → evidence pass) matches the
-/// reference; the sweeps run delta-ICM over the dirty set.
+/// MAP inference by iterated conditional modes over the candidate sets:
+/// blank every unknown, initialise each to its best candidate given the
+/// evidence, then sweep until a fixpoint (or the sweep limit), re-scoring
+/// only nodes whose neighbours flipped.
 pub(crate) fn infer<W: WeightStore>(
     shared: &EngineShared,
     weights: &W,
@@ -617,11 +580,11 @@ pub(crate) fn infer<W: WeightStore>(
         collect_candidates(shared, inst, ws, u);
         ws.labels[u] = argmax(shared, weights, inst, ws, u, loss_augment);
     }
-    // Delta-ICM sweeps: every unknown starts dirty (the reference's
-    // first sweep rescans everyone); afterwards only neighbours of a
-    // flipped node can change their best response, so clean nodes are
-    // skipped — provably without changing the trajectory, because a
-    // node's score depends only on its neighbours' labels.
+    // Delta-ICM sweeps: every unknown starts dirty (a full first sweep);
+    // afterwards only neighbours of a flipped node can change their best
+    // response, so clean nodes are skipped — provably without changing
+    // the trajectory, because a node's score depends only on its
+    // neighbours' labels.
     for i in 0..ws.unknowns.len() {
         ws.dirty[ws.unknowns[i] as usize] = true;
     }
@@ -668,55 +631,40 @@ pub(crate) fn infer<W: WeightStore>(
     ws.labels.clone()
 }
 
-impl CompiledCrf {
-    /// MAP inference with an external workspace (the batch/training entry
-    /// point: reuse one workspace across calls to amortise its buffers).
-    pub fn infer_with(&self, inst: &Instance, ws: &mut Workspace) -> Vec<u32> {
-        infer(&self.shared, &self.weights, inst, false, ws)
+impl CrfModel {
+    /// MAP inference (see [`infer`]) on the calling thread's cached
+    /// workspace.
+    ///
+    /// Returns the full label vector; known nodes keep their labels.
+    pub fn predict(&self, inst: &Instance) -> Vec<u32> {
+        self.infer(inst, false)
     }
 
-    /// MAP inference on the calling thread's cached workspace.
-    pub fn infer(&self, inst: &Instance) -> Vec<u32> {
-        TLS_WORKSPACE.with(|ws| self.infer_with(inst, &mut ws.borrow_mut()))
+    /// Inference with an explicit loss-augmentation switch (every
+    /// non-gold label gains a unit margin) — the path training runs,
+    /// exposed so the property tests can check it against a reference.
+    #[doc(hidden)]
+    pub fn infer(&self, inst: &Instance, loss_augment: bool) -> Vec<u32> {
+        TLS_WORKSPACE.with(|ws| infer(&self.shared, self, inst, loss_augment, &mut ws.borrow_mut()))
     }
 
-    /// Inference with an explicit loss-augmentation switch — the
-    /// training path, surfaced for the equivalence property tests.
-    pub(crate) fn infer_augmented(
-        &self,
-        inst: &Instance,
-        loss_augment: bool,
-        ws: &mut Workspace,
-    ) -> Vec<u32> {
-        infer(&self.shared, &self.weights, inst, loss_augment, ws)
-    }
-
-    /// The top-`k` candidates for `node` under the MAP assignment —
-    /// the compiled equivalent of [`CrfModel::top_k`].
-    pub(crate) fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
-        TLS_WORKSPACE.with(|ws| self.top_k_with(inst, node, k, &mut ws.borrow_mut()))
-    }
-
-    fn top_k_with(
-        &self,
-        inst: &Instance,
-        node: usize,
-        k: usize,
-        ws: &mut Workspace,
-    ) -> Vec<(u32, f32)> {
-        let labels = infer(&self.shared, &self.weights, inst, false, ws);
-        collect_candidates(&self.shared, inst, ws, node);
-        let pair_factors = ws.pair_factors(node);
-        let unary_factors = ws.unary_factors(node);
-        let mut scored: Vec<(u32, f32)> = ws
-            .cand
-            .iter()
-            .map(|&c| {
-                (
-                    c,
-                    node_score(
+    /// The top-`k` candidate labels for one unknown node, scored with all
+    /// other nodes fixed at the MAP assignment — the paper's added
+    /// "top-k candidates suggestion" API (§5.1).
+    pub fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
+        TLS_WORKSPACE.with(|ws| {
+            let ws = &mut *ws.borrow_mut();
+            let labels = infer(&self.shared, self, inst, false, ws);
+            collect_candidates(&self.shared, inst, ws, node);
+            let pair_factors = ws.pair_factors(node);
+            let unary_factors = ws.unary_factors(node);
+            let mut scored: Vec<(u32, f32)> = ws
+                .cand
+                .iter()
+                .map(|&c| {
+                    let s = node_score(
                         &self.shared,
-                        &self.weights,
+                        self,
                         inst,
                         &labels,
                         pair_factors,
@@ -724,13 +672,14 @@ impl CompiledCrf {
                         node,
                         c,
                         false,
-                    ),
-                )
-            })
-            .collect();
-        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        scored.truncate(k);
-        scored
+                    );
+                    (c, s)
+                })
+                .collect();
+            scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+            scored.truncate(k);
+            scored
+        })
     }
 
     /// Candidate labels for `node` against an explicit label vector —
@@ -760,7 +709,7 @@ impl CompiledCrf {
     ) -> f32 {
         node_score(
             &self.shared,
-            &self.weights,
+            self,
             inst,
             labels,
             ws.pair_factors(node),

@@ -119,26 +119,6 @@ impl Instance {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Per-node adjacency: for every node, the indices into `pairwise`
-    /// and `unary` that touch it. Computed once per inference call.
-    pub(crate) fn adjacency(&self) -> Vec<NodeAdjacency> {
-        let mut adj = vec![NodeAdjacency::default(); self.nodes.len()];
-        for (f, pf) in self.pairwise.iter().enumerate() {
-            adj[pf.a].pairwise.push(f);
-            adj[pf.b].pairwise.push(f);
-        }
-        for (f, uf) in self.unary.iter().enumerate() {
-            adj[uf.node].unary.push(f);
-        }
-        adj
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NodeAdjacency {
-    pub pairwise: Vec<usize>,
-    pub unary: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -149,19 +129,6 @@ mod tests {
     fn unknown_nodes_are_listed() {
         let inst = Instance::new(vec![Node::known(1), Node::unknown(2), Node::unknown(0)]);
         assert_eq!(inst.unknown_nodes(), vec![1, 2]);
-    }
-
-    #[test]
-    fn adjacency_maps_factors_to_both_ends() {
-        let mut inst = Instance::new(vec![Node::unknown(0), Node::known(1), Node::unknown(2)]);
-        inst.add_pair(0, 1, 7);
-        inst.add_pair(0, 2, 8);
-        inst.add_unary(2, 9);
-        let adj = inst.adjacency();
-        assert_eq!(adj[0].pairwise, vec![0, 1]);
-        assert_eq!(adj[1].pairwise, vec![0]);
-        assert_eq!(adj[2].pairwise, vec![1]);
-        assert_eq!(adj[2].unary, vec![0]);
     }
 
     #[test]

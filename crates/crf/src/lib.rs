@@ -31,13 +31,12 @@
 pub mod artifact;
 mod beam;
 pub mod checkpoint;
-mod compiled;
+mod engine;
 mod instance;
 mod model;
 mod serialize;
 mod train;
 
-pub use compiled::{CompiledCrf, Workspace};
 pub use instance::{Instance, Node, PairFactor, UnaryFactor};
 pub use model::{CrfModel, ModelIssue, MAX_CANDIDATES_BOUND, MAX_PASSES_BOUND};
 pub use train::{

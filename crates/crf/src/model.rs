@@ -1,14 +1,13 @@
-//! The weight store, MAP inference, and top-k suggestion.
+//! The model: packed weights, candidate tables, validation and read
+//! accessors.
 
-use crate::compiled::CompiledCrf;
-use crate::instance::{Instance, NodeAdjacency};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use crate::engine::{EngineShared, PackedCandidates, PackedWeights, WeightStore};
+use crate::instance::Instance;
 
 /// One borrowed candidate-table entry:
-/// `((path, other_label, side), suggestions)` — see
+/// `((path, other_label, side), labels, counts)` — see
 /// [`CrfModel::candidate_entries`].
-pub type CandidateEntryRef<'a> = ((u32, u32, u8), &'a [(u32, u32)]);
+pub type CandidateEntryRef<'a> = ((u32, u32, u8), &'a [u32], &'a [u32]);
 
 /// Upper bound on `max_candidates` accepted from any serialised model
 /// (JSON or binary artifact). Trained models sit around a few dozen;
@@ -41,6 +40,17 @@ impl ModelIssue {
             message: message.into(),
         }
     }
+
+    /// `what` references a path id outside the feature vocabulary.
+    pub(crate) fn feature_range(what: &str, id: u32, num_features: usize) -> Self {
+        ModelIssue::new(
+            "model-id-range",
+            format!(
+                "{what} references feature id {id}, but the feature vocabulary \
+                 has {num_features} entries"
+            ),
+        )
+    }
 }
 
 impl std::fmt::Display for ModelIssue {
@@ -56,114 +66,81 @@ impl std::fmt::Display for ModelIssue {
 /// `Σ w[(path, y_a)]` over unary factors — Eq. 1 of the paper in log
 /// space, restricted to MAP queries (the partition function is never
 /// needed for prediction, matching Nice2Predict).
-#[derive(Debug, Default)]
+///
+/// Every table lives in one packed form (see [`crate::engine`]),
+/// whether the model was trained, parsed from JSON or loaded from a
+/// binary artifact; inference runs on it directly.
+#[derive(Debug, Clone, Default)]
 pub struct CrfModel {
-    /// Pairwise feature weights keyed by `(path, label_a, label_b)`.
-    pub(crate) pair_weights: HashMap<(u32, u32, u32), f32>,
-    /// Unary feature weights keyed by `(path, label)`.
-    pub(crate) unary_weights: HashMap<(u32, u32), f32>,
-    /// Training-corpus frequency of each label (smoothing prior and
-    /// global candidate source).
-    pub(crate) label_counts: Vec<u32>,
-    /// Candidate suggestions: `(path, other_label, side)` observed with
-    /// each gold label. `side` is 0 when the unknown is the factor's
-    /// `a` end, 1 when it is the `b` end.
-    pub(crate) candidates: HashMap<(u32, u32, u8), Vec<(u32, u32)>>,
-    /// Global fallback candidates (most frequent labels, descending).
-    pub(crate) global_candidates: Vec<u32>,
-    /// Maximum candidates considered per node during inference.
-    pub(crate) max_candidates: usize,
-    /// ICM sweeps per inference call.
-    pub(crate) max_passes: usize,
-    /// Lazily built compiled form of the model (see [`crate::compiled`]):
-    /// indexed weights and candidate tables that every `predict` runs on.
-    /// Built on first use; prediction threads share the one instance.
-    /// Invariant: the hash-map tables above are never mutated after the
-    /// cache is populated (the crate only mutates them during training
-    /// and deserialisation, both of which build fresh models).
-    pub(crate) compiled: OnceLock<CompiledCrf>,
-    /// A compiled engine loaded directly from a binary artifact (see
-    /// [`crate::artifact`]). When set, the hash-map tables above hold no
-    /// weights — the artifact ships only the CSR form — and every
-    /// prediction runs on this engine. `Arc` so clones share it: unlike
-    /// the lazily derived cache, it cannot be re-derived from the (empty)
-    /// tables.
-    pub(crate) frozen: Option<Arc<CompiledCrf>>,
-}
-
-impl Clone for CrfModel {
-    fn clone(&self) -> Self {
-        // The compiled cache is intentionally dropped: re-deriving it on
-        // first use is cheap and can never go stale against the clone's
-        // own tables. The artifact-backed engine, by contrast, *is* the
-        // weight store, so clones share it.
-        CrfModel {
-            pair_weights: self.pair_weights.clone(),
-            unary_weights: self.unary_weights.clone(),
-            label_counts: self.label_counts.clone(),
-            candidates: self.candidates.clone(),
-            global_candidates: self.global_candidates.clone(),
-            max_candidates: self.max_candidates,
-            max_passes: self.max_passes,
-            compiled: OnceLock::new(),
-            frozen: self.frozen.clone(),
-        }
-    }
+    /// Pairwise weights, keyed `label_a << 32 | label_b` per path.
+    pub(crate) pair: PackedWeights,
+    /// Unary weights, keyed by label per path.
+    pub(crate) unary: PackedWeights,
+    /// Candidate index, label statistics and inference caps.
+    pub(crate) shared: EngineShared,
 }
 
 impl CrfModel {
-    /// The compiled engine for this model: the artifact-loaded engine
-    /// when this model came from a binary artifact, otherwise built on
-    /// first use from the hash-map tables.
-    pub(crate) fn compiled(&self) -> &CompiledCrf {
-        if let Some(frozen) = &self.frozen {
-            return frozen;
+    /// Assembles a model from its packed tables.
+    pub(crate) fn from_parts(
+        pair: PackedWeights,
+        unary: PackedWeights,
+        cands: PackedCandidates,
+        label_counts: Vec<u32>,
+        global_candidates: Vec<u32>,
+        max_candidates: usize,
+        max_passes: usize,
+    ) -> CrfModel {
+        CrfModel {
+            pair,
+            unary,
+            shared: EngineShared::new(
+                cands,
+                label_counts,
+                global_candidates,
+                max_candidates,
+                max_passes,
+            ),
         }
-        self.compiled.get_or_init(|| self.compile())
     }
 
-    /// Whether this model was loaded from a compiled binary artifact and
-    /// therefore carries only the CSR engine, not the editable hash-map
-    /// tables (JSON re-serialisation is impossible for such a model).
-    pub fn is_artifact_backed(&self) -> bool {
-        self.frozen.is_some()
+    /// Whether the candidate tables carry their training co-occurrence
+    /// counts. Binary artifacts ship none, so a model loaded from one
+    /// can neither be re-serialised to JSON nor updated incrementally.
+    pub fn has_candidate_counts(&self) -> bool {
+        self.shared.cands.has_counts()
     }
 
     /// Number of distinct pairwise features with non-zero weight.
     pub fn num_pair_features(&self) -> usize {
-        match &self.frozen {
-            Some(f) => f.weights.pair.keys.len(),
-            None => self.pair_weights.len(),
-        }
+        self.pair.keys.len()
     }
 
-    /// Checks that a deserialised model is safe to run inference on:
-    /// every feature and label id fits the given vocabulary sizes (so
-    /// `predict` can never index past the vocabularies the model shipped
-    /// with), every weight is finite (a single `inf` poisons every score
-    /// it touches), no candidate entry carries an empty suggestion list,
-    /// and the inference caps are sane.
+    /// Number of distinct unary features with non-zero weight.
+    pub fn num_unary_features(&self) -> usize {
+        self.unary.keys.len()
+    }
+
+    /// Checks that a model is safe to run inference on: every feature
+    /// and label id fits the given vocabulary sizes (so `predict` can
+    /// never index past the vocabularies the model shipped with), every
+    /// weight is finite (a single `inf` poisons every score it touches),
+    /// no candidate entry carries an empty suggestion list, and the
+    /// inference caps are sane. Tables are walked in key order, so the
+    /// same model always reports the same issue.
     ///
     /// # Errors
     ///
     /// Returns the first [`ModelIssue`] found; its `code` names the
-    /// failure shape and its message the first offending entry.
+    /// failure shape and its message the smallest offending entry.
     pub fn validate(&self, num_features: usize, num_labels: usize) -> Result<(), ModelIssue> {
-        let nf = num_features as u32;
-        let nl = num_labels as u32;
         let feature = |what: &str, id: u32| {
-            (id < nf).then_some(()).ok_or_else(|| {
-                ModelIssue::new(
-                    "model-id-range",
-                    format!(
-                        "{what} references feature id {id}, but the feature vocabulary \
-                         has {num_features} entries"
-                    ),
-                )
-            })
+            ((id as usize) < num_features)
+                .then_some(())
+                .ok_or_else(|| ModelIssue::feature_range(what, id, num_features))
         };
-        let label = |what: &str, id: u32| {
-            (id < nl).then_some(()).ok_or_else(|| {
+        let label = |what: &str, id: u64| {
+            (id < num_labels as u64).then_some(()).ok_or_else(|| {
                 ModelIssue::new(
                     "model-id-range",
                     format!(
@@ -173,58 +150,60 @@ impl CrfModel {
                 )
             })
         };
-        let finite = |what: &str, key: String, w: f32| {
-            w.is_finite().then_some(()).ok_or_else(|| {
-                ModelIssue::new(
-                    "model-nonfinite-weight",
-                    format!("{what} {key} carries non-finite weight {w}"),
-                )
-            })
+        let nonfinite = |entry: String, w: f32| {
+            ModelIssue::new(
+                "model-nonfinite-weight",
+                format!("{entry} carries non-finite weight {w}"),
+            )
         };
-        if self.label_counts.len() != num_labels {
+        let shared = &self.shared;
+        if shared.label_counts.len() != num_labels {
             return Err(ModelIssue::new(
                 "model-id-range",
                 format!(
                     "label-count table has {} entries, but the label vocabulary \
                      has {num_labels}",
-                    self.label_counts.len()
+                    shared.label_counts.len()
                 ),
             ));
         }
-        if self.max_candidates > MAX_CANDIDATES_BOUND {
-            return Err(ModelIssue::new(
-                "model-caps",
-                format!(
-                    "max_candidates is {}, above the bound of {MAX_CANDIDATES_BOUND}",
-                    self.max_candidates
-                ),
-            ));
+        for (name, value, bound) in [
+            (
+                "max_candidates",
+                shared.max_candidates,
+                MAX_CANDIDATES_BOUND,
+            ),
+            ("max_passes", shared.max_passes, MAX_PASSES_BOUND),
+        ] {
+            if value > bound {
+                return Err(ModelIssue::new(
+                    "model-caps",
+                    format!("{name} is {value}, above the bound of {bound}"),
+                ));
+            }
         }
-        if self.max_passes > MAX_PASSES_BOUND {
-            return Err(ModelIssue::new(
-                "model-caps",
-                format!(
-                    "max_passes is {}, above the bound of {MAX_PASSES_BOUND}",
-                    self.max_passes
-                ),
-            ));
-        }
-        for (&(path, la, lb), &w) in &self.pair_weights {
+        for (path, key, w) in self.pair.iter_entries() {
+            let (la, lb) = (key >> 32, key & u64::from(u32::MAX));
             feature("pairwise weight", path)?;
             label("pairwise weight", la)?;
             label("pairwise weight", lb)?;
-            finite(
-                "pairwise weight",
-                format!("(path {path}, labels {la}/{lb})"),
-                w,
-            )?;
+            if !w.is_finite() {
+                let entry = format!("pairwise weight (path {path}, labels {la}/{lb})");
+                return Err(nonfinite(entry, w));
+            }
         }
-        for (&(path, l), &w) in &self.unary_weights {
+        for (path, l, w) in self.unary.iter_entries() {
             feature("unary weight", path)?;
             label("unary weight", l)?;
-            finite("unary weight", format!("(path {path}, label {l})"), w)?;
+            if !w.is_finite() {
+                return Err(nonfinite(
+                    format!("unary weight (path {path}, label {l})"),
+                    w,
+                ));
+            }
         }
-        for (&(path, other, side), suggested) in &self.candidates {
+        for (path, key, suggested, _) in shared.cands.rows() {
+            let (other, side) = (key >> 1, key & 1);
             feature("candidate table", path)?;
             label("candidate table", other)?;
             if suggested.is_empty() {
@@ -236,262 +215,79 @@ impl CrfModel {
                     ),
                 ));
             }
-            for &(l, _) in suggested {
-                label("candidate suggestion", l)?;
+            for &l in suggested {
+                label("candidate suggestion", u64::from(l))?;
             }
         }
-        for &l in &self.global_candidates {
-            label("global candidate list", l)?;
+        for &l in &shared.global_candidates {
+            label("global candidate list", u64::from(l))?;
+        }
+        // Entries are in range, so only empty trailing path slots can
+        // stretch an offsets index past the vocabulary (the one-slot
+        // floor is the empty model's).
+        for (what, num_paths) in [
+            ("pairwise weight", self.pair.offsets.len().saturating_sub(1)),
+            ("unary weight", self.unary.offsets.len().saturating_sub(1)),
+            ("candidate table", shared.cands.num_paths()),
+        ] {
+            if num_paths > num_features.max(1) {
+                return Err(ModelIssue::new(
+                    "model-id-range",
+                    format!(
+                        "{what} index spans {num_paths} paths, but the feature \
+                         vocabulary has {num_features} entries"
+                    ),
+                ));
+            }
         }
         Ok(())
     }
 
-    /// Number of distinct unary features with non-zero weight.
-    pub fn num_unary_features(&self) -> usize {
-        match &self.frozen {
-            Some(f) => f.weights.unary.keys.len(),
-            None => self.unary_weights.len(),
-        }
-    }
-
     /// Read-only view of every pairwise weight as
-    /// `(path, label_a, label_b, weight)` — hash-map order for trained
-    /// or JSON-loaded models, packed (sorted) order for artifact-backed
-    /// ones. For audit tooling; iteration never builds the compiled
-    /// cache.
+    /// `(path, label_a, label_b, weight)`, in key order.
     pub fn pair_weight_entries(&self) -> impl Iterator<Item = (u32, u32, u32, f32)> + '_ {
-        let from_map = self
-            .pair_weights
-            .iter()
-            .map(|(&(p, a, b), &w)| (p, a, b, w));
-        // Exactly one of the two sources is populated: artifact-backed
-        // models keep their hash maps empty.
-        let from_frozen = self
-            .frozen
-            .as_deref()
-            .into_iter()
-            .flat_map(|f| f.weights.pair.iter_entries())
-            .map(|(p, key, w)| (p, (key >> 32) as u32, key as u32, w));
-        from_map.chain(from_frozen)
+        self.pair
+            .iter_entries()
+            .map(|(p, key, w)| (p, (key >> 32) as u32, key as u32, w))
     }
 
-    /// Read-only view of every unary weight as `(path, label, weight)`;
-    /// same ordering contract as [`CrfModel::pair_weight_entries`].
+    /// Read-only view of every unary weight as `(path, label, weight)`,
+    /// in key order.
     pub fn unary_weight_entries(&self) -> impl Iterator<Item = (u32, u32, f32)> + '_ {
-        let from_map = self.unary_weights.iter().map(|(&(p, l), &w)| (p, l, w));
-        let from_frozen = self
-            .frozen
-            .as_deref()
-            .into_iter()
-            .flat_map(|f| f.weights.unary.iter_entries())
-            .map(|(p, key, w)| (p, key as u32, w));
-        from_map.chain(from_frozen)
+        self.unary
+            .iter_entries()
+            .map(|(p, key, w)| (p, key as u32, w))
     }
 
     /// The per-label training-frequency table (indexed by label id).
     pub fn label_count_table(&self) -> &[u32] {
-        &self.label_counts
+        &self.shared.label_counts
     }
 
-    /// Read-only view of the candidate tables: each entry is
-    /// `((path, other_label, side), suggestions)` where suggestions are
-    /// `(label, co-occurrence count)` pairs.
+    /// Read-only view of the candidate tables in key order: each entry is
+    /// `((path, other_label, side), labels, counts)`, the suggested
+    /// labels most frequent first with their co-occurrence counts —
+    /// `counts` is empty when the model carries none (see
+    /// [`CrfModel::has_candidate_counts`]).
     pub fn candidate_entries(&self) -> impl Iterator<Item = CandidateEntryRef<'_>> {
-        self.candidates.iter().map(|(&k, v)| (k, v.as_slice()))
+        self.shared.cands.rows().map(|(p, key, labels, counts)| {
+            ((p, (key >> 1) as u32, (key & 1) as u8), labels, counts)
+        })
     }
 
     /// The global fallback candidate labels, most frequent first.
     pub fn global_candidate_labels(&self) -> &[u32] {
-        &self.global_candidates
+        &self.shared.global_candidates
     }
 
     /// Maximum candidates considered per node during inference.
     pub fn max_candidates(&self) -> usize {
-        self.max_candidates
+        self.shared.max_candidates
     }
 
-    fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32 {
-        self.pair_weights
-            .get(&(path, la, lb))
-            .copied()
-            .unwrap_or(0.0)
-    }
-
-    fn unary_w(&self, path: u32, l: u32) -> f32 {
-        self.unary_weights.get(&(path, l)).copied().unwrap_or(0.0)
-    }
-
-    /// A small tie-break prior favouring frequent labels.
-    fn prior(&self, label: u32) -> f32 {
-        let c = self.label_counts.get(label as usize).copied().unwrap_or(0);
-        1e-3 * (1.0 + f32::ln(1.0 + c as f32))
-    }
-
-    /// The candidate label set for one unknown node: per-factor
-    /// suggestions from training co-occurrence, then global frequent
-    /// labels, capped at `max_candidates`.
-    pub(crate) fn node_candidates(
-        &self,
-        inst: &Instance,
-        adj: &[NodeAdjacency],
-        labels: &[u32],
-        node: usize,
-    ) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        let push = |l: u32, out: &mut Vec<u32>| {
-            if !out.contains(&l) && out.len() < self.max_candidates {
-                out.push(l);
-            }
-        };
-        for &f in &adj[node].pairwise {
-            let pf = inst.pairwise[f];
-            let (other, side) = if pf.a == node {
-                (pf.b, 0u8)
-            } else {
-                (pf.a, 1u8)
-            };
-            let other_label = labels[other];
-            if let Some(suggested) = self.candidates.get(&(pf.path, other_label, side)) {
-                for &(l, _) in suggested {
-                    push(l, &mut out);
-                }
-            }
-        }
-        for &l in &self.global_candidates {
-            push(l, &mut out);
-        }
-        out
-    }
-
-    /// The score of assigning `label` to `node` with every other node
-    /// held at `labels`. `loss_augment` adds a unit margin against the
-    /// gold label (loss-augmented inference for max-margin training).
-    pub(crate) fn node_score(
-        &self,
-        inst: &Instance,
-        adj: &[NodeAdjacency],
-        labels: &[u32],
-        node: usize,
-        label: u32,
-        loss_augment: bool,
-    ) -> f32 {
-        let mut s = self.prior(label);
-        for &f in &adj[node].pairwise {
-            let pf = inst.pairwise[f];
-            s += if pf.a == node {
-                self.pair_w(pf.path, label, labels[pf.b])
-            } else {
-                self.pair_w(pf.path, labels[pf.a], label)
-            };
-        }
-        for &f in &adj[node].unary {
-            s += self.unary_w(inst.unary[f].path, label);
-        }
-        if loss_augment && label != inst.nodes[node].label {
-            s += 1.0;
-        }
-        s
-    }
-
-    /// MAP inference by iterated conditional modes over the candidate
-    /// sets: initialise each unknown to its best unary+prior candidate,
-    /// then sweep until a fixpoint (or the sweep limit).
-    ///
-    /// Runs on the compiled engine (see [`crate::compiled`]); the result
-    /// is bit-identical to the hash-map reference implementation, which
-    /// [`CrfModel::predict_reference`] retains for the equivalence
-    /// property tests.
-    ///
-    /// Returns the full label vector; known nodes keep their labels.
-    pub fn predict(&self, inst: &Instance) -> Vec<u32> {
-        self.compiled().infer(inst)
-    }
-
-    /// The pre-compilation hash-map inference path, kept as the oracle
-    /// the compiled engine is property-tested against. Not for
-    /// production use: it rebuilds adjacency and candidate vectors on
-    /// every call.
-    #[doc(hidden)]
-    pub fn predict_reference(&self, inst: &Instance) -> Vec<u32> {
-        self.infer_reference(inst, false)
-    }
-
-    /// Loss-augmented inference on the compiled engine — exposed so the
-    /// equivalence property tests can drive the exact code path training
-    /// runs.
-    #[doc(hidden)]
-    pub fn infer_compiled(&self, inst: &Instance, loss_augment: bool) -> Vec<u32> {
-        let mut ws = crate::compiled::Workspace::new();
-        self.compiled().infer_augmented(inst, loss_augment, &mut ws)
-    }
-
-    /// Reference loss-augmented inference — the oracle for the training
-    /// path's equivalence tests.
-    #[doc(hidden)]
-    pub fn infer_reference(&self, inst: &Instance, loss_augment: bool) -> Vec<u32> {
-        let adj = inst.adjacency();
-        let mut labels: Vec<u32> = inst.nodes.iter().map(|n| n.label).collect();
-        let unknowns = inst.unknown_nodes();
-
-        // Blank out the unknowns first: their stored labels are gold (or a
-        // caller sentinel) and must never influence inference.
-        let blank = self.global_candidates.first().copied().unwrap_or(0);
-        for &u in &unknowns {
-            labels[u] = blank;
-        }
-        // Initialise unknowns ignoring each other: evidence-only pass.
-        for &u in &unknowns {
-            let cands = self.node_candidates(inst, &adj, &labels, u);
-            labels[u] = self.argmax(inst, &adj, &labels, u, &cands, loss_augment);
-        }
-        // ICM sweeps.
-        for _ in 0..self.max_passes {
-            let mut changed = false;
-            for &u in &unknowns {
-                let cands = self.node_candidates(inst, &adj, &labels, u);
-                let best = self.argmax(inst, &adj, &labels, u, &cands, loss_augment);
-                if best != labels[u] {
-                    labels[u] = best;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        labels
-    }
-
-    fn argmax(
-        &self,
-        inst: &Instance,
-        adj: &[NodeAdjacency],
-        labels: &[u32],
-        node: usize,
-        candidates: &[u32],
-        loss_augment: bool,
-    ) -> u32 {
-        let mut best = labels[node];
-        let mut best_score = f32::NEG_INFINITY;
-        for &c in candidates {
-            let s = self.node_score(inst, adj, labels, node, c, loss_augment);
-            if s > best_score {
-                best_score = s;
-                best = c;
-            }
-        }
-        if candidates.is_empty() {
-            // No evidence at all: the most frequent training label.
-            best = self.global_candidates.first().copied().unwrap_or(0);
-        }
-        best
-    }
-
-    /// The top-`k` candidate labels for one unknown node, scored with all
-    /// other nodes fixed at the MAP assignment — the paper's added
-    /// "top-k candidates suggestion" API (§5.1).
-    pub fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
-        self.compiled().top_k(inst, node, k)
+    /// ICM sweeps per inference call.
+    pub fn max_passes(&self) -> usize {
+        self.shared.max_passes
     }
 
     /// The total (unnormalised log-)score of a full assignment; exposed
@@ -506,7 +302,13 @@ impl CrfModel {
         }
         for (i, n) in inst.nodes.iter().enumerate() {
             if !n.known {
-                s += self.prior(labels[i]);
+                // A label outside the count table has frequency zero.
+                s += self
+                    .shared
+                    .prior
+                    .get(labels[i] as usize)
+                    .copied()
+                    .unwrap_or(1e-3 * 1.0);
             }
         }
         s
@@ -516,27 +318,38 @@ impl CrfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{pair_key, path_span};
     use crate::instance::Node;
 
     /// A hand-weighted model: path 0 strongly links label pairs (1,2) and
-    /// (3,4); unary path 5 favours label 1.
-    fn toy_model() -> CrfModel {
-        let mut m = CrfModel {
-            max_candidates: 8,
-            max_passes: 4,
-            ..CrfModel::default()
-        };
-        m.pair_weights.insert((0, 1, 2), 5.0);
-        m.pair_weights.insert((0, 3, 4), 4.0);
-        m.unary_weights.insert((5, 1), 2.0);
-        m.label_counts = vec![1, 10, 10, 5, 5];
-        m.global_candidates = vec![1, 2, 3, 4, 0];
-        m
+    /// (3,4); unary path 5 favours label 1. `extra_pair` / `extra_unary`
+    /// add further `(path, labels…, weight)` entries.
+    fn toy_model(extra_pair: &[(u32, u32, u32, f32)], extra_unary: &[(u32, u32, f32)]) -> CrfModel {
+        let mut pair = vec![(0, pair_key(1, 2), 5.0), (0, pair_key(3, 4), 4.0)];
+        pair.extend(
+            extra_pair
+                .iter()
+                .map(|&(p, a, b, w)| (p, pair_key(a, b), w)),
+        );
+        pair.sort_by_key(|&(p, k, _)| (p, k));
+        let mut unary = vec![(5, 1, 2.0)];
+        unary.extend(extra_unary.iter().map(|&(p, l, w)| (p, u64::from(l), w)));
+        unary.sort_by_key(|&(p, k, _)| (p, k));
+        let num_paths = path_span(pair.iter().chain(&unary).map(|e| e.0));
+        CrfModel::from_parts(
+            PackedWeights::from_sorted(&pair, num_paths),
+            PackedWeights::from_sorted(&unary, num_paths),
+            PackedCandidates::from_sorted(&[]),
+            vec![1, 10, 10, 5, 5],
+            vec![1, 2, 3, 4, 0],
+            8,
+            4,
+        )
     }
 
     #[test]
     fn prediction_uses_pairwise_evidence() {
-        let m = toy_model();
+        let m = toy_model(&[], &[]);
         let mut inst = Instance::new(vec![Node::unknown(1), Node::known(2)]);
         inst.add_pair(0, 1, 0);
         assert_eq!(
@@ -548,7 +361,7 @@ mod tests {
 
     #[test]
     fn prediction_uses_unary_evidence() {
-        let m = toy_model();
+        let m = toy_model(&[], &[]);
         let mut inst = Instance::new(vec![Node::unknown(1)]);
         inst.add_unary(0, 5);
         assert_eq!(m.predict(&inst)[0], 1);
@@ -556,14 +369,14 @@ mod tests {
 
     #[test]
     fn isolated_node_gets_most_frequent_label() {
-        let m = toy_model();
+        let m = toy_model(&[], &[]);
         let inst = Instance::new(vec![Node::unknown(3)]);
         assert_eq!(m.predict(&inst)[0], 1, "global head candidate wins");
     }
 
     #[test]
     fn icm_never_decreases_the_objective() {
-        let m = toy_model();
+        let m = toy_model(&[], &[]);
         let mut inst = Instance::new(vec![Node::unknown(1), Node::unknown(2), Node::known(2)]);
         inst.add_pair(0, 2, 0);
         inst.add_pair(0, 1, 0);
@@ -575,7 +388,7 @@ mod tests {
 
     #[test]
     fn top_k_ranks_by_score_and_contains_map() {
-        let m = toy_model();
+        let m = toy_model(&[], &[]);
         let mut inst = Instance::new(vec![Node::unknown(1), Node::known(2)]);
         inst.add_pair(0, 1, 0);
         let top = m.top_k(&inst, 0, 3);
@@ -590,8 +403,7 @@ mod tests {
         // inference leaked gold initialisations, node 0 would pick label 1
         // when B's gold is 2; with the leak fixed, predictions must be
         // identical whatever gold B carries.
-        let mut m = toy_model();
-        m.pair_weights.insert((9, 1, 2), 10.0);
+        let m = toy_model(&[(9, 1, 2, 10.0)], &[]);
         let mut with_gold_2 = Instance::new(vec![Node::unknown(0), Node::unknown(2)]);
         with_gold_2.add_pair(0, 1, 9);
         let mut with_gold_4 = Instance::new(vec![Node::unknown(0), Node::unknown(4)]);
@@ -601,13 +413,20 @@ mod tests {
 
     #[test]
     fn loss_augmentation_can_flip_a_weak_prediction() {
-        let mut m = toy_model();
         // Weak preference (0.5) for gold label 1 on unary path 6.
-        m.unary_weights.insert((6, 1), 0.5);
+        let m = toy_model(&[], &[(6, 1, 0.5)]);
         let mut inst = Instance::new(vec![Node::unknown(1)]);
         inst.add_unary(0, 6);
-        assert_eq!(m.infer_reference(&inst, false)[0], 1);
+        assert_eq!(m.infer(&inst, false)[0], 1);
         // Under loss augmentation every non-gold label gains +1 > 0.5.
-        assert_ne!(m.infer_reference(&inst, true)[0], 1);
+        assert_ne!(m.infer(&inst, true)[0], 1);
+    }
+
+    #[test]
+    fn validation_names_the_smallest_offending_key() {
+        let m = toy_model(&[(7, 0, 1, 1.0), (6, 2, 0, 1.0), (9, 0, 0, 1.0)], &[]);
+        let issue = m.validate(6, 5).unwrap_err();
+        assert_eq!(issue.code, "model-id-range");
+        assert!(issue.message.contains("feature id 6"), "{issue}");
     }
 }

@@ -1,11 +1,12 @@
 //! Model persistence.
 //!
-//! Weights use tuple keys, which JSON objects cannot express directly, so
-//! serialization goes through a flat mirror struct of entry vectors.
+//! JSON objects cannot key by tuples, so the model file lists entry
+//! vectors. Saving walks the model's packed tables in key order; loading
+//! sorts the entries and packs them straight into those tables.
 
-use crate::model::{CrfModel, MAX_CANDIDATES_BOUND, MAX_PASSES_BOUND};
+use crate::engine::{pair_key, path_span, CandidateRow, PackedCandidates, PackedWeights};
+use crate::model::{CrfModel, ModelIssue};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One serialised pairwise weight: `(path, label_a, label_b, weight)`.
 type PairEntry = (u32, u32, u32, f32);
@@ -65,109 +66,152 @@ impl Deserialize for ModelFile {
     }
 }
 
+/// Sorts `(path, key, weight)` entries and names the first duplicate
+/// key through `duplicate`.
+fn sort_unique(
+    entries: &mut [(u32, u64, f32)],
+    duplicate: impl Fn(u32, u64) -> String,
+) -> Result<(), serde_json::Error> {
+    entries.sort_unstable_by_key(|&(p, k, _)| (p, k));
+    match entries
+        .windows(2)
+        .find(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1))
+    {
+        Some(w) => Err(serde::Error::custom(duplicate(w[0].0, w[0].1))),
+        None => Ok(()),
+    }
+}
+
 impl CrfModel {
     /// Serialises the model to a JSON string.
     ///
     /// # Errors
     ///
-    /// Returns the underlying `serde_json` error (out-of-memory is the
-    /// only realistic failure for this data shape).
+    /// When the model carries no candidate co-occurrence counts (a
+    /// binary artifact ships none, and the JSON format needs them), or
+    /// the underlying `serde_json` error.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        if self.is_artifact_backed() {
-            // The binary artifact ships only the compiled CSR form; the
-            // editable entry tables JSON mirrors no longer exist.
+        if !self.has_candidate_counts() {
             return Err(serde::Error::custom(
-                "model was loaded from a compiled binary artifact and cannot be \
-                 re-serialised to JSON; keep the original JSON model file",
+                "model carries no candidate co-occurrence counts (a compiled binary \
+                 artifact ships none), so it cannot be re-serialised to JSON; keep \
+                 the original JSON model file",
             ));
         }
-        let mut pair_weights: Vec<PairEntry> = self
-            .pair_weights
-            .iter()
-            .map(|(&(p, a, b), &w)| (p, a, b, w))
+        let candidates = self
+            .candidate_entries()
+            .map(|((p, l, s), labels, counts)| {
+                (
+                    p,
+                    l,
+                    s,
+                    labels.iter().copied().zip(counts.iter().copied()).collect(),
+                )
+            })
             .collect();
-        pair_weights.sort_unstable_by_key(|&(p, a, b, _)| (p, a, b));
-        let mut unary_weights: Vec<UnaryEntry> = self
-            .unary_weights
-            .iter()
-            .map(|(&(p, l), &w)| (p, l, w))
-            .collect();
-        unary_weights.sort_unstable_by_key(|&(p, l, _)| (p, l));
-        let mut candidates: Vec<CandidateEntry> = self
-            .candidates
-            .iter()
-            .map(|(&(p, l, s), v)| (p, l, s, v.clone()))
-            .collect();
-        candidates.sort_unstable_by_key(|c| (c.0, c.1, c.2));
         serde_json::to_string(&ModelFile {
-            pair_weights,
-            unary_weights,
-            label_counts: self.label_counts.clone(),
+            pair_weights: self.pair_weight_entries().collect(),
+            unary_weights: self.unary_weight_entries().collect(),
+            label_counts: self.shared.label_counts.clone(),
             candidates,
-            global_candidates: self.global_candidates.clone(),
-            max_candidates: self.max_candidates,
-            max_passes: self.max_passes,
+            global_candidates: self.shared.global_candidates.clone(),
+            max_candidates: self.shared.max_candidates,
+            max_passes: self.shared.max_passes,
         })
     }
 
-    /// Restores a model serialised by [`CrfModel::to_json`].
+    /// Restores a model serialised by [`CrfModel::to_json`] and checks it
+    /// with [`CrfModel::validate`] against the vocabulary sizes it is
+    /// deployed with.
     ///
     /// # Errors
     ///
     /// Returns the `serde_json` error on malformed input, on a duplicate
     /// weight or candidate key (silently keeping one of the weights
-    /// would corrupt predictions), and on inference caps beyond the
-    /// [`MAX_CANDIDATES_BOUND`]/[`MAX_PASSES_BOUND`] sanity bounds.
-    pub fn from_json(json: &str) -> Result<CrfModel, serde_json::Error> {
+    /// would corrupt predictions), on a candidate side other than 0 or
+    /// 1, and on any validation issue (rendered with its code).
+    pub fn from_json(
+        json: &str,
+        num_features: usize,
+        num_labels: usize,
+    ) -> Result<CrfModel, serde_json::Error> {
         let file: ModelFile = serde_json::from_str(json)?;
-        if file.max_candidates > MAX_CANDIDATES_BOUND {
+        let mut pair: Vec<(u32, u64, f32)> = file
+            .pair_weights
+            .iter()
+            .map(|&(p, a, b, w)| (p, pair_key(a, b), w))
+            .collect();
+        sort_unique(&mut pair, |p, k| {
+            format!(
+                "duplicate pairwise weight entry (path {p}, labels {}/{}): \
+                 keeping either weight would silently corrupt the model",
+                k >> 32,
+                k as u32
+            )
+        })?;
+        let mut unary: Vec<(u32, u64, f32)> = file
+            .unary_weights
+            .iter()
+            .map(|&(p, l, w)| (p, u64::from(l), w))
+            .collect();
+        sort_unique(&mut unary, |p, l| {
+            format!("duplicate unary weight entry (path {p}, label {l})")
+        })?;
+        let mut candidates: Vec<CandidateRow> = file
+            .candidates
+            .into_iter()
+            .map(|(p, l, s, v)| ((p, l, s), v))
+            .collect();
+        candidates.sort_unstable_by_key(|&(key, _)| key);
+        if let Some(w) = candidates.windows(2).find(|w| w[0].0 == w[1].0) {
+            let (p, l, s) = w[0].0;
             return Err(serde::Error::custom(format!(
-                "max_candidates is {}, above the bound of {MAX_CANDIDATES_BOUND}",
-                file.max_candidates
+                "duplicate candidate entry (path {p}, label {l}, side {s})"
             )));
         }
-        if file.max_passes > MAX_PASSES_BOUND {
+        if let Some(&((p, l, s), _)) = candidates.iter().find(|&&((_, _, s), _)| s > 1) {
             return Err(serde::Error::custom(format!(
-                "max_passes is {}, above the bound of {MAX_PASSES_BOUND}",
-                file.max_passes
+                "candidate entry (path {p}, label {l}) has side {s}; the sides are 0 and 1"
             )));
         }
-        let mut pair_weights = HashMap::with_capacity(file.pair_weights.len());
-        for (p, a, b, w) in file.pair_weights {
-            if pair_weights.insert((p, a, b), w).is_some() {
-                return Err(serde::Error::custom(format!(
-                    "duplicate pairwise weight entry (path {p}, labels {a}/{b}): \
-                     keeping either weight would silently corrupt the model"
-                )));
+        // Packing sizes every offsets index by the largest path id, so a
+        // path beyond the feature vocabulary is refused (smallest first,
+        // as `validate` would name it) before it can demand that
+        // allocation.
+        let beyond = |p: &u32| *p as usize >= num_features;
+        for (what, path) in [
+            ("pairwise weight", pair.iter().map(|e| e.0).find(beyond)),
+            ("unary weight", unary.iter().map(|e| e.0).find(beyond)),
+            (
+                "candidate table",
+                candidates.iter().map(|&((p, _, _), _)| p).find(beyond),
+            ),
+        ] {
+            if let Some(p) = path {
+                let issue = ModelIssue::feature_range(what, p, num_features);
+                return Err(serde::Error::custom(issue.to_string()));
             }
         }
-        let mut unary_weights = HashMap::with_capacity(file.unary_weights.len());
-        for (p, l, w) in file.unary_weights {
-            if unary_weights.insert((p, l), w).is_some() {
-                return Err(serde::Error::custom(format!(
-                    "duplicate unary weight entry (path {p}, label {l})"
-                )));
-            }
-        }
-        let mut candidates = HashMap::with_capacity(file.candidates.len());
-        for (p, l, s, v) in file.candidates {
-            if candidates.insert((p, l, s), v).is_some() {
-                return Err(serde::Error::custom(format!(
-                    "duplicate candidate entry (path {p}, label {l}, side {s})"
-                )));
-            }
-        }
-        Ok(CrfModel {
-            pair_weights,
-            unary_weights,
-            label_counts: file.label_counts,
-            candidates,
-            global_candidates: file.global_candidates,
-            max_candidates: file.max_candidates,
-            max_passes: file.max_passes,
-            compiled: Default::default(),
-            frozen: None,
-        })
+        let num_paths = path_span(
+            pair.last()
+                .map(|e| e.0)
+                .into_iter()
+                .chain(unary.last().map(|e| e.0))
+                .chain(candidates.last().map(|&((p, _, _), _)| p)),
+        );
+        let model = CrfModel::from_parts(
+            PackedWeights::from_sorted(&pair, num_paths),
+            PackedWeights::from_sorted(&unary, num_paths),
+            PackedCandidates::from_sorted(&candidates),
+            file.label_counts,
+            file.global_candidates,
+            file.max_candidates,
+            file.max_passes,
+        );
+        model
+            .validate(num_features, num_labels)
+            .map_err(|issue| serde::Error::custom(issue.to_string()))?;
+        Ok(model)
     }
 }
 
@@ -194,7 +238,7 @@ mod tests {
             .collect();
         let model = train(&instances, 6, &CrfConfig::default());
         let json = model.to_json().unwrap();
-        let restored = CrfModel::from_json(&json).unwrap();
+        let restored = CrfModel::from_json(&json, 108, 6).unwrap();
         for inst in &instances {
             assert_eq!(model.predict(inst), restored.predict(inst));
         }
@@ -211,6 +255,29 @@ mod tests {
 
     #[test]
     fn malformed_json_errors() {
-        assert!(CrfModel::from_json("{not json").is_err());
+        assert!(CrfModel::from_json("{not json", 0, 0).is_err());
+    }
+
+    #[test]
+    fn out_of_range_paths_are_refused_before_packing() {
+        // A path id near `u32::MAX` would size the offsets index at
+        // gigabytes; the loader must refuse it, naming the smallest.
+        let json = r#"{"pair_weights": [[4000000000, 0, 1, 0.5], [9, 0, 1, 0.5]],
+            "unary_weights": [], "label_counts": [1, 1], "candidates": [],
+            "global_candidates": [0], "max_candidates": 4, "max_passes": 4}"#;
+        let err = CrfModel::from_json(json, 4, 2).unwrap_err().to_string();
+        assert!(
+            err.contains("feature id 9") && err.contains("model-id-range"),
+            "unexpected: {err}"
+        );
+    }
+
+    #[test]
+    fn candidate_sides_other_than_zero_or_one_are_refused() {
+        let json = r#"{"pair_weights": [], "unary_weights": [], "label_counts": [1, 1],
+            "candidates": [[0, 0, 2, [[1, 1]]]], "global_candidates": [0],
+            "max_candidates": 4, "max_passes": 4}"#;
+        let err = CrfModel::from_json(json, 1, 2).unwrap_err().to_string();
+        assert!(err.contains("side 2"), "unexpected: {err}");
     }
 }

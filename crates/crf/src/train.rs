@@ -7,15 +7,17 @@
 //! Weight averaging over updates gives the stability of the averaged
 //! perceptron without per-feature regularisation bookkeeping.
 //!
-//! The inner loop runs on the compiled engine of [`crate::compiled`]:
-//! weights live in indexed per-path buckets (no tuple hashing in
-//! scoring), inference reuses one workspace across every update and
-//! sweeps with delta-ICM. Statistics gathering fans out over
+//! The inner loop runs on the ICM engine of [`crate::engine`]: weights
+//! live in indexed per-path buckets (no tuple hashing in scoring),
+//! inference reuses one workspace across every update and sweeps with
+//! delta-ICM, and the epoch average is packed into the model's CSR
+//! tables once at the end. Statistics gathering fans out over
 //! [`pigeon_core::parallel_map_indexed`] when [`CrfConfig::jobs`] allows.
 //! The trained model is **byte-identical** for any `jobs` value — and to
-//! the pre-compilation implementation (pinned in `tests/golden_train.rs`)
-//! — because updates stay sequential in the same shuffled order and the
-//! statistics merge is a sum of per-chunk integer counts.
+//! the original hash-map implementation (pinned in
+//! `tests/golden_train.rs`) — because updates stay sequential in the
+//! same shuffled order and the statistics merge is a sum of per-chunk
+//! integer counts.
 //!
 //! Three scale-out entry points build on the same loop:
 //!
@@ -32,10 +34,13 @@
 //!   updates exactly — the resumed model is byte-identical to an
 //!   uninterrupted run.
 //! - [`train_incremental`] folds new documents' statistics into an
-//!   existing model's count state and warm-starts SGD from its weights,
-//!   skipping re-extraction of the original corpus.
+//!   existing model's count state and runs the same loop warm-started
+//!   from its weights, skipping re-extraction of the original corpus.
 
-use crate::compiled::{compile_shared, infer, pair_key, BucketWeights, Workspace};
+use crate::engine::{
+    infer, pair_key, path_span, BucketWeights, CandidateRow, EngineShared, PackedCandidates,
+    PackedWeights, Workspace,
+};
 use crate::instance::Instance;
 use crate::model::CrfModel;
 use pigeon_core::parallel_map_indexed;
@@ -318,14 +323,16 @@ pub fn train_resumable(
     };
     validate_labels(instances, num_labels)?;
 
-    let mut model = CrfModel {
-        max_candidates: cfg.max_candidates,
-        max_passes: cfg.max_passes,
-        ..CrfModel::default()
-    };
     let stats = gather_statistics(instances, num_labels, cfg);
-    finish_statistics(&mut model, stats, cfg);
-    sgd(model, instances, num_labels, cfg, control)
+    let model = finish_statistics(stats, cfg);
+    sgd(
+        model,
+        Weights::default(),
+        instances,
+        num_labels,
+        cfg,
+        control,
+    )
 }
 
 /// Finishes training from pre-merged statistics (the `pigeon merge`
@@ -357,16 +364,8 @@ pub fn train_from_statistics(
         ));
     }
 
-    let mut model = CrfModel {
-        max_candidates: cfg.max_candidates,
-        max_passes: cfg.max_passes,
-        ..CrfModel::default()
-    };
-    finish_statistics(&mut model, stats, cfg);
-    match sgd(model, instances, num_labels, cfg, TrainControl::default())? {
-        TrainOutcome::Completed(model) => Ok(*model),
-        TrainOutcome::Interrupted(_) => unreachable!("no interrupt installed"),
-    }
+    let model = finish_statistics(stats, cfg);
+    run_to_completion(model, Weights::default(), instances, num_labels, cfg)
 }
 
 /// Folds `new_stats` (statistics over `new_instances` only) into
@@ -378,8 +377,8 @@ pub fn train_from_statistics(
 ///
 /// # Errors
 ///
-/// Artifact-backed base models (their count tables are frozen), label
-/// out of range, or mismatched statistics.
+/// A base model without candidate counts (a compiled artifact ships
+/// none), label out of range, or mismatched statistics.
 pub fn train_incremental(
     new_instances: &[Instance],
     num_labels: u32,
@@ -388,9 +387,9 @@ pub fn train_incremental(
     new_stats: &RawStatistics,
 ) -> Result<CrfModel, String> {
     let _span = telemetry::span("crf_train_incremental");
-    if base.is_artifact_backed() {
-        return Err("incremental update needs a JSON-loaded model; \
-                    compiled artifacts freeze the count tables"
+    if !base.has_candidate_counts() {
+        return Err("incremental update needs the base model's candidate \
+                    counts; a compiled artifact ships none, so update the JSON model"
             .to_owned());
     }
     let stripped: Vec<Instance>;
@@ -407,10 +406,11 @@ pub fn train_incremental(
             new_stats.counts.len()
         ));
     }
-    if base.label_counts.len() > num_labels as usize {
+    let base_counts = base.label_count_table();
+    if base_counts.len() > num_labels as usize {
         return Err(format!(
             "base model has {} labels but the updated vocabulary has {num_labels}",
-            base.label_counts.len()
+            base_counts.len()
         ));
     }
 
@@ -418,50 +418,54 @@ pub fn train_incremental(
     // base's candidate lists already lost their tail, so this is an
     // approximation; the surviving counts still rank candidates well.
     let mut stats = RawStatistics::new(num_labels);
-    stats.counts[..base.label_counts.len()].copy_from_slice(&base.label_counts);
-    for (key, suggested) in base.candidate_entries() {
+    stats.counts[..base_counts.len()].copy_from_slice(base_counts);
+    for (key, labels, counts) in base.candidate_entries() {
         let slot = stats.suggestions.entry(key).or_default();
-        for &(label, count) in suggested {
+        for (&label, &count) in labels.iter().zip(counts) {
             *slot.entry(label).or_insert(0) += count;
         }
     }
     stats.absorb(new_stats);
+    let model = finish_statistics(stats, cfg);
 
-    let mut model = CrfModel {
-        max_candidates: cfg.max_candidates,
-        max_passes: cfg.max_passes,
-        ..CrfModel::default()
-    };
-    finish_statistics(&mut model, stats, cfg);
+    // Warm-start the weights from the base; SGD then only sees the new
+    // instances. Epoch averaging keeps the warm start (it is part of
+    // every epoch's snapshot).
+    let mut warm = Weights::default();
+    for (path, key, w) in base.pair.iter_entries() {
+        warm.0.add(path, key, w);
+    }
+    for (path, key, w) in base.unary.iter_entries() {
+        warm.1.add(path, key, w);
+    }
+    run_to_completion(model, warm, new_instances, num_labels, cfg)
+}
 
-    // Warm-start the buckets from the base weights; SGD then only sees
-    // the new instances. Epoch averaging keeps the warm start (it is
-    // part of every epoch's snapshot).
-    let shared = compile_shared(&model);
-    let mut weights = (BucketWeights::new(0), BucketWeights::new(0));
-    for (&(path, a, b), &w) in &base.pair_weights {
-        weights.0.add(path, pair_key(a, b), w);
+/// Live weights of the SGD loop: pairwise and unary buckets.
+type Weights = (BucketWeights, BucketWeights);
+
+/// Epoch-average accumulators, keyed like [`Weights`].
+type Sums = (BucketWeights<f64>, BucketWeights<f64>);
+
+/// [`sgd`] without checkpoint hooks, from the given starting weights.
+fn run_to_completion(
+    model: CrfModel,
+    weights: Weights,
+    instances: &[Instance],
+    num_labels: u32,
+    cfg: &CrfConfig,
+) -> Result<CrfModel, String> {
+    match sgd(
+        model,
+        weights,
+        instances,
+        num_labels,
+        cfg,
+        TrainControl::default(),
+    )? {
+        TrainOutcome::Completed(model) => Ok(*model),
+        TrainOutcome::Interrupted(_) => unreachable!("no interrupt installed"),
     }
-    for (&(path, label), &w) in &base.unary_weights {
-        weights.1.add(path, u64::from(label), w);
-    }
-    let mut ws = Workspace::new();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..new_instances.len()).collect();
-    let mut pair_sum: HashMap<(u32, u32, u32), f64> = HashMap::new();
-    let mut unary_sum: HashMap<(u32, u32), f64> = HashMap::new();
-    for _epoch in 0..cfg.epochs {
-        let _epoch_span = telemetry::span("crf_epoch");
-        let mut epoch_updates = 0u64;
-        order.shuffle(&mut rng);
-        for &idx in &order {
-            epoch_updates += sgd_step(&shared, &mut weights, &new_instances[idx], cfg, &mut ws);
-        }
-        accumulate_sums(&weights, &mut pair_sum, &mut unary_sum);
-        telemetry::count("pigeon_crf_updates_total", epoch_updates);
-    }
-    finalize_weights(&mut model, pair_sum, unary_sum, cfg.epochs);
-    Ok(model)
 }
 
 fn strip_unary(instances: &[Instance]) -> Vec<Instance> {
@@ -491,8 +495,8 @@ fn validate_labels(instances: &[Instance], num_labels: u32) -> Result<(), String
 /// One loss-augmented inference + subgradient step; returns 1 if the
 /// instance violated the margin (drove an update).
 fn sgd_step(
-    shared: &crate::compiled::EngineShared,
-    weights: &mut (BucketWeights, BucketWeights),
+    shared: &EngineShared,
+    weights: &mut Weights,
     inst: &Instance,
     cfg: &CrfConfig,
     ws: &mut Workspace,
@@ -528,53 +532,45 @@ fn sgd_step(
 }
 
 /// Accumulates the live weights into the epoch-average sums.
-fn accumulate_sums(
-    weights: &(BucketWeights, BucketWeights),
-    pair_sum: &mut HashMap<(u32, u32, u32), f64>,
-    unary_sum: &mut HashMap<(u32, u32), f64>,
-) {
-    weights.0.for_each(|path, key, w| {
-        let k = (path, (key >> 32) as u32, key as u32);
-        *pair_sum.entry(k).or_insert(0.0) += f64::from(w);
-    });
-    weights.1.for_each(|path, key, w| {
-        *unary_sum.entry((path, key as u32)).or_insert(0.0) += f64::from(w);
-    });
+fn accumulate_sums(weights: &Weights, sums: &mut Sums) {
+    weights
+        .0
+        .for_each(|path, key, w| sums.0.add(path, key, f64::from(w)));
+    weights
+        .1
+        .for_each(|path, key, w| sums.1.add(path, key, f64::from(w)));
 }
 
-/// Replaces the model weights by the epoch average, dropping zeros.
-fn finalize_weights(
-    model: &mut CrfModel,
-    pair_sum: HashMap<(u32, u32, u32), f64>,
-    unary_sum: HashMap<(u32, u32), f64>,
-    epochs: usize,
-) {
+/// Packs the epoch average into the model's weight tables, dropping
+/// zeros. The offsets index spans every path the weight and candidate
+/// tables mention.
+fn finalize_weights(model: &mut CrfModel, sums: &Sums, epochs: usize) {
     let denom = epochs.max(1) as f64;
-    model.pair_weights = pair_sum
-        .into_iter()
-        .map(|(k, w)| (k, (w / denom) as f32))
-        .filter(|&(_, w)| w != 0.0)
-        .collect();
-    model.unary_weights = unary_sum
-        .into_iter()
-        .map(|(k, w)| (k, (w / denom) as f32))
-        .filter(|&(_, w)| w != 0.0)
-        .collect();
+    let average = |table: &BucketWeights<f64>| {
+        let mut entries = Vec::new();
+        table.for_each(|path, key, sum| {
+            let w = (sum / denom) as f32;
+            if w != 0.0 {
+                entries.push((path, key, w));
+            }
+        });
+        entries
+    };
+    let (pair, unary) = (average(&sums.0), average(&sums.1));
+    let weight_paths = pair.last().into_iter().chain(unary.last()).map(|e| e.0);
+    let num_paths = path_span(weight_paths).max(model.shared.cands.num_paths());
+    model.pair = PackedWeights::from_sorted(&pair, num_paths);
+    model.unary = PackedWeights::from_sorted(&unary, num_paths);
 }
 
-/// Snapshots the loop. Weight entries come out of `for_each` already
-/// sorted; the sum accumulators are sorted here so the snapshot (and its
-/// serialised form) is byte-stable.
-#[allow(clippy::too_many_arguments)]
+/// Snapshots the loop. Entries come out of the buckets in key order, so
+/// the snapshot (and its serialised form) is byte-stable.
 fn capture_state(
-    epoch: usize,
-    pos: usize,
-    shuffled: bool,
+    (epoch, pos, shuffled): (usize, usize, bool),
     order: &[usize],
     rng: &SmallRng,
-    weights: &(BucketWeights, BucketWeights),
-    pair_sum: &HashMap<(u32, u32, u32), f64>,
-    unary_sum: &HashMap<(u32, u32), f64>,
+    weights: &Weights,
+    sums: &Sums,
     fingerprint: &TrainFingerprint,
 ) -> TrainState {
     let mut pair = Vec::new();
@@ -583,13 +579,12 @@ fn capture_state(
     weights
         .1
         .for_each(|path, key, w| unary.push((path, key, w)));
-    let mut ps: Vec<(u32, u32, u32, f64)> = pair_sum
-        .iter()
-        .map(|(&(p, a, b), &w)| (p, a, b, w))
-        .collect();
-    ps.sort_unstable_by_key(|&(p, a, b, _)| (p, a, b));
-    let mut us: Vec<(u32, u32, f64)> = unary_sum.iter().map(|(&(p, l), &w)| (p, l, w)).collect();
-    us.sort_unstable_by_key(|&(p, l, _)| (p, l));
+    let mut pair_sum = Vec::new();
+    sums.0
+        .for_each(|path, key, s| pair_sum.push((path, (key >> 32) as u32, key as u32, s)));
+    let mut unary_sum = Vec::new();
+    sums.1
+        .for_each(|path, key, s| unary_sum.push((path, key as u32, s)));
     TrainState {
         epoch,
         pos,
@@ -598,17 +593,18 @@ fn capture_state(
         rng: rng.state(),
         pair,
         unary,
-        pair_sum: ps,
-        unary_sum: us,
+        pair_sum,
+        unary_sum,
         fingerprint: fingerprint.clone(),
     }
 }
 
-/// The sequential subgradient loop, resumable. Without hooks the control
-/// flow (RNG draws, visit order, update sequence) is identical to the
-/// original in-line loop, so [`train`] stays byte-for-byte reproducible.
+/// The sequential subgradient loop from `weights`, resumable. Without
+/// hooks the control flow (RNG draws, visit order, update sequence) is
+/// fixed by the seed, so [`train`] stays byte-for-byte reproducible.
 fn sgd(
     mut model: CrfModel,
+    mut weights: Weights,
     instances: &[Instance],
     num_labels: u32,
     cfg: &CrfConfig,
@@ -616,17 +612,13 @@ fn sgd(
 ) -> Result<TrainOutcome, String> {
     let fingerprint = TrainFingerprint::new(instances.len(), num_labels, cfg);
 
-    // Freeze the training-invariant engine state (candidate index,
-    // prior, caps); weights live in mutable indexed buckets.
-    let shared = compile_shared(&model);
+    // The candidate index, prior and caps stay fixed; weights live in
+    // mutable indexed buckets until the final pack.
     let mut ws = Workspace::new();
-
-    let mut weights = (BucketWeights::new(0), BucketWeights::new(0));
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..instances.len()).collect();
     // Averaged weights: accumulate w after every epoch.
-    let mut pair_sum: HashMap<(u32, u32, u32), f64> = HashMap::new();
-    let mut unary_sum: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut sums = Sums::default();
 
     let mut start_epoch = 0usize;
     let mut start_pos = 0usize;
@@ -643,22 +635,19 @@ fn sgd(
         {
             return Err("checkpoint state is inconsistent with the corpus size".to_owned());
         }
-        for (path, key, w) in &state.pair {
-            weights.0.add(*path, *key, *w);
+        weights = Weights::default();
+        for &(path, key, w) in &state.pair {
+            weights.0.add(path, key, w);
         }
-        for (path, key, w) in &state.unary {
-            weights.1.add(*path, *key, *w);
+        for &(path, key, w) in &state.unary {
+            weights.1.add(path, key, w);
         }
-        pair_sum = state
-            .pair_sum
-            .iter()
-            .map(|&(p, a, b, w)| ((p, a, b), w))
-            .collect();
-        unary_sum = state
-            .unary_sum
-            .iter()
-            .map(|&(p, l, w)| ((p, l), w))
-            .collect();
+        for &(path, a, b, sum) in &state.pair_sum {
+            sums.0.add(path, pair_key(a, b), sum);
+        }
+        for &(path, label, sum) in &state.unary_sum {
+            sums.1.add(path, u64::from(label), sum);
+        }
         rng = SmallRng::from_state(state.rng);
         order = state.order.iter().map(|&i| i as usize).collect();
         start_epoch = state.epoch;
@@ -682,22 +671,25 @@ fn sgd(
                 if stop() {
                     telemetry::count("pigeon_crf_updates_total", epoch_updates);
                     let state = capture_state(
-                        epoch,
-                        i,
-                        true,
+                        (epoch, i, true),
                         &order,
                         &rng,
                         &weights,
-                        &pair_sum,
-                        &unary_sum,
+                        &sums,
                         &fingerprint,
                     );
                     return Ok(TrainOutcome::Interrupted(Box::new(state)));
                 }
             }
-            epoch_updates += sgd_step(&shared, &mut weights, &instances[order[i]], cfg, &mut ws);
+            epoch_updates += sgd_step(
+                &model.shared,
+                &mut weights,
+                &instances[order[i]],
+                cfg,
+                &mut ws,
+            );
         }
-        accumulate_sums(&weights, &mut pair_sum, &mut unary_sum);
+        accumulate_sums(&weights, &mut sums);
         // The per-epoch objective proxy: how many instances still violate
         // the margin (drove a subgradient update) this epoch.
         telemetry::count("pigeon_crf_updates_total", epoch_updates);
@@ -707,14 +699,11 @@ fn sgd(
         {
             if let Some(sink) = control.on_checkpoint.as_deref_mut() {
                 let state = capture_state(
-                    epoch + 1,
-                    0,
-                    false,
+                    (epoch + 1, 0, false),
                     &order,
                     &rng,
                     &weights,
-                    &pair_sum,
-                    &unary_sum,
+                    &sums,
                     &fingerprint,
                 );
                 sink(&state);
@@ -722,7 +711,7 @@ fn sgd(
         }
     }
 
-    finalize_weights(&mut model, pair_sum, unary_sum, cfg.epochs);
+    finalize_weights(&mut model, &sums, cfg.epochs);
     Ok(TrainOutcome::Completed(Box::new(model)))
 }
 
@@ -751,10 +740,11 @@ fn gather_statistics(instances: &[Instance], num_labels: u32, cfg: &CrfConfig) -
 }
 
 /// Derives the truncated model tables (global candidates, label counts,
-/// per-key suggestion lists) from fully merged statistics. Truncation
-/// happens only here — after any shard merge — which is what keeps
-/// sharded training byte-identical to a single pass.
-fn finish_statistics(model: &mut CrfModel, stats: RawStatistics, cfg: &CrfConfig) {
+/// per-key suggestion lists) from fully merged statistics, as a model
+/// with no weights yet. Truncation happens only here — after any shard
+/// merge — which is what keeps sharded training byte-identical to a
+/// single pass.
+fn finish_statistics(stats: RawStatistics, cfg: &CrfConfig) -> CrfModel {
     let RawStatistics {
         counts,
         suggestions,
@@ -762,10 +752,8 @@ fn finish_statistics(model: &mut CrfModel, stats: RawStatistics, cfg: &CrfConfig
     let mut by_freq: Vec<u32> = (0..counts.len() as u32).collect();
     by_freq.sort_by_key(|&l| std::cmp::Reverse(counts[l as usize]));
     by_freq.truncate(cfg.global_candidates);
-    model.global_candidates = by_freq;
-    model.label_counts = counts;
 
-    model.candidates = suggestions
+    let mut rows: Vec<CandidateRow> = suggestions
         .into_iter()
         .map(|(key, by_label)| {
             let mut v: Vec<(u32, u32)> = by_label.into_iter().collect();
@@ -774,6 +762,16 @@ fn finish_statistics(model: &mut CrfModel, stats: RawStatistics, cfg: &CrfConfig
             (key, v)
         })
         .collect();
+    rows.sort_unstable_by_key(|&(key, _)| key);
+    CrfModel::from_parts(
+        PackedWeights::default(),
+        PackedWeights::default(),
+        PackedCandidates::from_sorted(&rows),
+        counts,
+        by_freq,
+        cfg.max_candidates,
+        cfg.max_passes,
+    )
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 
 use pigeon_crf::artifact::{
     checksum, file_checksum, is_artifact, read_artifact, write_artifact, ArtifactMeta, Quant,
-    HEADER_LEN, MAGIC, SEC_CAPS, TABLE_ENTRY_LEN,
+    Reader, Writer, HEADER_LEN, MAGIC, SEC_CAPS, SEC_PAIR_WEIGHTS, TABLE_ENTRY_LEN,
 };
 use pigeon_crf::{train, CrfConfig, CrfModel, Instance, Node, MAX_CANDIDATES_BOUND};
 use proptest::prelude::*;
@@ -86,7 +86,10 @@ fn round_trip_is_byte_identical_for_every_quantization() {
         let bytes = compile(&model, quant);
         assert!(is_artifact(&bytes));
         let art = read_artifact(&bytes).expect("fresh artifact loads");
-        assert!(art.model.is_artifact_backed());
+        assert!(
+            !art.model.has_candidate_counts(),
+            "artifacts ship no counts"
+        );
         assert_eq!(art.quant, quant);
         assert_eq!(art.meta, meta());
         assert_eq!(art.labels, vocab("label", NUM_LABELS as usize));
@@ -191,10 +194,15 @@ fn out_of_bound_caps_are_rejected_even_with_valid_checksums() {
 
 #[test]
 fn artifact_backed_models_refuse_json_serialisation() {
+    // The artifact ships no candidate counts, and JSON needs them.
     let (model, _) = trained();
     let art = read_artifact(&compile(&model, Quant::F32)).expect("loads");
     let err = art.model.to_json().unwrap_err();
-    assert!(err.to_string().contains("artifact"), "unexpected: {err}");
+    assert!(
+        err.to_string()
+            .contains("no candidate co-occurrence counts"),
+        "unexpected: {err}"
+    );
 }
 
 #[test]
@@ -250,7 +258,7 @@ fn duplicate_json_entries_name_the_first_duplicate() {
         r#"{base}, "unary_weights": [],
            "pair_weights": [[3, 0, 1, 0.5], [3, 0, 1, -0.5]]}}"#
     );
-    let err = CrfModel::from_json(&json).unwrap_err().to_string();
+    let err = CrfModel::from_json(&json, 4, 2).unwrap_err().to_string();
     assert!(
         err.contains("duplicate pairwise weight entry (path 3, labels 0/1)"),
         "unexpected: {err}"
@@ -260,7 +268,7 @@ fn duplicate_json_entries_name_the_first_duplicate() {
         r#"{base}, "pair_weights": [],
            "unary_weights": [[2, 1, 0.5], [2, 1, 0.25]]}}"#
     );
-    let err = CrfModel::from_json(&json).unwrap_err().to_string();
+    let err = CrfModel::from_json(&json, 4, 2).unwrap_err().to_string();
     assert!(
         err.contains("duplicate unary weight entry (path 2, label 1)"),
         "unexpected: {err}"
@@ -269,7 +277,7 @@ fn duplicate_json_entries_name_the_first_duplicate() {
     let json = r#"{"label_counts": [1, 1], "global_candidates": [0],
         "max_candidates": 4, "max_passes": 4, "pair_weights": [], "unary_weights": [],
         "candidates": [[1, 0, 0, [[1, 2]]], [1, 0, 0, [[0, 1]]]]}"#;
-    let err = CrfModel::from_json(json).unwrap_err().to_string();
+    let err = CrfModel::from_json(json, 4, 2).unwrap_err().to_string();
     assert!(
         err.contains("duplicate candidate entry (path 1, label 0, side 0)"),
         "unexpected: {err}"
@@ -284,6 +292,25 @@ fn json_caps_beyond_the_bound_are_rejected() {
             "max_candidates": {}, "max_passes": 1}}"#,
         MAX_CANDIDATES_BOUND + 1
     );
-    let err = CrfModel::from_json(&json).unwrap_err().to_string();
+    let err = CrfModel::from_json(&json, 0, 0).unwrap_err().to_string();
     assert!(err.contains("max_candidates"), "unexpected: {err}");
+}
+
+#[test]
+fn short_quantized_weight_sections_are_errors_not_panics() {
+    // A consistent container (fresh checksums) whose i8 weight section
+    // holds fewer bytes than the offsets index describes.
+    let (model, _) = trained();
+    let bytes = compile(&model, Quant::I8);
+    let r = Reader::parse(&bytes).unwrap();
+    let mut w = Writer::new();
+    for s in r.sections() {
+        let mut payload = r.section(s.id).unwrap().to_vec();
+        if s.id == SEC_PAIR_WEIGHTS {
+            payload.pop();
+        }
+        w.section(s.id, payload);
+    }
+    let err = read_artifact(&w.finish(Quant::I8)).unwrap_err();
+    assert!(err.contains("pair-weights"), "unexpected: {err}");
 }

@@ -5,7 +5,8 @@
 //! candidate order, tie-breaks, sweep scheduling) changes the serialised
 //! model and fails this test.
 
-use pigeon_crf::{train, CrfConfig, Instance, Node};
+use pigeon_core::fnv64;
+use pigeon_crf::{train, train_incremental, CrfConfig, Instance, Node, RawStatistics};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,22 +33,13 @@ fn fixed_corpus() -> Vec<Instance> {
         .collect()
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[test]
 fn trained_model_is_byte_identical_to_the_pre_rewrite_engine() {
     let corpus = fixed_corpus();
     let model = train(&corpus, 15, &CrfConfig::default());
     let json = model.to_json().expect("serialises");
     assert_eq!(
-        fnv1a(json.as_bytes()),
+        fnv64(json.as_bytes()),
         GOLDEN_FNV64,
         "trained-model bytes drifted from the pre-rewrite implementation \
          (serialised length {})",
@@ -81,3 +73,26 @@ fn training_is_byte_identical_under_any_jobs_value() {
         assert_eq!(serial, parallel, "jobs = {jobs} changed the model bytes");
     }
 }
+
+#[test]
+fn incremental_update_is_byte_identical_to_the_pinned_model() {
+    // `train --update`: fold the second part of the corpus into a model
+    // trained on the first, warm-starting SGD from its weights.
+    let corpus = fixed_corpus();
+    let (old, new) = corpus.split_at(80);
+    let cfg = CrfConfig::default();
+    let base = train(old, 15, &cfg);
+    let json = train_incremental(new, 15, &cfg, &base, &RawStatistics::collect(new, 15))
+        .expect("incremental update runs")
+        .to_json()
+        .expect("serialises");
+    assert_eq!(
+        fnv64(json.as_bytes()),
+        GOLDEN_INCREMENTAL_FNV64,
+        "incrementally updated model bytes drifted (serialised length {})",
+        json.len()
+    );
+}
+
+/// FNV-1a/64 of `to_json()` for the incrementally updated model above.
+const GOLDEN_INCREMENTAL_FNV64: u64 = 9110883840412890457;

@@ -1,7 +1,10 @@
 //! Property tests for CRF training and inference on random factor graphs.
 
+mod reference;
+
 use pigeon_crf::{train, CrfConfig, CrfModel, Instance, Node};
 use proptest::prelude::*;
+use reference::Reference;
 
 const NUM_LABELS: u32 = 10;
 
@@ -107,33 +110,34 @@ proptest! {
             ..CrfConfig::default()
         });
         let json = model.to_json().unwrap();
-        let restored = CrfModel::from_json(&json).unwrap();
+        let restored = CrfModel::from_json(&json, 40, NUM_LABELS as usize).unwrap();
         for inst in &instances {
             prop_assert_eq!(model.predict(inst), restored.predict(inst));
         }
     }
 
-    /// The compiled engine is exactly the hash-map reference: plain and
+    /// The packed engine is exactly the hash-map reference: plain and
     /// loss-augmented inference agree label-for-label on arbitrary
     /// graphs, including the candidate ordering and argmax tie-breaks.
     #[test]
-    fn compiled_inference_equals_the_reference(specs in prop::collection::vec(instance_strategy(), 1..12)) {
+    fn packed_inference_equals_the_reference(specs in prop::collection::vec(instance_strategy(), 1..12)) {
         let instances: Vec<Instance> = specs.iter().map(build).collect();
         let model = train(&instances, NUM_LABELS, &CrfConfig {
             epochs: 2,
             ..CrfConfig::default()
         });
+        let reference = Reference::new(&model);
         for inst in &instances {
-            prop_assert_eq!(model.predict(inst), model.predict_reference(inst));
+            prop_assert_eq!(model.predict(inst), reference.infer(inst, false));
             prop_assert_eq!(
-                model.infer_compiled(inst, true),
-                model.infer_reference(inst, true),
+                model.infer(inst, true),
+                reference.infer(inst, true),
                 "loss-augmented (training-path) inference diverged"
             );
         }
     }
 
-    /// Delta-ICM (the compiled sweeps that re-score only neighbours of a
+    /// Delta-ICM (the packed sweeps that re-score only neighbours of a
     /// flipped node) never returns an assignment scoring below the
     /// all-global-head initialisation: skipping clean nodes must not
     /// cost objective value.
@@ -145,7 +149,7 @@ proptest! {
             ..CrfConfig::default()
         });
         for inst in &instances {
-            let map = model.infer_compiled(inst, false);
+            let map = model.infer(inst, false);
             let blank: Vec<u32> = inst
                 .nodes
                 .iter()

@@ -20,35 +20,10 @@
 //!
 //! [`shard_range`]: crate::partial::shard_range
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use pigeon_core::Fnv64;
 
 /// Attempts after which the lease backoff stops doubling (base × 2⁴).
 const BACKOFF_CAP: u32 = 4;
-
-/// 64-bit FNV-1a over a byte string. Dependency-free, stable across
-/// platforms, and good enough for content addressing a few thousand
-/// shards — collisions would need ~2³² keys.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Extends an FNV-1a hash with more bytes (for incremental hashing of
-/// multi-part inputs without concatenating them).
-pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Fingerprints a training configuration from its knob table (the same
 /// `(name, value)` pairs [`merge_partials`] compares). Every knob name
@@ -57,14 +32,14 @@ pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 ///
 /// [`merge_partials`]: crate::partial::merge_partials
 pub fn config_fingerprint(knobs: &[(&str, String)]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    let mut hash = Fnv64::new();
     for (name, value) in knobs {
-        hash = fnv1a_extend(hash, &(name.len() as u64).to_le_bytes());
-        hash = fnv1a_extend(hash, name.as_bytes());
-        hash = fnv1a_extend(hash, &(value.len() as u64).to_le_bytes());
-        hash = fnv1a_extend(hash, value.as_bytes());
+        hash.write_u64(name.len() as u64);
+        hash.write(name.as_bytes());
+        hash.write_u64(value.len() as u64);
+        hash.write(value.as_bytes());
     }
-    hash
+    hash.finish()
 }
 
 /// Fingerprints one corpus shard: the relative path and content bytes
@@ -72,14 +47,14 @@ pub fn config_fingerprint(knobs: &[(&str, String)]) -> u64 {
 /// Renaming, reordering, editing, adding or removing a file all change
 /// the fingerprint of exactly the shards whose ranges are affected.
 pub fn corpus_shard_fingerprint<'a>(files: impl IntoIterator<Item = (&'a str, &'a [u8])>) -> u64 {
-    let mut hash = FNV_OFFSET;
+    let mut hash = Fnv64::new();
     for (name, bytes) in files {
-        hash = fnv1a_extend(hash, &(name.len() as u64).to_le_bytes());
-        hash = fnv1a_extend(hash, name.as_bytes());
-        hash = fnv1a_extend(hash, &(bytes.len() as u64).to_le_bytes());
-        hash = fnv1a_extend(hash, bytes);
+        hash.write_u64(name.len() as u64);
+        hash.write(name.as_bytes());
+        hash.write_u64(bytes.len() as u64);
+        hash.write(bytes);
     }
-    hash
+    hash.finish()
 }
 
 /// Derives a shard's content-address: FNV-1a of the config
@@ -88,11 +63,12 @@ pub fn corpus_shard_fingerprint<'a>(files: impl IntoIterator<Item = (&'a str, &'
 /// partial's name in the cache directory and its id in
 /// `/v1/partials/<key>`.
 pub fn cache_key(config_fp: u64, shard_index: u32, shard_count: u32, corpus_fp: u64) -> String {
-    let mut hash = fnv1a(&config_fp.to_le_bytes());
-    hash = fnv1a_extend(hash, &shard_index.to_le_bytes());
-    hash = fnv1a_extend(hash, &shard_count.to_le_bytes());
-    hash = fnv1a_extend(hash, &corpus_fp.to_le_bytes());
-    format!("{hash:016x}")
+    let mut hash = Fnv64::new();
+    hash.write_u64(config_fp);
+    hash.write(&shard_index.to_le_bytes());
+    hash.write(&shard_count.to_le_bytes());
+    hash.write_u64(corpus_fp);
+    format!("{:016x}", hash.finish())
 }
 
 /// A shard's position in the job state machine.
@@ -340,16 +316,6 @@ impl ShardBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-        // Incremental hashing equals one-shot hashing.
-        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
-    }
 
     #[test]
     fn cache_keys_are_stable_and_sensitive() {

@@ -576,10 +576,10 @@ impl Pigeon {
     ///
     /// # Errors
     ///
-    /// Artifact-backed predictors ([`ErrorKind::Config`] — compiled
-    /// models freeze their weight tables; update the JSON model and
-    /// recompile) or a new source that fails to parse
-    /// ([`ErrorKind::Parse`]).
+    /// Predictors loaded from a compiled artifact ([`ErrorKind::Config`]
+    /// — the artifact ships no candidate counts to fold new ones into;
+    /// update the JSON model and recompile) or a new source that fails
+    /// to parse ([`ErrorKind::Parse`]).
     pub fn update(&self, new_sources: &[&str]) -> Result<Pigeon, PigeonError> {
         let _span = telemetry::span("train_update");
         let mut vocabs = self.vocabs.clone();
@@ -724,14 +724,17 @@ impl Pigeon {
                 vocab.intern(s.to_owned());
             }
         }
-        let model = CrfModel::from_json(str_field("model")?).map_err(|e| err(&e.to_string()))?;
         // A truncated or hand-edited file can carry weight-table ids
         // beyond the vocabularies it ships, non-finite weights, or
-        // absurd inference caps; catch that here so `predict` never
-        // indexes out of bounds or scores against a poisoned table.
-        model
-            .validate(vocabs.features.len(), vocabs.labels.len())
-            .map_err(|issue| err(&issue.to_string()))?;
+        // absurd inference caps; the loader validates against the
+        // vocabularies so `predict` never indexes out of bounds or
+        // scores against a poisoned table.
+        let model = CrfModel::from_json(
+            str_field("model")?,
+            vocabs.features.len(),
+            vocabs.labels.len(),
+        )
+        .map_err(|e| err(&e.to_string()))?;
         let mut extraction = ExtractionConfig::with_limits(
             num_field("max_length")? as usize,
             num_field("max_width")? as usize,

@@ -6,7 +6,7 @@
 //! pigeon paths    --language js FILE              # print path-contexts
 //! pigeon generate --language js --files N DIR     # write a corpus
 //! pigeon train    --language js --out model.json FILE...
-//! pigeon compile  model.json model.pgnc           # compiled binary artifact
+//! pigeon compile  --out model.pgnc model.json     # compiled binary artifact
 //! pigeon predict  --model model.json FILE         # suggest names
 //! pigeon serve    --model model.json --port 7470  # HTTP prediction server
 //! pigeon experiment --language js [--files N]     # quick accuracy run
@@ -85,7 +85,7 @@ USAGE:
                     [--synthetic N | FILE...]
   pigeon merge      --out MODEL[.json|.pgnc] [--quantize f32|f16|i8]
                     PART.part...
-  pigeon compile    [--quantize f32|f16|i8] MODEL.json OUT.pgnc
+  pigeon compile    --out OUT.pgnc [--quantize f32|f16|i8] MODEL.json
   pigeon predict    --model MODEL[.json|.pgnc] [--trace-out FILE]
                     [--timings BOOL] FILE
   pigeon serve      --model MODEL[.json|.pgnc] [--host ADDR] [--port N] [--jobs N]
@@ -234,9 +234,8 @@ SERVE (v1 API; every JSON response carries \"api\": \"pigeon/1\"):
                          version slices (JSON)
   GET  /v1/health        liveness probe
   GET  /v1/metrics       Prometheus text exposition
-  Unversioned paths (/predict, /stats, …) still answer, with
-  `Deprecation: true` + `Sunset` headers. Error bodies carry a stable
-  `code`. The full route contract lives in API.md.
+  Unversioned paths (/predict, /stats, …) answer 404. Error bodies
+  carry a stable `code`. The full route contract lives in API.md.
   Connections are HTTP/1.1 keep-alive; /v1/predict requests coalesce
   into micro-batches through a bounded admission queue (full queue →
   429 with Retry-After).
@@ -933,20 +932,7 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
         );
         return Ok(());
     }
-    // `-o` was the original short form for the merge output; it still
-    // works for one release while every command standardises on --out.
-    let args: Vec<String> = args
-        .iter()
-        .map(|a| {
-            if a == "-o" {
-                eprintln!("warning: `pigeon merge -o` is deprecated; use --out");
-                "--out".into()
-            } else {
-                a.clone()
-            }
-        })
-        .collect();
-    let (flags, positional) = parse_flags(&args)?;
+    let (flags, positional) = parse_flags(args)?;
     check_flags("merge", &flags, MERGE_FLAGS)?;
     let out = flag(&flags, "out").ok_or("--out is required (MODEL.json or MODEL.pgnc)")?;
     if positional.is_empty() {
@@ -998,17 +984,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     }
     let (flags, positional) = parse_flags(args)?;
     check_flags("compile", &flags, COMPILE_FLAGS)?;
-    // The standard spelling is `--out OUT.pgnc MODEL.json`; the original
-    // two-positional form still works for one release.
     let (input, output) = match (flag(&flags, "out"), positional.as_slice()) {
         (Some(out), [input]) => (input.as_str(), out),
-        (None, [input, output]) => {
-            eprintln!(
-                "warning: `pigeon compile MODEL OUT` with a positional output is \
-                 deprecated; use --out OUT.pgnc"
-            );
-            (input.as_str(), output.as_str())
-        }
         (Some(_), rest) => {
             return Err(format!(
                 "--out takes exactly one MODEL positional, got {}",

@@ -60,9 +60,7 @@
 //!   telemetry registry merged with this server's request counters,
 //!   queue-depth gauge, and batch-size/latency histograms.
 //!
-//! The pre-versioning paths (`/predict`, `/predict_batch`, `/stats`,
-//! `/health`, `/metrics`) remain as aliases; they answer normally but
-//! add a `Deprecation: true` header pointing clients at `/v1/…`.
+//! Unversioned paths (`/predict`, `/stats`, …) answer `404 not-found`.
 //!
 //! # Robustness
 //!
@@ -97,11 +95,6 @@ use std::time::{Duration, Instant};
 
 /// The API version tag stamped on every JSON response.
 pub const API_VERSION: &str = "pigeon/1";
-
-/// The `Sunset` date advertised on deprecated unversioned paths (RFC
-/// 8594): the earliest the pre-`/v1` aliases may be removed. A fixed
-/// constant so clients and tests see one stable value.
-pub const DEPRECATED_SUNSET: &str = "Thu, 01 Jan 2026 00:00:00 GMT";
 
 /// Bucket bounds for the `pigeon_batch_size` histogram: micro-batches
 /// are sized by queue depth, capped by `--batch-max`.
@@ -279,8 +272,6 @@ struct Stats {
     /// Shards taken back from an expired lease and handed to another
     /// worker.
     reassignments: Arc<Counter>,
-    /// Requests answered on a deprecated unversioned path.
-    deprecated_requests: Arc<Counter>,
     /// Jobs currently waiting in the admission queue.
     queue_depth: Arc<Gauge>,
     /// Micro-batch sizes handed to `predict_batch`.
@@ -356,10 +347,6 @@ impl Stats {
             "Shards reassigned after a lease deadline expired",
         );
         registry.describe(
-            "pigeon_deprecated_requests_total",
-            "Requests answered on a deprecated unversioned path",
-        );
-        registry.describe(
             "pigeon_job_phase_micros",
             "Train-job phase latency in microseconds, by phase",
         );
@@ -383,7 +370,6 @@ impl Stats {
             partials_cached: registry.counter("pigeon_partials_cached_total", &[]),
             partials_rejected: registry.counter("pigeon_partials_rejected_total", &[]),
             reassignments: registry.counter("pigeon_shard_reassignments_total", &[]),
-            deprecated_requests: registry.counter("pigeon_deprecated_requests_total", &[]),
             queue_depth: registry.gauge("pigeon_queue_depth", &[]),
             batch_size: registry.histogram("pigeon_batch_size", &[], BATCH_SIZE_BOUNDS),
             queue_wait: registry.histogram(
@@ -907,29 +893,22 @@ enum Payload {
 
 /// Renders the status line and headers (through the blank line); the
 /// caller writes the body bytes separately so binary payloads never
-/// round-trip through a `String`. Deprecated (pre-`/v1`) responses
-/// carry both the `Deprecation` marker and the RFC 8594 `Sunset` date.
+/// round-trip through a `String`.
 fn render_head(
     status: u16,
     reason: &str,
     content_type: &str,
-    deprecated: bool,
     connection: &str,
     retry_after: Option<u64>,
     body_len: usize,
 ) -> String {
-    let deprecation = if deprecated {
-        format!("Deprecation: true\r\nSunset: {DEPRECATED_SUNSET}\r\n")
-    } else {
-        String::new()
-    };
     let retry = match retry_after {
         Some(secs) => format!("Retry-After: {secs}\r\n"),
         None => String::new(),
     };
     format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {body_len}\r\n{deprecation}{retry}Connection: {connection}\r\n\r\n"
+         Content-Length: {body_len}\r\n{retry}Connection: {connection}\r\n\r\n"
     )
 }
 
@@ -1669,34 +1648,28 @@ fn get_train_job(ctx: &ServerCtx, path: &str) -> Result<Payload, HttpError> {
     Ok(Payload::Bytes("application/json", bytes))
 }
 
-/// Maps a request path to its canonical v1 endpoint, flagging the
-/// pre-versioning aliases (they answer, but with `Deprecation: true`
-/// and `Sunset` headers). Resource ids collapse to `{…}` placeholders
-/// and unknown paths come back as `("other", false)`, so the
-/// request-counter label set stays bounded however clients probe.
-fn canonical_endpoint(path: &str) -> (&'static str, bool) {
+/// Maps a request path to its canonical endpoint label. Resource ids
+/// collapse to `{…}` placeholders and unknown paths come back as
+/// `"other"`, so the request-counter label set stays bounded however
+/// clients probe.
+fn canonical_endpoint(path: &str) -> &'static str {
     match path {
-        "/v1/predict" => ("/v1/predict", false),
-        "/predict" => ("/v1/predict", true),
-        "/v1/predict_batch" => ("/v1/predict_batch", false),
-        "/predict_batch" => ("/v1/predict_batch", true),
-        "/v1/models" => ("/v1/models", false),
-        "/v1/stats" => ("/v1/stats", false),
-        "/stats" => ("/v1/stats", true),
-        "/v1/health" => ("/v1/health", false),
-        "/health" => ("/v1/health", true),
-        "/v1/metrics" => ("/v1/metrics", false),
-        "/metrics" => ("/v1/metrics", true),
-        "/v1/partials" => ("/v1/partials", false),
-        "/v1/train-jobs" => ("/v1/train-jobs", false),
-        "/v1/leases" => ("/v1/leases", false),
-        p if p.starts_with("/v1/models/") => ("/v1/models/{version}", false),
-        p if p.starts_with("/v1/partials/") => ("/v1/partials/{key}", false),
+        "/v1/predict" => "/v1/predict",
+        "/v1/predict_batch" => "/v1/predict_batch",
+        "/v1/models" => "/v1/models",
+        "/v1/stats" => "/v1/stats",
+        "/v1/health" => "/v1/health",
+        "/v1/metrics" => "/v1/metrics",
+        "/v1/partials" => "/v1/partials",
+        "/v1/train-jobs" => "/v1/train-jobs",
+        "/v1/leases" => "/v1/leases",
+        p if p.starts_with("/v1/models/") => "/v1/models/{version}",
+        p if p.starts_with("/v1/partials/") => "/v1/partials/{key}",
         p if p.starts_with("/v1/train-jobs/") && p.ends_with("/model") => {
-            ("/v1/train-jobs/{id}/model", false)
+            "/v1/train-jobs/{id}/model"
         }
-        p if p.starts_with("/v1/train-jobs/") => ("/v1/train-jobs/{id}", false),
-        _ => ("other", false),
+        p if p.starts_with("/v1/train-jobs/") => "/v1/train-jobs/{id}",
+        _ => "other",
     }
 }
 
@@ -1906,51 +1879,40 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
     let mut reader = BufReader::new(&stream);
     let mut served = 0usize;
     loop {
-        let (endpoint, deprecated, close_after, result) =
-            match read_request(&mut reader, cfg.max_request_bytes) {
-                // Clean end of a keep-alive conversation (peer closed, or
-                // the idle gap timed out with no new request started):
-                // close silently, no response on the wire.
-                Ok(None) => break,
-                Ok(Some(req)) => {
-                    ctx.stats.requests.inc();
-                    let (endpoint, deprecated) = canonical_endpoint(&req.path);
-                    let close = !cfg.keep_alive
-                        || req.wants_close
-                        || served + 1 >= cfg.max_conn_requests.max(1);
-                    // A panicking handler answers 500 and the worker (and
-                    // its connection) live on.
-                    let result =
-                        std::panic::catch_unwind(AssertUnwindSafe(|| route(ctx, endpoint, &req)))
-                            .unwrap_or_else(|_| Err(HttpError::internal()));
-                    (endpoint, deprecated, close, result)
-                }
-                // A malformed or mid-request-stalled read leaves the
-                // stream framing unknown: answer, then always close.
-                Err(e) => {
-                    ctx.stats.requests.inc();
-                    ("other", false, true, Err(e))
-                }
-            };
+        let (endpoint, close_after, result) = match read_request(&mut reader, cfg.max_request_bytes)
+        {
+            // Clean end of a keep-alive conversation (peer closed, or
+            // the idle gap timed out with no new request started):
+            // close silently, no response on the wire.
+            Ok(None) => break,
+            Ok(Some(req)) => {
+                ctx.stats.requests.inc();
+                let endpoint = canonical_endpoint(&req.path);
+                let close = !cfg.keep_alive
+                    || req.wants_close
+                    || served + 1 >= cfg.max_conn_requests.max(1);
+                // A panicking handler answers 500 and the worker (and
+                // its connection) live on.
+                let result =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| route(ctx, endpoint, &req)))
+                        .unwrap_or_else(|_| Err(HttpError::internal()));
+                (endpoint, close, result)
+            }
+            // A malformed or mid-request-stalled read leaves the
+            // stream framing unknown: answer, then always close.
+            Err(e) => {
+                ctx.stats.requests.inc();
+                ("other", true, Err(e))
+            }
+        };
         let connection = if close_after { "close" } else { "keep-alive" };
-        if deprecated {
-            ctx.stats.deprecated_requests.inc();
-        }
         let (head, body) = match result {
             Ok(Payload::Json(body)) => {
                 ctx.stats.record_http(endpoint, 200);
                 let body = serde_json::to_string(&with_api(body))
                     .unwrap_or_else(|_| INTERNAL_ERROR_BODY.to_owned())
                     .into_bytes();
-                let head = render_head(
-                    200,
-                    "OK",
-                    "application/json",
-                    deprecated,
-                    connection,
-                    None,
-                    body.len(),
-                );
+                let head = render_head(200, "OK", "application/json", connection, None, body.len());
                 (head, body)
             }
             Ok(Payload::Metrics(text)) => {
@@ -1960,7 +1922,6 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
                     200,
                     "OK",
                     "text/plain; version=0.0.4; charset=utf-8",
-                    deprecated,
                     connection,
                     None,
                     body.len(),
@@ -1969,15 +1930,7 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
             }
             Ok(Payload::Bytes(content_type, body)) => {
                 ctx.stats.record_http(endpoint, 200);
-                let head = render_head(
-                    200,
-                    "OK",
-                    content_type,
-                    deprecated,
-                    connection,
-                    None,
-                    body.len(),
-                );
+                let head = render_head(200, "OK", content_type, connection, None, body.len());
                 (head, body)
             }
             Err(e) => {
@@ -1988,7 +1941,6 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
                     e.status,
                     e.reason,
                     "application/json",
-                    deprecated,
                     connection,
                     e.retry_after,
                     body.len(),

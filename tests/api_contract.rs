@@ -310,17 +310,12 @@ fn every_documented_route_answers_and_every_probed_route_is_documented() {
         } else {
             probe.path.clone()
         };
-        let (status, head, body) = request(&addr, probe.method, &path, &probe.body);
+        let (status, _, body) = request(&addr, probe.method, &path, &probe.body);
         let text = String::from_utf8_lossy(&body);
         assert_eq!(
             status, probe.want_status,
             "{} {} answered {status}: {text}",
             probe.method, probe.doc
-        );
-        assert!(
-            !head.contains("Deprecation") && !head.contains("Sunset"),
-            "versioned route {} must not be deprecated: {head}",
-            probe.doc
         );
         if probe.json {
             assert!(
@@ -392,11 +387,11 @@ fn coordinator_routes_answer_no_coordinator_without_a_cache_dir() {
     let _ = child.wait();
 }
 
-/// The legacy flag spellings still work but warn: `pigeon merge -o`
-/// and the two-positional `pigeon compile` both print a deprecation
-/// pointing at `--out`.
+/// Output files are named with `--out` only: the retired spellings
+/// `pigeon merge -o` and the two-positional `pigeon compile` fail with a
+/// usage error and write nothing.
 #[test]
-fn legacy_flag_spellings_warn_and_still_work() {
+fn retired_flag_spellings_are_rejected() {
     let dir = tmp_dir("aliases");
     let (_corpus, model, partial) = fixtures(&dir);
 
@@ -407,13 +402,12 @@ fn legacy_flag_spellings_warn_and_still_work() {
         .arg(&partial)
         .output()
         .expect("runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
+    assert!(!out.status.success(), "merge -o must fail");
     assert!(
-        stderr.contains("deprecated") && stderr.contains("--out"),
-        "merge -o must warn: {stderr}"
+        String::from_utf8_lossy(&out.stderr).contains("--out"),
+        "the error must point at --out"
     );
-    assert!(merged.exists());
+    assert!(!merged.exists());
 
     let compiled = dir.join("model.pgnc");
     let out = pigeon()
@@ -422,31 +416,25 @@ fn legacy_flag_spellings_warn_and_still_work() {
         .arg(&compiled)
         .output()
         .expect("runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
+    assert!(!out.status.success(), "positional compile output must fail");
     assert!(
-        stderr.contains("deprecated") && stderr.contains("--out"),
-        "positional compile output must warn: {stderr}"
+        String::from_utf8_lossy(&out.stderr).contains("--out"),
+        "the error must point at --out"
     );
-    assert!(compiled.exists());
+    assert!(!compiled.exists());
 
-    // The modern spellings stay silent.
-    let merged2 = dir.join("merged2.json");
+    // The `--out` spellings work.
     let out = pigeon()
         .args(["merge", "--out"])
-        .arg(&merged2)
+        .arg(&merged)
         .arg(&partial)
         .output()
         .expect("runs");
     assert!(out.status.success());
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("deprecated"),
-        "--out must not warn"
-    );
-    let compiled2 = dir.join("model2.pgnc");
+    assert!(merged.exists());
     let out = pigeon()
         .args(["compile", "--out"])
-        .arg(&compiled2)
+        .arg(&compiled)
         .arg(&model)
         .output()
         .expect("runs");
@@ -455,10 +443,7 @@ fn legacy_flag_spellings_warn_and_still_work() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("deprecated"),
-        "compile --out must not warn"
-    );
+    assert!(compiled.exists());
 }
 
 /// `pigeon <command> --help` is generated from the same flag table

@@ -165,9 +165,9 @@ fn compile_predict_audit_round_trip() {
     );
 
     let out = pigeon()
-        .args(["compile"])
-        .arg(&model)
+        .args(["compile", "--out"])
         .arg(&artifact)
+        .arg(&model)
         .output()
         .expect("runs");
     assert!(
@@ -227,9 +227,9 @@ fn compile_predict_audit_round_trip() {
     for quant in ["f16", "i8"] {
         let quantized = dir.join(format!("model-{quant}.pgnc"));
         let out = pigeon()
-            .args(["compile", "--quantize", quant])
-            .arg(&model)
+            .args(["compile", "--quantize", quant, "--out"])
             .arg(&quantized)
+            .arg(&model)
             .output()
             .expect("runs");
         assert!(
@@ -245,9 +245,9 @@ fn compile_predict_audit_round_trip() {
 
         let recompiled = dir.join(format!("model-{quant}-2.pgnc"));
         let out = pigeon()
-            .args(["compile", "--quantize", quant])
-            .arg(&quantized)
+            .args(["compile", "--quantize", quant, "--out"])
             .arg(&recompiled)
+            .arg(&quantized)
             .output()
             .expect("runs");
         assert!(
@@ -294,9 +294,9 @@ fn compile_predict_audit_round_trip() {
 
     // Unknown quantization names are rejected up front.
     let out = pigeon()
-        .args(["compile", "--quantize", "f8"])
-        .arg(&model)
+        .args(["compile", "--quantize", "f8", "--out"])
         .arg(&artifact)
+        .arg(&model)
         .output()
         .expect("runs");
     assert!(!out.status.success());

@@ -84,6 +84,23 @@ fn facade_rejects_model_with_out_of_range_ids() {
     assert!(err.to_string().contains("label"), "{err}");
 }
 
+/// The same bad model file must fail the same way on every load: the
+/// loader walks its tables in key order and names the smallest
+/// offending entry.
+#[test]
+fn validation_errors_are_deterministic() {
+    let bad = r#"{"language":"js","target":"variables","abstraction":"full",
+        "max_length":7,"max_width":3,"semi_paths":true,"top_k":5,
+        "labels":["a","b"],"features":["f0","f1"],
+        "model":"{\"pair_weights\":[[9,0,1,0.5],[5,1,0,0.5],[12,1,1,0.5],[7,0,0,0.5],[1,0,1,0.5]],\"unary_weights\":[],\"label_counts\":[1,1],\"candidates\":[],\"global_candidates\":[0],\"max_candidates\":4,\"max_passes\":4}"}"#;
+    let expected = "model file: pairwise weight references feature id 5, but the \
+                    feature vocabulary has 2 entries (model-id-range)";
+    for _ in 0..20 {
+        let err = Pigeon::load(bad.as_bytes()).expect_err("out-of-range ids must not load");
+        assert_eq!(err.to_string(), expected);
+    }
+}
+
 /// `predict_batch` is a parallel fan-out over `predict`: for every jobs
 /// count the results must be identical to the sequential loop, in
 /// source order.

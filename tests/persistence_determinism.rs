@@ -49,7 +49,8 @@ fn crf_model_round_trips_through_json_via_facade_training() {
             &pigeon::crf::CrfConfig::default(),
         );
         let json = model.to_json().unwrap();
-        let restored = CrfModel::from_json(&json).unwrap();
+        let restored =
+            CrfModel::from_json(&json, vocabs.features.len(), vocabs.labels.len()).unwrap();
         for inst in instances.iter().take(10) {
             assert_eq!(model.predict(inst), restored.predict(inst));
         }

@@ -276,11 +276,11 @@ fn serve_predicts_and_reports_stats() {
     let model = train_model(&dir);
     let (mut child, addr, _stdout) = spawn_server(&model, &["--idle-timeout", "60"]);
 
-    let (status, body) = get(&addr, "/health");
+    let (status, body) = get(&addr, "/v1/health");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"ok\""));
 
-    let (status, body) = post(&addr, "/predict", QUERY);
+    let (status, body) = post(&addr, "/v1/predict", QUERY);
     assert_eq!(status, 200, "{body}");
     assert!(
         body.contains("\"predictions\""),
@@ -295,7 +295,7 @@ fn serve_predicts_and_reports_stats() {
     // becomes a per-source error without failing the whole request.
     let (status, body) = post(
         &addr,
-        "/predict_batch",
+        "/v1/predict_batch",
         r#"{"sources": ["function g(x) { return x; }", "not valid js ((("]}"#,
     );
     assert_eq!(status, 200, "{body}");
@@ -306,12 +306,12 @@ fn serve_predicts_and_reports_stats() {
     // Error routes are reported as JSON and counted.
     let (status, _) = get(&addr, "/no-such-route");
     assert_eq!(status, 404);
-    let (status, body) = post(&addr, "/predict", "{not json");
+    let (status, body) = post(&addr, "/v1/predict", "{not json");
     assert_eq!(status, 400, "{body}");
-    let (status, body) = post(&addr, "/predict", r#"{"source": "function ((("}"#);
+    let (status, body) = post(&addr, "/v1/predict", r#"{"source": "function ((("}"#);
     assert_eq!(status, 422, "{body}");
 
-    let (status, stats) = get(&addr, "/stats");
+    let (status, stats) = get(&addr, "/v1/stats");
     assert_eq!(status, 200, "{stats}");
     for field in [
         "\"requests_total\"",
@@ -347,7 +347,7 @@ fn serve_predicts_and_reports_stats() {
     assert!(p50 > 0, "{stats}");
     assert!(p50 <= p95 && p95 <= p99 && p99 <= max, "{stats}");
 
-    // /predict (3 names) + the good half of /predict_batch (1 name).
+    // /v1/predict (3 names) + the good half of /v1/predict_batch (1 name).
     assert!(stats.contains("\"predictions_total\":4"), "{stats}");
     // 404 + bad JSON + unparseable program.
     assert!(stats.contains("\"errors_total\":3"), "{stats}");
@@ -368,7 +368,7 @@ fn serve_answers_concurrent_requests() {
                 let addr = addr.clone();
                 scope.spawn(move || {
                     for _ in 0..3 {
-                        let (status, body) = post(&addr, "/predict", QUERY);
+                        let (status, body) = post(&addr, "/v1/predict", QUERY);
                         assert_eq!(status, 200, "{body}");
                         assert!(body.contains("\"predictions\""), "{body}");
                     }
@@ -380,7 +380,7 @@ fn serve_answers_concurrent_requests() {
         }
     });
 
-    let (status, stats) = get(&addr, "/stats");
+    let (status, stats) = get(&addr, "/v1/stats");
     assert_eq!(status, 200);
     assert!(stats.contains("\"predict_requests_total\":12"), "{stats}");
     assert!(stats.contains("\"errors_total\":0"), "{stats}");
@@ -394,7 +394,7 @@ fn serve_exits_cleanly_on_idle_timeout() {
     let dir = tmp_dir("idle");
     let model = train_model(&dir);
     let (mut child, addr, mut stdout) = spawn_server(&model, &["--idle-timeout", "1"]);
-    let (status, _) = get(&addr, "/health");
+    let (status, _) = get(&addr, "/v1/health");
     assert_eq!(status, 200);
 
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -423,18 +423,18 @@ fn serve_rejects_oversized_requests() {
         &["--idle-timeout", "60", "--max-request-bytes", "256"],
     );
     let big = format!(r#"{{"source": "{}"}}"#, "x".repeat(1024));
-    let (status, body) = post(&addr, "/predict", &big);
+    let (status, body) = post(&addr, "/v1/predict", &big);
     assert_eq!(status, 413, "{body}");
     // The server survives and keeps answering.
-    let (status, _) = get(&addr, "/health");
+    let (status, _) = get(&addr, "/v1/health");
     assert_eq!(status, 200);
     child.kill().expect("kills");
     let _ = child.wait();
 }
 
 /// Pins the v1 API contract: versioned paths, the `"api"` field on every
-/// JSON body, stable machine-readable error codes, the `Deprecation`
-/// header on pre-versioning aliases, and the Prometheus exposition.
+/// JSON body, stable machine-readable error codes, 404 for the removed
+/// unversioned paths, and the Prometheus exposition.
 #[test]
 fn serve_v1_api_contract() {
     let dir = tmp_dir("v1");
@@ -447,10 +447,7 @@ fn serve_v1_api_contract() {
     assert_eq!(status, 200, "{body}");
     assert!(body.starts_with(r#"{"api":"pigeon/1""#), "{body}");
     assert!(body.contains("\"ok\""), "{body}");
-    assert!(
-        !head.contains("Deprecation"),
-        "v1 is not deprecated: {head}"
-    );
+    assert!(head.contains("Content-Type: application/json"), "{head}");
 
     let (status, body) = post(&addr, "/v1/predict", QUERY);
     assert_eq!(status, 200, "{body}");
@@ -482,38 +479,10 @@ fn serve_v1_api_contract() {
     assert_eq!(status, 404, "{body}");
     assert!(body.contains("\"code\":\"not-found\""), "{body}");
 
-    // Pre-versioning paths still answer, flagged deprecated; their
-    // bodies match the v1 schema.
-    for path in ["/predict", "/stats", "/health", "/metrics"] {
-        let (status, head, body) = match path {
-            "/predict" => {
-                let (s, h, b) = http_full(
-                    &addr,
-                    &format!(
-                        "POST /predict HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-                         Connection: close\r\n\r\n{QUERY}",
-                        QUERY.len()
-                    ),
-                );
-                (s, h, b)
-            }
-            _ => get_full(&addr, path),
-        };
-        assert_eq!(status, 200, "{path}: {body}");
-        assert!(
-            head.contains("Deprecation: true"),
-            "{path} must signal deprecation: {head}"
-        );
-        // RFC 8594: deprecated responses also announce when the alias
-        // goes away.
-        assert!(
-            head.contains("Sunset: "),
-            "{path} must carry a Sunset date: {head}"
-        );
-    }
-    // v1 paths never carry the Sunset header.
-    let (_, head, _) = get_full(&addr, "/v1/health");
-    assert!(!head.contains("Sunset"), "{head}");
+    // The pre-versioning paths are gone.
+    let (status, body) = get(&addr, "/predict");
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains("\"code\":\"not-found\""), "{body}");
 
     // The Prometheus exposition: request counters by endpoint and
     // status, the predict latency histogram, and content-type framing.
@@ -529,8 +498,6 @@ fn serve_v1_api_contract() {
         "pigeon_predict_latency_micros_bucket",
         "le=\"+Inf\"",
         "pigeon_predictions_total",
-        // The four deprecated-alias requests above must be counted.
-        "pigeon_deprecated_requests_total 4",
     ] {
         assert!(metrics.contains(needle), "missing {needle} in:\n{metrics}");
     }
@@ -948,9 +915,9 @@ fn serve_hot_swaps_a_binary_artifact_and_rejects_poisoned_uploads() {
     let model = train_model(&dir);
     let artifact_path = dir.join("model.pgnc");
     let out = pigeon()
-        .args(["compile", "--quantize", "i8"])
-        .arg(&model)
+        .args(["compile", "--quantize", "i8", "--out"])
         .arg(&artifact_path)
+        .arg(&model)
         .output()
         .expect("runs");
     assert!(
@@ -1125,7 +1092,7 @@ fn throughput_report() {
     // One connection per request (the pre-keep-alive behaviour).
     let t = Instant::now();
     for body in &bodies {
-        let (status, _) = post(&addr, "/predict", body);
+        let (status, _) = post(&addr, "/v1/predict", body);
         assert!(status == 200 || status == 422);
     }
     let secs = t.elapsed().as_secs_f64();
