@@ -650,36 +650,79 @@ impl CrfModel {
 
     /// The top-`k` candidate labels for one unknown node, scored with all
     /// other nodes fixed at the MAP assignment — the paper's added
-    /// "top-k candidates suggestion" API (§5.1).
+    /// "top-k candidates suggestion" API (§5.1). The one-node case of
+    /// [`CrfModel::predict_top_k`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not an index into `inst.nodes`.
     pub fn top_k(&self, inst: &Instance, node: usize, k: usize) -> Vec<(u32, f32)> {
+        let (_, mut ranked) = self.predict_top_k(inst, &[node], k);
+        ranked.swap_remove(0)
+    }
+
+    /// MAP inference plus the top-`k` candidates of every node in
+    /// `nodes`, each ranked with all other nodes fixed at that one MAP
+    /// assignment: the label vector [`CrfModel::predict`] returns, and
+    /// one best-first list per requested node, in `nodes` order. A
+    /// program pays for one inference however many of its nodes are
+    /// ranked; ICM is deterministic, so each list is what a separate
+    /// inference per node would rank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of `nodes` is not an index into `inst.nodes`.
+    pub fn predict_top_k(
+        &self,
+        inst: &Instance,
+        nodes: &[usize],
+        k: usize,
+    ) -> (Vec<u32>, Vec<Vec<(u32, f32)>>) {
         TLS_WORKSPACE.with(|ws| {
             let ws = &mut *ws.borrow_mut();
             let labels = infer(&self.shared, self, inst, false, ws);
-            collect_candidates(&self.shared, inst, ws, node);
-            let pair_factors = ws.pair_factors(node);
-            let unary_factors = ws.unary_factors(node);
-            let mut scored: Vec<(u32, f32)> = ws
-                .cand
+            let ranked = nodes
                 .iter()
-                .map(|&c| {
-                    let s = node_score(
-                        &self.shared,
-                        self,
-                        inst,
-                        &labels,
-                        pair_factors,
-                        unary_factors,
-                        node,
-                        c,
-                        false,
-                    );
-                    (c, s)
-                })
+                .map(|&node| self.rank_candidates(inst, ws, node, k))
                 .collect();
-            scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-            scored.truncate(k);
-            scored
+            (labels, ranked)
         })
+    }
+
+    /// The best `k` of `node`'s candidates, scored against the workspace
+    /// labels (the MAP assignment after [`infer`]), best first; ties go
+    /// to the smaller label id.
+    fn rank_candidates(
+        &self,
+        inst: &Instance,
+        ws: &mut Workspace,
+        node: usize,
+        k: usize,
+    ) -> Vec<(u32, f32)> {
+        collect_candidates(&self.shared, inst, ws, node);
+        let pair_factors = ws.pair_factors(node);
+        let unary_factors = ws.unary_factors(node);
+        let mut scored: Vec<(u32, f32)> = ws
+            .cand
+            .iter()
+            .map(|&c| {
+                let s = node_score(
+                    &self.shared,
+                    self,
+                    inst,
+                    &ws.labels,
+                    pair_factors,
+                    unary_factors,
+                    node,
+                    c,
+                    false,
+                );
+                (c, s)
+            })
+            .collect();
+        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        scored.truncate(k);
+        scored
     }
 
     /// Candidate labels for `node` against an explicit label vector —

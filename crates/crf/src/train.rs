@@ -599,6 +599,50 @@ fn capture_state(
     }
 }
 
+/// Rejects snapshot entries no run over `instances` could have written:
+/// a path id at or above the instances' path span, or a label at or
+/// above `num_labels`. Resume starts from empty weights, so every
+/// legitimate entry comes from one of their factors; checking before the
+/// first insert keeps a forged path id from sizing the per-path buckets.
+fn check_resumed_ids(
+    state: &TrainState,
+    instances: &[Instance],
+    num_labels: u32,
+) -> Result<(), String> {
+    let span = path_span(instances.iter().flat_map(|inst| {
+        let pairs = inst.pairwise.iter().map(|f| f.path);
+        pairs.chain(inst.unary.iter().map(|f| f.path))
+    }));
+    let check = |what: &str, path: u32, labels: &[u64]| {
+        if path as usize >= span {
+            return Err(format!(
+                "checkpoint {what} entry names path id {path}, but the corpus spans \
+                 {span} path ids"
+            ));
+        }
+        match labels.iter().find(|&&l| l >= u64::from(num_labels)) {
+            Some(l) => Err(format!(
+                "checkpoint {what} entry names label {l}, but the corpus has \
+                 {num_labels} labels"
+            )),
+            None => Ok(()),
+        }
+    };
+    for &(path, key, _) in &state.pair {
+        check("ck-pair", path, &[key >> 32, key & u64::from(u32::MAX)])?;
+    }
+    for &(path, key, _) in &state.unary {
+        check("ck-unary", path, &[key])?;
+    }
+    for &(path, a, b, _) in &state.pair_sum {
+        check("ck-pair-sum", path, &[a.into(), b.into()])?;
+    }
+    for &(path, label, _) in &state.unary_sum {
+        check("ck-unary-sum", path, &[label.into()])?;
+    }
+    Ok(())
+}
+
 /// The sequential subgradient loop from `weights`, resumable. Without
 /// hooks the control flow (RNG draws, visit order, update sequence) is
 /// fixed by the seed, so [`train`] stays byte-for-byte reproducible.
@@ -635,6 +679,7 @@ fn sgd(
         {
             return Err("checkpoint state is inconsistent with the corpus size".to_owned());
         }
+        check_resumed_ids(&state, instances, num_labels)?;
         weights = Weights::default();
         for &(path, key, w) in &state.pair {
             weights.0.add(path, key, w);

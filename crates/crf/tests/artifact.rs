@@ -6,9 +6,14 @@
 
 use pigeon_crf::artifact::{
     checksum, file_checksum, is_artifact, read_artifact, write_artifact, ArtifactMeta, Quant,
-    Reader, Writer, HEADER_LEN, MAGIC, SEC_CAPS, SEC_PAIR_WEIGHTS, TABLE_ENTRY_LEN,
+    Reader, Writer, HEADER_LEN, MAGIC, SEC_CAPS, SEC_CK_PAIR_SUM, SEC_CK_UNARY_SUM,
+    SEC_PAIR_WEIGHTS, TABLE_ENTRY_LEN,
 };
-use pigeon_crf::{train, CrfConfig, CrfModel, Instance, Node, MAX_CANDIDATES_BOUND};
+use pigeon_crf::checkpoint::{decode_checkpoint, encode_checkpoint};
+use pigeon_crf::{
+    train, train_resumable, CrfConfig, CrfModel, Instance, Node, TrainControl, TrainOutcome,
+    TrainState, MAX_CANDIDATES_BOUND,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -313,4 +318,55 @@ fn short_quantized_weight_sections_are_errors_not_panics() {
     }
     let err = read_artifact(&w.finish(Quant::I8)).unwrap_err();
     assert!(err.contains("pair-weights"), "unexpected: {err}");
+}
+
+#[test]
+fn forged_checkpoint_ids_are_errors_not_aborts() {
+    // A real epoch-boundary checkpoint of the `trained()` corpus.
+    let (_, instances) = trained();
+    let cfg = CrfConfig::default();
+    let mut saved = Vec::new();
+    let mut keep = |state: &TrainState| saved = encode_checkpoint(state);
+    let outcome = train_resumable(
+        &instances,
+        NUM_LABELS,
+        &cfg,
+        TrainControl {
+            checkpoint_every: 1,
+            on_checkpoint: Some(&mut keep),
+            ..TrainControl::default()
+        },
+    );
+    assert!(matches!(outcome, Ok(TrainOutcome::Completed(_))));
+    assert!(!saved.is_empty(), "no checkpoint was taken");
+
+    let resume = |bytes: &[u8]| {
+        let state = decode_checkpoint(bytes).expect("checksums are consistent");
+        let control = TrainControl {
+            resume: Some(state),
+            ..TrainControl::default()
+        };
+        train_resumable(&instances, NUM_LABELS, &cfg, control).map(|_| ())
+    };
+    resume(&saved).expect("the untouched checkpoint resumes");
+
+    // Each forgery raises one `u32` field of a section's last entry,
+    // which keeps the entries sorted: the `ck-pair-sum` path id (resumed
+    // unchecked, it would size the per-path buckets at about 100 GB), its
+    // second label, and the `ck-unary-sum` label. `from_end` locates the
+    // field from the end of the payload (24- and 16-byte entries).
+    let forgeries: [(u32, usize, u32, &str); 3] = [
+        (SEC_CK_PAIR_SUM, 24, u32::MAX - 1, "names path id"),
+        (SEC_CK_PAIR_SUM, 16, NUM_LABELS, "names label 6"),
+        (SEC_CK_UNARY_SUM, 12, u32::MAX - 1, "names label"),
+    ];
+    for (section, from_end, value, what) in forgeries {
+        let mut bytes = saved.clone();
+        patch_section(&mut bytes, section, |payload| {
+            let at = payload.len() - from_end;
+            payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        });
+        let err = resume(&bytes).expect_err("a forged id must not resume");
+        assert!(err.contains(what), "section {section}: {err}");
+    }
 }

@@ -163,7 +163,8 @@ proptest! {
     }
 
     /// top_k output is sorted by score, bounded by k, and headed by the
-    /// MAP label of the queried node.
+    /// MAP label of the queried node; `predict_top_k` returns the MAP
+    /// labels and every unknown's `top_k` list from one inference.
     #[test]
     fn top_k_is_sorted_and_consistent(spec in instance_strategy()) {
         let inst = build(&spec);
@@ -172,17 +173,30 @@ proptest! {
             ..CrfConfig::default()
         });
         let map = model.predict(&inst);
-        for (i, node) in inst.nodes.iter().enumerate() {
-            if node.known {
-                continue;
-            }
+        let unknowns: Vec<usize> = (0..inst.nodes.len())
+            .filter(|&i| !inst.nodes[i].known)
+            .collect();
+        let mut per_node = Vec::new();
+        for &i in &unknowns {
             let top = model.top_k(&inst, i, 4);
             prop_assert!(top.len() <= 4);
             prop_assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
             if let Some(&(first, _)) = top.first() {
                 prop_assert_eq!(first, map[i], "top-1 equals the MAP label");
             }
+            per_node.push(top);
         }
+        // One inference ranks every unknown exactly as a per-node
+        // `top_k` (each re-running inference) does, score bits included.
+        let (labels, ranked) = model.predict_top_k(&inst, &unknowns, 4);
+        prop_assert_eq!(&labels, &map);
+        let bits = |lists: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
+            lists
+                .iter()
+                .map(|l| l.iter().map(|&(c, s)| (c, s.to_bits())).collect())
+                .collect()
+        };
+        prop_assert_eq!(bits(&ranked), bits(&per_node));
     }
 }
 

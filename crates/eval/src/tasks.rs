@@ -286,12 +286,12 @@ pub fn run_name_experiment(exp: &NameExperiment) -> TaskOutcome {
                 vocabs,
             );
         }
-        let predicted = model.predict(&graph.instance);
-        for &node in &graph.unknown_nodes {
+        let (predicted, ranked) =
+            model.predict_top_k(&graph.instance, &graph.unknown_nodes, exp.top_k);
+        for (&node, top) in graph.unknown_nodes.iter().zip(ranked) {
             let gold = &graph.node_names[node];
             let name = vocabs.label_name(predicted[node]).to_owned();
-            let top: Vec<String> = model
-                .top_k(&graph.instance, node, exp.top_k)
+            let top: Vec<String> = top
                 .into_iter()
                 .map(|(l, _)| vocabs.label_name(l).to_owned())
                 .collect();

@@ -918,21 +918,27 @@ impl Pigeon {
         // per-call clone, and `&self` stays shareable across threads.
         let graph =
             build_name_graph_lookup(self.language, &ast, self.target, &features, &self.vocabs);
-        let labels = self.model.predict(&graph.instance);
-        let mut out = Vec::new();
-        for &node in &graph.unknown_nodes {
-            let candidates: Vec<(String, f32)> = self
-                .model
-                .top_k(&graph.instance, node, self.config.top_k)
-                .into_iter()
-                .map(|(l, s)| (self.vocabs.label_name(l).to_owned(), s))
-                .collect();
-            out.push(Prediction {
+        // One span per program around its single inference plus ranking;
+        // the engine's `infer` carries none, since training runs it for
+        // every instance in every epoch.
+        let (labels, ranked) = {
+            let _infer = telemetry::span("crf_infer");
+            self.model
+                .predict_top_k(&graph.instance, &graph.unknown_nodes, self.config.top_k)
+        };
+        let out = graph
+            .unknown_nodes
+            .iter()
+            .zip(ranked)
+            .map(|(&node, top)| Prediction {
                 current_name: graph.node_names[node].clone(),
                 predicted_name: self.vocabs.label_name(labels[node]).to_owned(),
-                candidates,
-            });
-        }
+                candidates: top
+                    .into_iter()
+                    .map(|(l, s)| (self.vocabs.label_name(l).to_owned(), s))
+                    .collect(),
+            })
+            .collect();
         Ok(out)
     }
 

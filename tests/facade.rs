@@ -127,6 +127,53 @@ fn predict_batch_matches_sequential_predict_exactly() {
     }
 }
 
+/// A fixed multi-function program for the prediction golden: loops,
+/// calls and variables that flow into each other, so the unknowns of
+/// each function interact through pairwise factors.
+const GOLDEN_PROGRAM: &str = "\
+function a(b, c) { var d = 0; for (var e = 0; e < b.length; e++) { d += b[e] * c; } return d; }
+function f(g) { var h = false; while (!h) { if (g.check()) { h = true; } } return h; }
+function i(j, k, l) { j.open('GET', k, false); j.send(l); var m = j.responseText; return m; }
+function n(o) { var p = []; for (var q of o) { if (q > 0) { p.push(q); } } return p.length; }
+function r(s, t) { var u = s + t; var v = u * 2; var w = v - s; return w; }
+";
+
+/// Renders predictions with every candidate score as raw `f32` bits, so
+/// the golden pins order, names and scores exactly.
+fn render_predictions(predictions: &[pigeon::Prediction]) -> String {
+    let mut out = String::new();
+    for p in predictions {
+        out.push_str(&format!("{} -> {}:", p.current_name, p.predicted_name));
+        for (name, score) in &p.candidates {
+            out.push_str(&format!(" {name}={:08x}", score.to_bits()));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Pins `Pigeon::predict` on a fixed model and program: predicted names,
+/// candidate order and candidate score bits. The hash was captured
+/// before top-k ranking moved onto a single MAP inference per program,
+/// which must not move a byte.
+#[test]
+fn predictions_are_byte_identical_to_the_pinned_golden() {
+    let namer = trained_namer(Language::JavaScript, 60);
+    let predictions = namer
+        .predict(GOLDEN_PROGRAM)
+        .expect("golden program parses");
+    assert!(predictions.len() >= 15, "{} unknowns", predictions.len());
+    let rendered = render_predictions(&predictions);
+    assert_eq!(
+        pigeon::core::fnv64(rendered.as_bytes()),
+        GOLDEN_PREDICT_FNV64,
+        "rendered predictions drifted:\n{rendered}"
+    );
+}
+
+/// FNV-1a/64 of [`render_predictions`] for the golden program above.
+const GOLDEN_PREDICT_FNV64: u64 = 17032038171425160053;
+
 #[test]
 fn facade_surfaces_parse_errors() {
     let namer = trained_namer(Language::JavaScript, 40);

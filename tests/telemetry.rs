@@ -1,9 +1,11 @@
 //! Integration tests for the telemetry layer against the real training
-//! pipeline: jobs-invariance of the Prometheus exposition and
-//! well-nestedness of the exported Chrome trace.
+//! and prediction pipeline: jobs-invariance of the Prometheus
+//! exposition, well-nestedness of the exported Chrome trace, and the ICM
+//! sweep count of one prediction.
 //!
-//! Both tests drive the process-global registry, so they serialise on a
-//! shared lock and pin the clock to a deterministic [`ManualClock`].
+//! The tests drive the process-global registry, so they serialise on a
+//! shared lock; the exposition and trace tests pin the clock to a
+//! deterministic [`ManualClock`].
 
 use pigeon::corpus::{generate, CorpusConfig, Language};
 use pigeon::telemetry;
@@ -117,4 +119,35 @@ fn trace_export_is_valid_json_with_well_nested_spans() {
             e.get("name")
         );
     }
+}
+
+/// `Pigeon::predict` runs ICM once per program and ranks every unknown's
+/// candidates against that one assignment, so its sweep count is bounded
+/// by the model's sweep limit, not by the number of unknowns.
+#[test]
+fn predict_runs_one_inference_per_program() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_enabled(true);
+    let sources = sources();
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let config = PigeonConfig::builder().jobs(1).build().expect("valid");
+    let namer = Pigeon::train_variable_namer(Language::JavaScript, &refs, &config).expect("trains");
+    let max_passes = namer.crf_model().max_passes() as u64;
+    // Every generated document in one program: more unknowns than the
+    // sweep limit, so one inference per unknown could not stay under it.
+    let program = sources.join("\n");
+    let sweeps = telemetry::counter("pigeon_icm_sweeps_total");
+    let before = sweeps.get();
+    let predictions = namer.predict(&program).expect("program parses");
+    let added = sweeps.get() - before;
+    assert!(
+        predictions.len() as u64 > max_passes,
+        "{} unknowns, sweep limit {max_passes}",
+        predictions.len()
+    );
+    assert!(
+        (1..=max_passes).contains(&added),
+        "one predict over {} unknowns ran {added} ICM sweeps; one inference allows 1..={max_passes}",
+        predictions.len()
+    );
 }
