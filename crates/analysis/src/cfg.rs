@@ -74,22 +74,6 @@ impl Cfg {
         }
         seen
     }
-
-    /// Node indices reachable from `start` (inclusive), in index order.
-    pub fn reachable_from(&self, start: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut work = vec![start];
-        seen[start] = true;
-        while let Some(n) = work.pop() {
-            for &s in &self.nodes[n].succs {
-                if !seen[s] {
-                    seen[s] = true;
-                    work.push(s);
-                }
-            }
-        }
-        seen
-    }
 }
 
 /// Builds one CFG per function scope of `ast` (skipping the root

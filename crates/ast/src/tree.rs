@@ -369,11 +369,6 @@ impl AstBuilder {
         id
     }
 
-    /// Records the source span of an already-attached node.
-    pub fn set_span(&mut self, id: NodeId, span: Span) {
-        self.nodes[id.index()].span = span;
-    }
-
     /// Number of nodes attached so far (including the root).
     pub fn len(&self) -> usize {
         self.nodes.len()

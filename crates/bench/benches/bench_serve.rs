@@ -9,10 +9,11 @@
 //! out the host's absolute speed.
 
 use pigeon::corpus::{generate, CorpusConfig, Language};
+use pigeon::http;
 use pigeon::serve::{bind, request_shutdown, ServeConfig};
 use pigeon::{Pigeon, PigeonConfig};
 use pigeon_bench::{bench_files, Section};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -28,39 +29,23 @@ fn percentiles(mut micros: Vec<f64>) -> (f64, f64) {
     (micros[micros.len() / 2], p95)
 }
 
-/// Writes one request and reads the Content-Length-framed response off
-/// a buffered connection, asserting a 200.
+/// Writes one request and reads its response off a buffered
+/// connection through the library's HTTP framing, asserting a 200.
 fn roundtrip(reader: &mut BufReader<TcpStream>, path: &str, body: &str, close: bool) {
     let connection = if close { "close" } else { "keep-alive" };
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\
-         Connection: {connection}\r\n\r\n{body}",
-        body.len()
-    );
+    // One write for head and body: the bench's sockets keep Nagle on.
+    let request = http::render_head(
+        &format!("POST {path} HTTP/1.1"),
+        "application/json",
+        body.len(),
+        &[("Host", "bench"), ("Connection", connection)],
+    ) + body;
     reader
         .get_mut()
         .write_all(request.as_bytes())
         .expect("writes");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("status line");
-    assert!(line.contains("200"), "unexpected response: {line}");
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).expect("header");
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .strip_prefix("Content-Length: ")
-            .or_else(|| header.strip_prefix("content-length: "))
-        {
-            content_length = v.parse().expect("numeric length");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
+    let response = http::read_response(reader).expect("reads response");
+    assert_eq!(response.status, 200, "unexpected response: {response:?}");
 }
 
 fn connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {

@@ -47,12 +47,6 @@ impl CorpusConfig {
         self.seed = seed;
         self
     }
-
-    /// Convenience: same config with a different noise level.
-    pub fn with_noise(mut self, name_noise: f64) -> Self {
-        self.name_noise = name_noise;
-        self
-    }
 }
 
 /// A name pool with the language's reserved words pre-blocked, so a role

@@ -724,59 +724,4 @@ impl CrfModel {
         scored.truncate(k);
         scored
     }
-
-    /// Candidate labels for `node` against an explicit label vector —
-    /// used by beam search, which explores many hypothetical states.
-    pub(crate) fn node_candidates(
-        &self,
-        inst: &Instance,
-        ws: &mut Workspace,
-        labels: &[u32],
-        node: usize,
-    ) -> Vec<u32> {
-        ws.labels.clear();
-        ws.labels.extend_from_slice(labels);
-        collect_candidates(&self.shared, inst, ws, node);
-        ws.cand.clone()
-    }
-
-    /// Scores one `(node, label)` choice against an explicit label
-    /// vector — beam search's scoring hook.
-    pub(crate) fn score(
-        &self,
-        inst: &Instance,
-        ws: &Workspace,
-        labels: &[u32],
-        node: usize,
-        label: u32,
-    ) -> f32 {
-        node_score(
-            &self.shared,
-            self,
-            inst,
-            labels,
-            ws.pair_factors(node),
-            ws.unary_factors(node),
-            node,
-            label,
-            false,
-        )
-    }
-
-    /// Prepares the workspace's adjacency for `inst` without running
-    /// inference (beam search drives its own schedule).
-    pub(crate) fn prepare(&self, inst: &Instance, ws: &mut Workspace) {
-        ws.prepare(inst, self.shared.num_label_slots);
-    }
-
-    /// Number of pairwise factors adjacent to `node` plus its unary
-    /// factors — beam search's most-constrained-first ordering key.
-    pub(crate) fn degree(&self, ws: &Workspace, node: usize) -> usize {
-        ws.pair_factors(node).len() + ws.unary_factors(node).len()
-    }
-
-    /// The most frequent training label (the evidence-free fallback).
-    pub(crate) fn global_head(&self) -> u32 {
-        self.shared.global_candidates.first().copied().unwrap_or(0)
-    }
 }

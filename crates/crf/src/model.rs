@@ -116,11 +116,6 @@ impl CrfModel {
         self.pair.keys.len()
     }
 
-    /// Number of distinct unary features with non-zero weight.
-    pub fn num_unary_features(&self) -> usize {
-        self.unary.keys.len()
-    }
-
     /// Checks that a model is safe to run inference on: every feature
     /// and label id fits the given vocabulary sizes (so `predict` can
     /// never index past the vocabularies the model shipped with), every

@@ -171,11 +171,6 @@ pub fn gauge(name: &'static str) -> Arc<Gauge> {
     current().gauge(name, &[])
 }
 
-/// A labelled gauge on the current sink.
-pub fn gauge_with(name: &'static str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-    current().gauge(name, labels)
-}
-
 /// A histogram on the current sink.
 pub fn histogram(name: &'static str, labels: &[(&str, &str)], bounds: &[u64]) -> Arc<Histogram> {
     current().histogram(name, labels, bounds)

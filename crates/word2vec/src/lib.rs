@@ -295,15 +295,6 @@ impl SgnsModel {
         &self.word_vecs[word as usize * self.dim..(word as usize + 1) * self.dim]
     }
 
-    /// The context vector for `context`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `context` is out of range.
-    pub fn ctx_vec(&self, context: u32) -> &[f32] {
-        &self.ctx_vecs[context as usize * self.dim..(context as usize + 1) * self.dim]
-    }
-
     /// Summed context vector and the scoring closure's input for Eq. 4.
     fn context_sum(&self, contexts: &[u32]) -> Vec<f32> {
         let mut ctx_sum = vec![0.0f32; self.dim];

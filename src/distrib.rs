@@ -10,16 +10,14 @@
 //! model is byte-identical to a single-process `pigeon train` over the
 //! same corpus.
 //!
-//! The HTTP client here is the same dependency-free std-only style as
-//! the server: `Connection: close` requests over a `TcpStream` with
-//! `Content-Length` framing.
+//! Every exchange is one `Connection: close` request through
+//! [`crate::http::request`], the framing the server uses too.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use pigeon_corpus::Language;
 
+use crate::http;
 use crate::{Pigeon, PigeonConfig};
 
 /// The on-disk file extension for each language's sources — shared by
@@ -70,89 +68,6 @@ pub fn list_corpus(language: Language, dir: &str) -> Result<Vec<(String, String)
         .collect()
 }
 
-/// One parsed HTTP response: status and body bytes.
-struct Response {
-    status: u16,
-    body: Vec<u8>,
-}
-
-/// Normalises a coordinator URL (`http://host:port`, with or without
-/// the scheme or a trailing slash) to the bare `host:port` dial string.
-fn dial_addr(coordinator: &str) -> &str {
-    coordinator
-        .trim_start_matches("http://")
-        .trim_end_matches('/')
-}
-
-/// One `Connection: close` HTTP/1.1 exchange against the coordinator.
-fn http(
-    coordinator: &str,
-    method: &str,
-    path: &str,
-    content_type: &str,
-    body: &[u8],
-) -> Result<Response, String> {
-    let addr = dial_addr(coordinator);
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(300)));
-    // The request goes out as two writes (head, body); TCP_NODELAY
-    // keeps Nagle from holding the body for the peer's delayed ACK.
-    let _ = stream.set_nodelay(true);
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    (&stream)
-        .write_all(head.as_bytes())
-        .and_then(|()| (&stream).write_all(body))
-        .map_err(|e| format!("write to {addr} failed: {e}"))?;
-
-    let mut reader = BufReader::new(&stream);
-    let mut status_line = String::new();
-    reader
-        .read_line(&mut status_line)
-        .map_err(|e| format!("read from {addr} failed: {e}"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line from {addr}: {status_line:?}"))?;
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read from {addr} failed: {e}"))?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(value) = line
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = value.parse().ok();
-        }
-    }
-    let mut body = Vec::new();
-    match content_length {
-        Some(n) => {
-            body.resize(n, 0);
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| format!("read from {addr} failed: {e}"))?;
-        }
-        None => {
-            reader
-                .read_to_end(&mut body)
-                .map_err(|e| format!("read from {addr} failed: {e}"))?;
-        }
-    }
-    Ok(Response { status, body })
-}
-
 fn http_json(
     coordinator: &str,
     method: &str,
@@ -160,7 +75,7 @@ fn http_json(
     request: &serde_json::Value,
 ) -> Result<(u16, serde_json::Value), String> {
     let body = serde_json::to_string(request).map_err(|e| e.to_string())?;
-    let response = http(
+    let response = http::request(
         coordinator,
         method,
         path,
@@ -227,7 +142,7 @@ fn work_one_lease(opts: &WorkerOptions, lease: &serde_json::Value) -> Result<&'s
     // Cache pre-flight: if any worker (or a previous run) already
     // produced this exact shard under this exact configuration, re-post
     // the cached bytes instead of extracting anything.
-    let cached = http(
+    let cached = http::request(
         &opts.coordinator,
         "GET",
         &format!("/v1/partials/{key}"),
@@ -277,7 +192,7 @@ fn work_one_lease(opts: &WorkerOptions, lease: &serde_json::Value) -> Result<&'s
     if !opts.throttle.is_zero() {
         std::thread::sleep(opts.throttle);
     }
-    let response = http(
+    let response = http::request(
         &opts.coordinator,
         "POST",
         "/v1/partials",
@@ -398,12 +313,6 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dial_addr_strips_scheme_and_slash() {
-        assert_eq!(dial_addr("http://127.0.0.1:8080/"), "127.0.0.1:8080");
-        assert_eq!(dial_addr("127.0.0.1:8080"), "127.0.0.1:8080");
-    }
 
     #[test]
     fn list_corpus_sorts_and_filters_by_extension() {

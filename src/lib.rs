@@ -57,6 +57,7 @@ pub use pigeon_telemetry as telemetry;
 pub use pigeon_word2vec as word2vec;
 
 pub mod distrib;
+pub mod http;
 pub mod serve;
 
 use pigeon_core::{derive_seed, downsample, Abstraction, ExtractionConfig, DOWNSAMPLE_SEED};

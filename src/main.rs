@@ -9,6 +9,7 @@
 //! pigeon compile  --out model.pgnc model.json     # compiled binary artifact
 //! pigeon predict  --model model.json FILE         # suggest names
 //! pigeon serve    --model model.json --port 7470  # HTTP prediction server
+//! pigeon serve    --cache-dir DIR                 # distributed-training coordinator
 //! pigeon experiment --language js [--files N]     # quick accuracy run
 //! pigeon audit    --language js PATH...           # static-analysis audit
 //! ```
@@ -22,7 +23,7 @@ use pigeon::crf::TrainControl;
 use pigeon::distrib::{language_ext, run_worker, WorkerOptions};
 use pigeon::eval::partial::{decode_partial, verify_doc_stats};
 use pigeon::eval::{run_name_experiment, ElementClass, NameExperiment};
-use pigeon::serve::{coordinate, serve, ServeConfig};
+use pigeon::serve::{bind, ServeConfig};
 use pigeon::{Pigeon, PigeonConfig, TrainRun};
 use std::path::Path;
 use std::process::ExitCode;
@@ -39,7 +40,6 @@ fn main() -> ExitCode {
         Some("compile") => cmd_compile(&args[1..]),
         Some("predict") => cmd_predict(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("coordinate") => cmd_coordinate(&args[1..]),
         Some("work") => cmd_work(&args[1..]),
         Some("experiment") => cmd_experiment(&args[1..]),
         // `audit` owns its exit code: 0 clean, 2 when findings reach the
@@ -88,16 +88,13 @@ USAGE:
   pigeon compile    --out OUT.pgnc [--quantize f32|f16|i8] MODEL.json
   pigeon predict    --model MODEL[.json|.pgnc] [--trace-out FILE]
                     [--timings BOOL] FILE
-  pigeon serve      --model MODEL[.json|.pgnc] [--host ADDR] [--port N] [--jobs N]
+  pigeon serve      (--model MODEL[.json|.pgnc] | --cache-dir DIR | both)
+                    [--host ADDR] [--port N] [--jobs N]
                     [--max-request-bytes N] [--read-timeout-ms N]
                     [--idle-timeout SECS] [--keep-alive BOOL]
                     [--max-conn-requests N] [--batch-max N]
                     [--batch-wait-ms N] [--queue-cap N]
-                    [--cache-dir DIR] [--lease-timeout-ms N]
-  pigeon coordinate --cache-dir DIR [--host ADDR] [--port N]
-                    [--lease-timeout-ms N] [--idle-timeout SECS]
-                    [--max-request-bytes N] [--read-timeout-ms N]
-                    [--keep-alive BOOL] [--max-conn-requests N]
+                    [--lease-timeout-ms N]
   pigeon work       --coordinator URL [--worker NAME] [--poll-ms N]
                     [--throttle-ms N] [--jobs N] [--exit-when-idle BOOL]
   pigeon experiment --language LANG [--files N] [--task vars|methods]
@@ -156,7 +153,9 @@ DISTRIBUTED & INCREMENTAL TRAINING:
                     JSON model and recompile.
 
 MULTI-BOX DISTRIBUTED TRAINING:
-  `pigeon coordinate --cache-dir DIR` runs a model-less coordinator.
+  `pigeon serve --cache-dir DIR` with no --model runs a model-less
+  coordinator (its --max-request-bytes defaults to 64 MiB, room for
+  partial uploads).
   POST a job to /v1/train-jobs ({\"corpus_dir\", \"language\", \"out\",
   \"shard_count\", knobs…}); `pigeon work --coordinator URL` workers
   poll /v1/leases for shard assignments, extract their slice of the
@@ -168,8 +167,8 @@ MULTI-BOX DISTRIBUTED TRAINING:
   dead worker) are reassigned with capped exponential backoff. Once
   coverage is exact the coordinator merges and writes `out` —
   byte-identical to one single-process `pigeon train` — and serves it
-  as the active model. `pigeon serve --cache-dir DIR` arms the same
-  surface next to an already-loaded model.
+  as the active model. `pigeon serve --model M --cache-dir DIR` arms
+  the same surface next to an already-loaded model.
 
 COMPILE:
   Freezes a JSON model into the compiled binary artifact (`.pgnc`):
@@ -1073,7 +1072,8 @@ fn cmd_predict(args: &[String]) -> Result<(), String> {
 const SERVE_FLAGS: &[FlagSpec] = &[
     (
         "model",
-        "trained model to serve, JSON or compiled .pgnc (sniffed by magic)",
+        "trained model to serve, JSON or compiled .pgnc (sniffed by magic); \
+         optional with --cache-dir",
     ),
     ("host", "interface to bind (default 127.0.0.1)"),
     (
@@ -1081,7 +1081,10 @@ const SERVE_FLAGS: &[FlagSpec] = &[
         "port to bind; 0 = ephemeral, printed on startup (default 7470)",
     ),
     ("jobs", "worker threads; 0 = one per core"),
-    ("max-request-bytes", "largest accepted request body"),
+    (
+        "max-request-bytes",
+        "largest accepted request body (default 1 MiB; 64 MiB without --model)",
+    ),
     ("read-timeout-ms", "per-connection socket read timeout"),
     (
         "idle-timeout",
@@ -1117,8 +1120,7 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     ),
 ];
 
-/// Builds a [`ServeConfig`] from the flag set `serve` and `coordinate`
-/// share — the two commands differ only in whether a model is loaded.
+/// Builds a [`ServeConfig`] from the `serve` flags.
 fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     let defaults = ServeConfig::default();
     let port = parse_usize(flags, "port", defaults.port as usize)?;
@@ -1156,7 +1158,12 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     if help_requested(args) {
-        print_command_help("serve", "HTTP prediction server (v1 API)", "", SERVE_FLAGS);
+        print_command_help(
+            "serve",
+            "HTTP prediction server and training coordinator (v1 API)",
+            "",
+            SERVE_FLAGS,
+        );
         return Ok(());
     }
     let (flags, positional) = parse_flags(args)?;
@@ -1167,72 +1174,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             positional[0]
         ));
     }
-    let model_path = flag(&flags, "model").ok_or("--model is required")?;
-    let model = load_model(model_path)?;
-    serve(model, &serve_config(&flags)?)
-}
-
-const COORDINATE_FLAGS: &[FlagSpec] = &[
-    (
-        "cache-dir",
-        "content-addressed partial cache directory (required)",
-    ),
-    ("host", "interface to bind (default 127.0.0.1)"),
-    (
-        "port",
-        "port to bind; 0 = ephemeral, printed on startup (default 7470)",
-    ),
-    (
-        "lease-timeout-ms",
-        "base shard-lease duration before reassignment (default 60000)",
-    ),
-    (
-        "idle-timeout",
-        "exit after SECS without a request; 0 = serve forever",
-    ),
-    (
-        "max-request-bytes",
-        "largest accepted partial upload (default 64 MiB)",
-    ),
-    ("read-timeout-ms", "per-connection socket read timeout"),
-    (
-        "keep-alive",
-        "honor HTTP/1.1 persistent connections (default true)",
-    ),
-    (
-        "max-conn-requests",
-        "requests served per connection before close (default 1000)",
-    ),
-];
-
-fn cmd_coordinate(args: &[String]) -> Result<(), String> {
-    if help_requested(args) {
-        print_command_help(
-            "coordinate",
-            "model-less distributed-training coordinator",
-            "",
-            COORDINATE_FLAGS,
-        );
-        return Ok(());
-    }
-    let (flags, positional) = parse_flags(args)?;
-    check_flags("coordinate", &flags, COORDINATE_FLAGS)?;
-    if !positional.is_empty() {
-        return Err(format!(
-            "coordinate takes no positional arguments, got `{}`",
-            positional[0]
-        ));
-    }
-    if flag(&flags, "cache-dir").is_none() {
-        return Err("--cache-dir is required (the content-addressed partial cache)".into());
-    }
     let mut config = serve_config(&flags)?;
-    // Partial uploads are far larger than predict bodies; give the
-    // coordinator a roomier default body bound.
-    if flag(&flags, "max-request-bytes").is_none() {
-        config.max_request_bytes = 64 << 20;
-    }
-    coordinate(&config)
+    let model = match flag(&flags, "model") {
+        Some(path) => Some(load_model(path)?),
+        None if config.cache_dir.is_some() => {
+            // A model-less coordinator takes partial uploads, far larger
+            // than predict bodies: give it a roomier default body bound.
+            if flag(&flags, "max-request-bytes").is_none() {
+                config.max_request_bytes = 64 << 20;
+            }
+            None
+        }
+        None => return Err("serve needs --model MODEL, --cache-dir DIR, or both".into()),
+    };
+    bind(&config)?.run(model)
 }
 
 const WORK_FLAGS: &[FlagSpec] = &[

@@ -29,9 +29,18 @@
 //!    request. `GET /v1/models` lists every version; `/v1/stats` carries
 //!    per-version request/prediction slices.
 //!
+//! `--cache-dir DIR` also arms the distributed-training surface
+//! (`/v1/train-jobs`, `/v1/leases`, `/v1/partials`). Started with
+//! `--cache-dir` and no `--model`, the server is a model-less
+//! coordinator: the predict routes answer a coded 409 until a train job
+//! finishes (its merged model becomes the active version) or a model is
+//! POSTed.
+//!
 //! # Protocol (v1)
 //!
-//! Minimal HTTP/1.1 with keep-alive. Every JSON response carries
+//! Minimal HTTP/1.1 with keep-alive, framed by [`crate::http`]: this
+//! module routes requests, that one reads and renders every head and
+//! body. Every JSON response carries
 //! `"api": "pigeon/1"`; errors come back as `{"api": "pigeon/1",
 //! "code": "<stable code>", "error": "<message>"}` with a 4xx/5xx
 //! status, where `code` matches [`crate::ErrorKind::code`] for failures
@@ -75,6 +84,7 @@
 //! seconds without a request, joining all workers and the batcher before
 //! returning.
 
+use crate::http::{self, FrameError};
 use crate::{Pigeon, PigeonConfig, PigeonError, Prediction};
 use pigeon_corpus::Language;
 use pigeon_eval::coordinator::{
@@ -85,7 +95,7 @@ use pigeon_eval::{shard_range, ElementClass};
 use pigeon_telemetry as telemetry;
 use pigeon_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
@@ -100,7 +110,7 @@ pub const API_VERSION: &str = "pigeon/1";
 /// are sized by queue depth, capped by `--batch-max`.
 pub const BATCH_SIZE_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Configuration of one [`serve`] run.
+/// Configuration of one [`BoundServer::run`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Interface to bind.
@@ -136,8 +146,7 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Content-addressed partial cache directory. Setting it arms the
     /// distributed-training surface (`/v1/partials`, `/v1/train-jobs`,
-    /// `/v1/leases`); `None` (plain `pigeon serve`) answers those routes
-    /// with a coded 409.
+    /// `/v1/leases`); `None` answers those routes with a coded 409.
     pub cache_dir: Option<String>,
     /// Base shard-lease duration: a worker that has not uploaded its
     /// shard within this window is presumed dead and the shard is
@@ -522,7 +531,7 @@ impl ModelVersion {
 
 /// The versioned model registry behind `POST /v1/models`: an append-only
 /// version list plus an atomically swappable active handle. A
-/// coordinator-mode server starts with no model at all — the predict
+/// model-less coordinator starts with no model at all — the predict
 /// routes answer a coded 409 until a model is installed (via `POST
 /// /v1/models` or a finished train job).
 struct ModelRegistry {
@@ -891,9 +900,8 @@ enum Payload {
     Bytes(&'static str, Vec<u8>),
 }
 
-/// Renders the status line and headers (through the blank line); the
-/// caller writes the body bytes separately so binary payloads never
-/// round-trip through a `String`.
+/// Renders a response head through the shared framing; the caller
+/// writes the body bytes separately.
 fn render_head(
     status: u16,
     reason: &str,
@@ -902,13 +910,17 @@ fn render_head(
     retry_after: Option<u64>,
     body_len: usize,
 ) -> String {
-    let retry = match retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {body_len}\r\n{retry}Connection: {connection}\r\n\r\n"
+    let retry = retry_after.map(|secs| secs.to_string());
+    let mut headers = Vec::with_capacity(2);
+    if let Some(secs) = &retry {
+        headers.push(("Retry-After", secs.as_str()));
+    }
+    headers.push(("Connection", connection));
+    http::render_head(
+        &format!("HTTP/1.1 {status} {reason}"),
+        content_type,
+        body_len,
+        &headers,
     )
 }
 
@@ -939,53 +951,47 @@ fn error_body(code: &str, message: &str) -> String {
     .unwrap_or_else(|_| INTERNAL_ERROR_BODY.to_owned())
 }
 
+impl From<FrameError> for HttpError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::HeadTooLarge => HttpError::new(
+                431,
+                "Request Header Fields Too Large",
+                "bad-request",
+                "headers too large".into(),
+            ),
+            FrameError::Malformed(message) => HttpError::bad_request(message),
+            FrameError::Timeout => HttpError::new(
+                408,
+                "Request Timeout",
+                "timeout",
+                "connection read timed out mid-request".into(),
+            ),
+            FrameError::Io(e) => {
+                HttpError::new(400, "Bad Request", "io", format!("read failed: {e}"))
+            }
+        }
+    }
+}
+
 /// Reads and parses one request off the socket, enforcing the body-size
-/// bound.
+/// bound before the body is read.
 ///
 /// `Ok(None)` means the connection ended cleanly **between** requests —
 /// the peer closed it, or the read timeout passed with not a single
 /// byte of a new request read. The caller closes silently: writing a
 /// 408 into a connection the client has mentally parked (or already
 /// closed) would corrupt keep-alive framing. A timeout *after* the
-/// first byte is a real mid-request stall and surfaces as 408;
-/// oversized bodies as 413.
+/// first byte is a real mid-request stall and surfaces as 408; an
+/// oversized head as 431, an oversized body as 413.
 fn read_request(
     reader: &mut BufReader<&TcpStream>,
     max_body: usize,
 ) -> Result<Option<Request>, HttpError> {
-    // Generous fixed bound on the header section; bodies get the
-    // configurable limit.
-    const MAX_HEADER_BYTES: usize = 16 * 1024;
-    let is_timeout = |e: &std::io::Error| {
-        matches!(
-            e.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        )
+    let Some(head) = http::read_head(reader)? else {
+        return Ok(None);
     };
-    let map_io = |e: std::io::Error| -> HttpError {
-        if is_timeout(&e) {
-            HttpError::new(
-                408,
-                "Request Timeout",
-                "timeout",
-                "connection read timed out mid-request".into(),
-            )
-        } else {
-            HttpError::new(400, "Bad Request", "io", format!("read failed: {e}"))
-        }
-    };
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        // EOF before any byte of a new request: clean close.
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        // Idle keep-alive gap: the timeout fired with nothing read.
-        // (`read_line` appends whatever it read before failing, so an
-        // empty buffer really means zero bytes.)
-        Err(ref e) if is_timeout(e) && line.is_empty() => return Ok(None),
-        Err(e) => return Err(map_io(e)),
-    }
-    let mut parts = line.split_whitespace();
+    let mut parts = head.start_line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return Err(HttpError::bad_request("malformed request line".into()));
     };
@@ -993,49 +999,19 @@ fn read_request(
     let http_10 = parts
         .next()
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.0"));
-
-    let mut content_length = 0usize;
-    let mut connection = String::new();
-    let mut header_bytes = line.len();
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(map_io)?;
-        header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::new(
-                431,
-                "Request Header Fields Too Large",
-                "bad-request",
-                "headers too large".into(),
-            ));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::bad_request("bad Content-Length".to_owned()))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                connection = value.trim().to_ascii_lowercase();
-            }
-        }
-    }
-    if content_length > max_body {
+    let len = head.content_length()?.unwrap_or(0);
+    if len > max_body {
         return Err(HttpError::new(
             413,
             "Payload Too Large",
             "too-large",
-            format!("request body of {content_length} bytes exceeds the {max_body}-byte limit"),
+            format!("request body of {len} bytes exceeds the {max_body}-byte limit"),
         ));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(map_io)?;
+    let body = http::read_body(reader, Some(len))?;
     // HTTP/1.1 defaults to keep-alive unless the client says `close`;
     // HTTP/1.0 defaults to close unless it says `keep-alive`.
+    let connection = head.header("connection").unwrap_or("").to_ascii_lowercase();
     let wants_close = if connection.contains("close") {
         true
     } else if http_10 {
@@ -1141,10 +1117,10 @@ struct CoordJob {
     created_ms: u64,
 }
 
-/// Coordination state, armed by `--cache-dir` (both `pigeon serve` and
-/// `pigeon coordinate`). All mutable state sits behind one mutex — the
-/// board operations are microseconds; only the finishing merge holds it
-/// for longer, and by then every worker is done anyway.
+/// Coordination state, armed by `--cache-dir`. All mutable state sits
+/// behind one mutex — the board operations are microseconds; only the
+/// finishing merge holds it for longer, and by then every worker is done
+/// anyway.
 struct CoordState {
     cache_dir: PathBuf,
     lease_timeout: Duration,
@@ -1175,8 +1151,7 @@ fn no_coordinator_error() -> HttpError {
         409,
         "Conflict",
         "no-coordinator",
-        "distributed training is not enabled; start with --cache-dir or `pigeon coordinate`"
-            .to_owned(),
+        "distributed training is not enabled; start `pigeon serve` with --cache-dir".to_owned(),
     )
 }
 
@@ -1377,12 +1352,12 @@ fn finish_job(ctx: &ServerCtx, coord: &CoordState, job: &mut CoordJob) {
             job.board.mark_merged();
             job.phase = JobPhase::Done;
             println!(
-                "pigeon coordinate: job {} merged {} shards → {}",
+                "pigeon serve: job {} merged {} shards → {}",
                 job.id, job.shard_count, job.out
             );
         }
         Err(e) => {
-            eprintln!("pigeon coordinate: job {} merge failed: {e}", job.id);
+            eprintln!("pigeon serve: job {} merge failed: {e}", job.id);
             job.phase = JobPhase::Failed(e);
         }
     }
@@ -1906,48 +1881,35 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
             }
         };
         let connection = if close_after { "close" } else { "keep-alive" };
-        let (head, body) = match result {
+        let (status, reason, content_type, retry_after, body) = match result {
             Ok(Payload::Json(body)) => {
-                ctx.stats.record_http(endpoint, 200);
                 let body = serde_json::to_string(&with_api(body))
-                    .unwrap_or_else(|_| INTERNAL_ERROR_BODY.to_owned())
-                    .into_bytes();
-                let head = render_head(200, "OK", "application/json", connection, None, body.len());
-                (head, body)
+                    .unwrap_or_else(|_| INTERNAL_ERROR_BODY.to_owned());
+                (200, "OK", "application/json", None, body.into_bytes())
             }
-            Ok(Payload::Metrics(text)) => {
-                ctx.stats.record_http(endpoint, 200);
-                let body = text.into_bytes();
-                let head = render_head(
-                    200,
-                    "OK",
-                    "text/plain; version=0.0.4; charset=utf-8",
-                    connection,
-                    None,
-                    body.len(),
-                );
-                (head, body)
-            }
-            Ok(Payload::Bytes(content_type, body)) => {
-                ctx.stats.record_http(endpoint, 200);
-                let head = render_head(200, "OK", content_type, connection, None, body.len());
-                (head, body)
-            }
+            Ok(Payload::Metrics(text)) => (
+                200,
+                "OK",
+                "text/plain; version=0.0.4; charset=utf-8",
+                None,
+                text.into_bytes(),
+            ),
+            Ok(Payload::Bytes(content_type, body)) => (200, "OK", content_type, None, body),
             Err(e) => {
                 ctx.stats.errors.inc();
-                ctx.stats.record_http(endpoint, e.status);
                 let body = error_body(e.code, &e.message).into_bytes();
-                let head = render_head(
-                    e.status,
-                    e.reason,
-                    "application/json",
-                    connection,
-                    e.retry_after,
-                    body.len(),
-                );
-                (head, body)
+                (e.status, e.reason, "application/json", e.retry_after, body)
             }
         };
+        ctx.stats.record_http(endpoint, status);
+        let head = render_head(
+            status,
+            reason,
+            content_type,
+            connection,
+            retry_after,
+            body.len(),
+        );
         if (&stream)
             .write_all(head.as_bytes())
             .and_then(|()| (&stream).write_all(&body))
@@ -2000,35 +1962,6 @@ pub fn request_shutdown() {
     SHUTDOWN.store(true, Ordering::SeqCst);
 }
 
-/// Runs the server until SIGINT/SIGTERM or the idle timeout.
-///
-/// Prints one `listening on http://HOST:PORT` line (with the resolved
-/// ephemeral port, when `port` was 0) before accepting traffic, and a
-/// final request-count summary after a clean shutdown.
-///
-/// # Errors
-///
-/// Returns a message when the listen address cannot be bound.
-pub fn serve(model: Pigeon, cfg: &ServeConfig) -> Result<(), String> {
-    bind(cfg)?.run(Some(model))
-}
-
-/// Runs a model-less coordinator: the distributed-training surface
-/// (`/v1/train-jobs`, `/v1/partials`, `/v1/leases`) without an initial
-/// model. Predict routes answer a coded 409 until a train job finishes
-/// (the merged model becomes the active version) or one is POSTed.
-///
-/// # Errors
-///
-/// Returns a message when `cache_dir` is unset or cannot be created, or
-/// the listen address cannot be bound.
-pub fn coordinate(cfg: &ServeConfig) -> Result<(), String> {
-    if cfg.cache_dir.is_none() {
-        return Err("pigeon coordinate requires --cache-dir".to_owned());
-    }
-    bind(cfg)?.run(None)
-}
-
 impl BoundServer {
     /// The bound address (with the resolved port when `port` was 0).
     pub fn addr(&self) -> SocketAddr {
@@ -2036,7 +1969,11 @@ impl BoundServer {
     }
 
     /// Serves until SIGINT/SIGTERM, [`request_shutdown`], or the idle
-    /// timeout. `model: None` starts in coordinator mode.
+    /// timeout. `model: None` starts a model-less coordinator.
+    ///
+    /// Prints one `listening on http://HOST:PORT` line (with the resolved
+    /// ephemeral port, when `port` was 0) before accepting traffic, and a
+    /// final request-count summary after a clean shutdown.
     ///
     /// # Errors
     ///
@@ -2050,7 +1987,7 @@ impl BoundServer {
         } = self;
         let cfg = &cfg;
         let infer_jobs = pigeon_eval::effective_jobs(cfg.workers);
-        // Connection workers are I/O-bound (they park in read_line between
+        // Connection workers are I/O-bound (they park in a socket read between
         // keep-alive requests), so the pool gets a floor: with keep-alive, a
         // single parked connection would otherwise pin the only worker on a
         // 1-core host and starve new clients for a whole read timeout.
@@ -2061,11 +1998,6 @@ impl BoundServer {
         let coord = match &cfg.cache_dir {
             Some(dir) => Some(CoordState::new(dir, cfg.lease_timeout)?),
             None => None,
-        };
-        let mode = if model.is_some() {
-            "serve"
-        } else {
-            "coordinate"
         };
         let stats = Stats::new();
         let queue = AdmissionQueue::new(cfg.queue_cap, Arc::clone(&stats.queue_depth));
@@ -2086,7 +2018,7 @@ impl BoundServer {
         };
         match ctx.models.active() {
             Some(entry) => println!(
-                "pigeon {mode}: {} model, listening on http://{addr} ({workers} worker{}, \
+                "pigeon serve: {} model, listening on http://{addr} ({workers} worker{}, \
                  keep-alive {}, batch-max {}, queue-cap {}{cache_note})",
                 entry.language,
                 if workers == 1 { "" } else { "s" },
@@ -2095,7 +2027,7 @@ impl BoundServer {
                 cfg.queue_cap,
             ),
             None => println!(
-                "pigeon {mode}: no model, listening on http://{addr} ({workers} worker{}, \
+                "pigeon serve: no model, listening on http://{addr} ({workers} worker{}, \
                  keep-alive {}{cache_note})",
                 if workers == 1 { "" } else { "s" },
                 if cfg.keep_alive { "on" } else { "off" },
@@ -2170,7 +2102,7 @@ impl BoundServer {
         });
 
         println!(
-            "pigeon {mode}: shut down after {} requests ({} errors, {} predictions) in {:.1}s",
+            "pigeon serve: shut down after {} requests ({} errors, {} predictions) in {:.1}s",
             ctx.stats.requests.get(),
             ctx.stats.errors.get(),
             ctx.stats.predictions.get(),

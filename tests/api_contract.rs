@@ -7,8 +7,7 @@
 //! per-command `--help`.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 
@@ -92,29 +91,11 @@ fn spawn_server(model: &Path, cache_dir: &Path) -> (Child, String, BufReader<Chi
     (child, addr, reader)
 }
 
-fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("writes head");
-    stream.write_all(body).expect("writes body");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("reads");
-    let header_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    let head = String::from_utf8_lossy(&response[..header_end]).to_string();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    (status, head, response[header_end + 4..].to_vec())
+/// One request through the library's HTTP client: `(status, body)`.
+fn request(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    let response =
+        pigeon::http::request(addr, method, path, "application/json", body).expect("HTTP exchange");
+    (response.status, response.body)
 }
 
 /// The documented routes: `### METHOD /path` headings out of API.md.
@@ -310,7 +291,7 @@ fn every_documented_route_answers_and_every_probed_route_is_documented() {
         } else {
             probe.path.clone()
         };
-        let (status, _, body) = request(&addr, probe.method, &path, &probe.body);
+        let (status, body) = request(&addr, probe.method, &path, &probe.body);
         let text = String::from_utf8_lossy(&body);
         assert_eq!(
             status, probe.want_status,
@@ -331,12 +312,12 @@ fn every_documented_route_answers_and_every_probed_route_is_documented() {
     }
 
     // Errors carry the envelope and a stable code too.
-    let (status, _, body) = request(&addr, "GET", "/v1/models/999", &[]);
+    let (status, body) = request(&addr, "GET", "/v1/models/999", &[]);
     let text = String::from_utf8_lossy(&body);
     assert_eq!(status, 404, "{text}");
     assert!(text.starts_with(r#"{"api":"pigeon/1""#), "{text}");
     assert!(text.contains("\"code\":\"not-found\""), "{text}");
-    let (status, _, body) = request(&addr, "GET", "/v1/nonexistent", &[]);
+    let (status, body) = request(&addr, "GET", "/v1/nonexistent", &[]);
     assert_eq!(status, 404, "{}", String::from_utf8_lossy(&body));
 
     server.kill().expect("kills");
@@ -375,7 +356,7 @@ fn coordinator_routes_answer_no_coordinator_without_a_cache_dir() {
         ("POST", "/v1/partials"),
         ("GET", "/v1/partials/0011223344556677"),
     ] {
-        let (status, _, body) = request(&addr, method, path, br#"{"worker": "x"}"#);
+        let (status, body) = request(&addr, method, path, br#"{"worker": "x"}"#);
         let text = String::from_utf8_lossy(&body);
         assert_eq!(status, 409, "{method} {path}: {text}");
         assert!(
@@ -458,7 +439,6 @@ fn per_command_help_is_generated_from_the_flag_table() {
         ("compile", &["--out", "--quantize"]),
         ("predict", &["--model", "--trace-out"]),
         ("serve", &["--model", "--cache-dir", "--lease-timeout-ms"]),
-        ("coordinate", &["--cache-dir", "--lease-timeout-ms"]),
         ("work", &["--coordinator", "--poll-ms", "--exit-when-idle"]),
         ("experiment", &["--language", "--files"]),
         ("audit", &["--language"]),

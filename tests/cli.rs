@@ -312,6 +312,22 @@ fn predict_with_missing_model_fails_cleanly() {
     assert!(!out.status.success());
 }
 
+/// `pigeon serve` needs something to serve: a model, a partial cache to
+/// coordinate, or both. With neither it exits non-zero naming both.
+#[test]
+fn serve_requires_a_model_or_a_cache_dir() {
+    let out = pigeon()
+        .args(["serve", "--port", "0", "--idle-timeout", "1"])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--model") && stderr.contains("--cache-dir"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn train_requires_sources() {
     let out = pigeon()

@@ -5,8 +5,7 @@
 //! killed worker, duplicate late uploads, the content-addressed cache
 //! across coordinator restarts, and the negative upload paths.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -64,11 +63,12 @@ fn train_reference(files: &[PathBuf], model: &Path) {
     );
 }
 
-/// Spawns `pigeon coordinate --port 0` and returns the child, the bound
-/// address, and the stdout reader (kept alive for the final summary).
+/// Spawns a model-less `pigeon serve --port 0 --cache-dir …` and returns
+/// the child, the bound address, and the stdout reader (kept alive for
+/// the final summary).
 fn spawn_coordinator(cache_dir: &Path, extra: &[&str]) -> (Child, String, BufReader<ChildStdout>) {
     let mut child = pigeon()
-        .args(["coordinate", "--port", "0", "--cache-dir"])
+        .args(["serve", "--port", "0", "--cache-dir"])
         .arg(cache_dir)
         .args(extra)
         .stdout(Stdio::piped())
@@ -100,89 +100,42 @@ fn spawn_worker(addr: &str, name: &str, extra: &[&str]) -> Child {
         .expect("spawns worker")
 }
 
-fn http_full(addr: &str, request: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    stream.write_all(request.as_bytes()).expect("writes");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("reads");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, head, body)
+/// One request through the library's HTTP client: `(status, body)`.
+fn request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    content_type: &str,
+    body: &[u8],
+) -> (u16, Vec<u8>) {
+    let response =
+        pigeon::http::request(addr, method, path, content_type, body).expect("HTTP exchange");
+    (response.status, response.body)
+}
+
+fn text(body: Vec<u8>) -> String {
+    String::from_utf8(body).expect("UTF-8 body")
 }
 
 fn get(addr: &str, path: &str) -> (u16, String) {
-    let (status, _, body) = http_full(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    );
-    (status, body)
+    let (status, body) = get_bytes(addr, path);
+    (status, text(body))
 }
 
 fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-    let (status, _, response) = http_full(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    );
-    (status, response)
+    let (status, body) = request(addr, "POST", path, "application/json", body.as_bytes());
+    (status, text(body))
 }
 
 /// POSTs binary bytes (partial uploads).
 fn post_bytes(addr: &str, path: &str, body: &[u8]) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("writes head");
-    stream.write_all(body).expect("writes body");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("reads");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    let (status, body) = request(addr, "POST", path, "application/octet-stream", body);
+    (status, text(body))
 }
 
-/// GETs raw bytes (partial downloads) — responses are framed by
-/// Content-Length but read to EOF here since the connection closes.
+/// GETs raw bytes (partial and model downloads).
 fn get_bytes(addr: &str, path: &str) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    let request = format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("writes");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("reads");
-    let header_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
-    let head = String::from_utf8_lossy(&response[..header_end]);
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    (status, response[header_end + 4..].to_vec())
+    request(addr, "GET", path, "application/json", b"")
 }
 
 /// Extracts an unquoted JSON number field (`"name":123`).
@@ -568,6 +521,22 @@ fn bad_uploads_are_rejected_with_stable_codes() {
     );
     assert!(metric_u64(&addr, "pigeon_partials_rejected_total") >= 4);
 
+    coord.kill().expect("kills");
+    let _ = coord.wait();
+}
+
+/// A model-less `pigeon serve --cache-dir` keeps the coordinator's
+/// 64 MiB default body bound: a 2 MiB partial upload is read and judged
+/// on its contents — a coded 400 for junk bytes — where the 1 MiB bound
+/// of a model-serving server would answer 413.
+#[test]
+fn model_less_serve_accepts_partial_sized_uploads() {
+    let dir = tmp_dir("body-limit");
+    let (mut coord, addr, _stdout) =
+        spawn_coordinator(&dir.join("cache"), &["--idle-timeout", "60"]);
+    let (status, body) = post_bytes(&addr, "/v1/partials", &vec![0x5a; 2 << 20]);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"code\":\"model-format\""), "{body}");
     coord.kill().expect("kills");
     let _ = coord.wait();
 }

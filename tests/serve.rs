@@ -1,5 +1,8 @@
 //! End-to-end tests for `pigeon serve`: a real model served over a real
-//! TCP socket, exercised with hand-rolled HTTP/1.1 requests.
+//! TCP socket. Well-formed requests go through the library's HTTP client
+//! (`pigeon::http::request`); tests that probe the framing itself —
+//! keep-alive, stalls, oversized heads — write and parse raw bytes, so
+//! an independent reader still checks the shared code.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -85,79 +88,49 @@ fn spawn_server_env(
     (child, addr, reader)
 }
 
-/// Sends one raw HTTP request and returns `(status_code, headers, body)`.
-fn http_full(addr: &str, request: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    stream.write_all(request.as_bytes()).expect("writes");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("reads");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, head, body)
+/// One well-formed request through the library's HTTP client:
+/// `(status_code, headers, body)`, headers rendered one per line.
+fn exchange(
+    addr: &str,
+    method: &str,
+    path: &str,
+    content_type: &str,
+    body: &[u8],
+) -> (u16, String, String) {
+    let response =
+        pigeon::http::request(addr, method, path, content_type, body).expect("HTTP exchange");
+    let head = response
+        .head
+        .headers
+        .iter()
+        .map(|(name, value)| format!("{name}: {value}\r\n"))
+        .collect();
+    let body = String::from_utf8(response.body).expect("UTF-8 body");
+    (response.status, head, body)
 }
 
-/// Sends one raw HTTP request and returns `(status_code, body)`.
-fn http(addr: &str, request: &str) -> (u16, String) {
-    let (status, _, body) = http_full(addr, request);
-    (status, body)
+fn post_full(addr: &str, path: &str, body: &str) -> (u16, String, String) {
+    exchange(addr, "POST", path, "application/json", body.as_bytes())
 }
 
 fn post(addr: &str, path: &str, body: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
+    let (status, _, body) = post_full(addr, path, body);
+    (status, body)
 }
 
 /// Like [`post`], but with a binary request body (artifact uploads).
 fn post_bytes(addr: &str, path: &str, body: &[u8]) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connects");
-    let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("writes head");
-    stream.write_all(body).expect("writes body");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("reads");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status line")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
+    let (status, _, body) = exchange(addr, "POST", path, "application/octet-stream", body);
     (status, body)
 }
 
 fn get(addr: &str, path: &str) -> (u16, String) {
-    http(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )
+    let (status, _, body) = get_full(addr, path);
+    (status, body)
 }
 
 fn get_full(addr: &str, path: &str) -> (u16, String, String) {
-    http_full(
-        addr,
-        &format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"),
-    )
+    exchange(addr, "GET", path, "application/json", b"")
 }
 
 const QUERY: &str = r#"{"source": "function f(a, b, c) { b.open(0, a, false); b.send(c); }"}"#;
@@ -414,6 +387,8 @@ fn serve_exits_cleanly_on_idle_timeout() {
     );
 }
 
+/// An oversized body answers 413 and an endless request line 431; the
+/// server keeps serving after either.
 #[test]
 fn serve_rejects_oversized_requests() {
     let dir = tmp_dir("limits");
@@ -426,6 +401,24 @@ fn serve_rejects_oversized_requests() {
     let (status, body) = post(&addr, "/v1/predict", &big);
     assert_eq!(status, 413, "{body}");
     // The server survives and keeps answering.
+    let (status, _) = get(&addr, "/v1/health");
+    assert_eq!(status, 200);
+
+    // A request line that never ends: four times the 16 KiB head bound
+    // and no newline. The server stops reading at the bound, answers 431
+    // and closes, so the tail of the write may be refused and the close
+    // may reset the socket after the answer; the bytes read before a
+    // reset stay in the buffer.
+    let mut stream = TcpStream::connect(&addr).expect("connects");
+    let _ = stream.write_all(&[b'a'; 64 * 1024]);
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let response = String::from_utf8_lossy(&response);
+    assert!(
+        response.starts_with("HTTP/1.1 431 "),
+        "an endless request line must answer 431: {response:?}"
+    );
+    assert!(response.contains("\"code\":\"bad-request\""), "{response}");
     let (status, _) = get(&addr, "/v1/health");
     assert_eq!(status, 200);
     child.kill().expect("kills");
@@ -478,6 +471,19 @@ fn serve_v1_api_contract() {
     let (status, body) = get(&addr, "/no-such-route");
     assert_eq!(status, 404, "{body}");
     assert!(body.contains("\"code\":\"not-found\""), "{body}");
+    // Framing errors too, written and read as raw bytes: a request line
+    // without a path, and a Content-Length that is not a length.
+    for raw in [
+        "GARBAGE\r\n\r\n",
+        "POST /v1/predict HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+    ] {
+        let mut stream = TcpStream::connect(&addr).expect("connects");
+        stream.write_all(raw.as_bytes()).expect("writes");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("reads");
+        assert!(response.starts_with("HTTP/1.1 400 "), "{raw:?}: {response}");
+        assert!(response.contains("\"code\":\"bad-request\""), "{response}");
+    }
 
     // The pre-versioning paths are gone.
     let (status, body) = get(&addr, "/predict");
@@ -719,14 +725,7 @@ fn serve_backpressure_returns_429_when_queue_is_full() {
         let first = scope.spawn(|| post(&addr, "/v1/predict", QUERY));
         // Give the first request time to enter the queue.
         std::thread::sleep(Duration::from_millis(400));
-        let (status, head, body) = http_full(
-            &addr,
-            &format!(
-                "POST /v1/predict HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
-                 Connection: close\r\n\r\n{QUERY}",
-                QUERY.len()
-            ),
-        );
+        let (status, head, body) = post_full(&addr, "/v1/predict", QUERY);
         assert_eq!(status, 429, "{body}");
         assert!(head.contains("Retry-After: 1"), "{head}");
         assert!(body.contains("\"code\":\"overloaded\""), "{body}");
