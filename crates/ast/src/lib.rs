@@ -32,6 +32,7 @@
 mod build;
 mod print;
 mod symbol;
+pub mod syntax;
 mod tree;
 
 pub use build::TreeNode;

@@ -1,51 +1,6 @@
 //! Tokenizer for the C# subset.
 
-use std::fmt;
-
-/// The lexical category of a [`Token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokenKind {
-    /// An identifier or keyword.
-    Ident,
-    /// An integer or floating-point literal.
-    Number,
-    /// A string literal (text excludes the quotes).
-    String,
-    /// A character literal (text excludes the quotes).
-    Char,
-    /// A punctuation or operator token.
-    Punct,
-    /// End of input.
-    Eof,
-}
-
-/// One lexical token with its text and byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    /// Lexical category.
-    pub kind: TokenKind,
-    /// The token's source text (for strings/chars: unquoted contents).
-    pub text: String,
-    /// Byte offset of the first character in the source.
-    pub offset: u32,
-}
-
-/// An error produced while tokenizing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset the error occurred at.
-    pub offset: u32,
-}
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
+use pigeon_ast::syntax::{Lexicon, ParseError, Scanner, Token, TokenKind};
 
 /// C# reserved keywords recognised by the parser. Contextual keywords
 /// (`var`, `get`, `set`) are deliberately absent: they remain valid
@@ -118,168 +73,37 @@ pub const PREDEFINED_TYPES: &[&str] = &[
     "object", "void",
 ];
 
-const PUNCT2: &[&str] = &[
-    "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "=>", "??",
-];
-const PUNCT1: &[char] = &[
-    '(', ')', '{', '}', '[', ']', ';', ',', '.', '=', '<', '>', '+', '-', '*', '/', '%', '!', '?',
-    ':', '&', '|', '^', '~', '@',
-];
+/// The C# lexicon.
+pub(crate) struct CSharp;
+
+impl Lexicon for CSharp {
+    const KEYWORDS: &'static [&'static str] = KEYWORDS;
+    const PUNCT: &'static [&'static str] = &[
+        "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "=>", "??",
+        "(", ")", "{", "}", "[", "]", ";", ",", ".", "=", "<", ">", "+", "-", "*", "/", "%", "!",
+        "?", ":", "&", "|", "^", "~", "@",
+    ];
+    const IDENT_EXTRA: &'static [u8] = b"";
+    const NUMBER_EXTRA: &'static [u8] = b"_";
+    const QUOTES: &'static [(char, TokenKind)] =
+        &[('"', TokenKind::String), ('\'', TokenKind::Char)];
+    const ESCAPES: &'static [(char, char)] = &[('n', '\n'), ('t', '\t'), ('r', '\r'), ('0', '\0')];
+    const SINGLE_LINE_LITERALS: bool = false;
+}
 
 /// Tokenizes `source`, skipping whitespace and comments.
 ///
 /// # Errors
 ///
-/// Returns [`LexError`] on unterminated literals or comments, or on a
+/// Returns [`ParseError`] on unterminated literals or comments, or on a
 /// character outside the subset's alphabet.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = source.as_bytes();
+pub fn tokenize(source: &str) -> Result<Vec<Token>, ParseError> {
+    let mut s = Scanner::<CSharp>::new(source);
     let mut tokens = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c == '/' && i + 1 < bytes.len() {
-            match bytes[i + 1] as char {
-                '/' => {
-                    while i < bytes.len() && bytes[i] != b'\n' {
-                        i += 1;
-                    }
-                    continue;
-                }
-                '*' => {
-                    let start = i;
-                    i += 2;
-                    loop {
-                        if i + 1 >= bytes.len() {
-                            return Err(LexError {
-                                message: "unterminated block comment".into(),
-                                offset: start as u32,
-                            });
-                        }
-                        if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                            i += 2;
-                            break;
-                        }
-                        i += 1;
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        let offset = i as u32;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            tokens.push(Token {
-                kind: TokenKind::Ident,
-                text: source[start..i].to_owned(),
-                offset,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                let decimal_point =
-                    ch == '.' && i + 1 < bytes.len() && (bytes[i + 1] as char).is_ascii_digit();
-                if ch.is_ascii_alphanumeric() || ch == '_' || decimal_point {
-                    i += 1;
-                } else {
-                    break;
-                }
-            }
-            tokens.push(Token {
-                kind: TokenKind::Number,
-                text: source[start..i].to_owned(),
-                offset,
-            });
-            continue;
-        }
-        if c == '"' || c == '\'' {
-            let quote = c;
-            let start = i;
-            i += 1;
-            let mut text = String::new();
-            loop {
-                if i >= bytes.len() {
-                    return Err(LexError {
-                        message: format!(
-                            "unterminated {} literal",
-                            if quote == '"' { "string" } else { "char" }
-                        ),
-                        offset: start as u32,
-                    });
-                }
-                let ch = bytes[i] as char;
-                if ch == quote {
-                    i += 1;
-                    break;
-                }
-                if ch == '\\' && i + 1 < bytes.len() {
-                    let esc = bytes[i + 1] as char;
-                    text.push(match esc {
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        '0' => '\0',
-                        other => other,
-                    });
-                    i += 2;
-                    continue;
-                }
-                text.push(ch);
-                i += 1;
-            }
-            tokens.push(Token {
-                kind: if quote == '"' {
-                    TokenKind::String
-                } else {
-                    TokenKind::Char
-                },
-                text,
-                offset,
-            });
-            continue;
-        }
-        let rest = &source[i..];
-        if let Some(p) = PUNCT2.iter().find(|p| rest.starts_with(**p)) {
-            tokens.push(Token {
-                kind: TokenKind::Punct,
-                text: (*p).to_owned(),
-                offset,
-            });
-            i += p.len();
-            continue;
-        }
-        if PUNCT1.contains(&c) {
-            tokens.push(Token {
-                kind: TokenKind::Punct,
-                text: c.to_string(),
-                offset,
-            });
-            i += 1;
-            continue;
-        }
-        return Err(LexError {
-            message: format!("unexpected character {c:?}"),
-            offset,
-        });
+    while s.skip_trivia()? {
+        tokens.push(s.token()?);
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        text: String::new(),
-        offset: bytes.len() as u32,
-    });
+    tokens.push(s.eof());
     Ok(tokens)
 }
 

@@ -33,5 +33,6 @@
 mod lexer;
 mod parser;
 
-pub use lexer::{is_keyword, tokenize, LexError, Token, TokenKind, KEYWORDS, PREDEFINED_TYPES};
-pub use parser::{parse, ParseError};
+pub use lexer::{is_keyword, tokenize, KEYWORDS, PREDEFINED_TYPES};
+pub use parser::parse;
+pub use pigeon_ast::syntax::{ParseError, Token, TokenKind};

@@ -10,35 +10,9 @@
 //! than the one we used for Java", §5.5), which is why C#'s best
 //! `max_width` is 4 where Java's is 3.
 
-use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind, PREDEFINED_TYPES};
+use crate::lexer::{tokenize, CSharp, PREDEFINED_TYPES};
+use pigeon_ast::syntax::{Cursor, Grammar, ParseError, TokenKind};
 use pigeon_ast::{Ast, TreeNode};
-use std::fmt;
-
-/// An error produced while parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset the error occurred at.
-    pub offset: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            offset: e.offset,
-        }
-    }
-}
 
 /// Parses a C# compilation unit into a PIGEON AST rooted at
 /// `CompilationUnit`.
@@ -55,8 +29,7 @@ impl From<LexError> for ParseError {
 /// # }
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
-    let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser(Cursor::new(tokenize(source)?));
     let mut children = Vec::new();
     while p.at("using") {
         p.bump();
@@ -85,73 +58,11 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
     Ok(TreeNode::inner("CompilationUnit", children).into_ast())
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
+pigeon_ast::grammar!(Parser, CSharp);
 
 type PResult = Result<TreeNode, ParseError>;
 
 impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn peek_at(&self, n: usize) -> &Token {
-        let i = (self.pos + n).min(self.tokens.len() - 1);
-        &self.tokens[i]
-    }
-
-    fn at_eof(&self) -> bool {
-        self.peek().kind == TokenKind::Eof
-    }
-
-    fn at(&self, text: &str) -> bool {
-        let t = self.peek();
-        matches!(t.kind, TokenKind::Ident | TokenKind::Punct) && t.text == text
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, text: &str) -> bool {
-        if self.at(text) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, text: &str) -> Result<Token, ParseError> {
-        if self.at(text) {
-            Ok(self.bump())
-        } else {
-            Err(self.error(&format!("expected `{text}`, found `{}`", self.peek().text)))
-        }
-    }
-
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            message: message.to_owned(),
-            offset: self.peek().offset,
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        let t = self.peek();
-        if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
-            Ok(self.bump().text)
-        } else {
-            Err(self.error(&format!("expected identifier, found `{}`", t.text)))
-        }
-    }
-
     fn qualified_name(&mut self) -> Result<String, ParseError> {
         let mut name = self.ident()?;
         while self.at(".") {
@@ -164,22 +75,7 @@ impl Parser {
 
     fn skip_attributes(&mut self) {
         while self.at("[") {
-            let mut depth = 0usize;
-            loop {
-                if self.at("[") {
-                    depth += 1;
-                } else if self.at("]") {
-                    depth -= 1;
-                    self.bump();
-                    if depth == 0 {
-                        break;
-                    }
-                    continue;
-                } else if self.at_eof() {
-                    break;
-                }
-                self.bump();
-            }
+            self.skip_group("[", "]");
         }
     }
 
@@ -346,14 +242,21 @@ impl Parser {
 
     // ---- types ----------------------------------------------------------
 
+    /// Type arguments nest, so each type takes a nesting level.
     fn type_node(&mut self) -> PResult {
+        self.nested(Self::bare_type_node)
+    }
+
+    fn bare_type_node(&mut self) -> PResult {
         let mut base = self.base_type_node()?;
         loop {
             if self.at("[") && self.peek_at(1).text == "]" {
+                self.deepen()?;
                 self.bump();
                 self.expect("]")?;
                 base = TreeNode::inner("ArrayType", vec![base]);
             } else if self.at("?") {
+                self.deepen()?;
                 self.bump();
                 base = TreeNode::inner("NullableType", vec![base]);
             } else {
@@ -391,11 +294,11 @@ impl Parser {
     }
 
     fn try_decl_head(&mut self) -> Option<(TreeNode, String)> {
-        let save = self.pos;
+        let save = self.mark();
         let ty = match self.type_node() {
             Ok(t) => t,
             Err(_) => {
-                self.pos = save;
+                self.rewind(save);
                 return None;
             }
         };
@@ -404,7 +307,7 @@ impl Parser {
                 Some((ty, name))
             }
             _ => {
-                self.pos = save;
+                self.rewind(save);
                 None
             }
         }
@@ -422,7 +325,12 @@ impl Parser {
         Ok(TreeNode::inner("Block", stmts))
     }
 
+    /// Statements nest, so each one takes a nesting level.
     fn statement(&mut self) -> PResult {
+        self.nested(Self::bare_statement)
+    }
+
+    fn bare_statement(&mut self) -> PResult {
         if self.at("{") {
             return self.block();
         }
@@ -634,7 +542,13 @@ impl Parser {
 
     // ---- expressions ----------------------------------------------------
 
+    /// Every nested expression passes through here, so each one takes a
+    /// nesting level.
     fn expression(&mut self) -> PResult {
+        self.nested(Self::bare_expression)
+    }
+
+    fn bare_expression(&mut self) -> PResult {
         let lhs = self.conditional()?;
         for op in ["=", "+=", "-=", "*=", "/=", "%="] {
             if self.at(op) {
@@ -667,7 +581,7 @@ impl Parser {
         let lhs = self.binary(0)?;
         if self.at("??") {
             self.bump();
-            let rhs = self.coalesce()?;
+            let rhs = self.nested(Self::coalesce)?;
             return Ok(TreeNode::inner("CoalesceExpression", vec![lhs, rhs]));
         }
         Ok(lhs)
@@ -682,42 +596,35 @@ impl Parser {
         &["*", "/", "%"],
     ];
 
-    fn binary(&mut self, tier: usize) -> PResult {
-        if tier >= Self::BINARY_TIERS.len() {
-            return self.unary();
-        }
-        let mut lhs = self.binary(tier + 1)?;
-        loop {
-            let op = Self::BINARY_TIERS[tier]
-                .iter()
-                .find(|op| self.at(op))
-                .copied();
-            match op {
-                Some("is") => {
-                    self.bump();
-                    let ty = self.type_node()?;
-                    lhs = TreeNode::inner("IsExpression", vec![lhs, ty]);
-                }
-                Some("as") => {
-                    self.bump();
-                    let ty = self.type_node()?;
-                    lhs = TreeNode::inner("AsExpression", vec![lhs, ty]);
-                }
-                Some(op) => {
-                    self.bump();
+    /// Operators of tier `min_tier` and tighter, folded left-associatively
+    /// by precedence climbing: one frame per operand, not one per tier.
+    fn binary(&mut self, min_tier: usize) -> PResult {
+        let mut lhs = self.unary()?;
+        let mut tiers = &Self::BINARY_TIERS[..];
+        while let Some((tier, op)) = self.operator(tiers, min_tier) {
+            self.deepen()?;
+            self.bump();
+            // A tighter operator after this one would belong to its right
+            // operand; after a type operand it may not continue at all.
+            tiers = &Self::BINARY_TIERS[..=tier];
+            lhs = match op {
+                "is" => TreeNode::inner("IsExpression", vec![lhs, self.type_node()?]),
+                "as" => TreeNode::inner("AsExpression", vec![lhs, self.type_node()?]),
+                _ => {
                     let rhs = self.binary(tier + 1)?;
-                    lhs = TreeNode::inner(format!("BinaryExpression{op}").as_str(), vec![lhs, rhs]);
+                    let kind = format!("BinaryExpression{op}");
+                    TreeNode::inner(kind.as_str(), vec![lhs, rhs])
                 }
-                None => return Ok(lhs),
-            }
+            };
         }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult {
         for op in ["!", "-", "+", "++", "--"] {
             if self.at(op) {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 return Ok(TreeNode::inner(
                     format!("PrefixUnaryExpression{op}").as_str(),
                     vec![operand],
@@ -742,10 +649,17 @@ impl Parser {
         Ok(TreeNode::inner("ArgumentList", args))
     }
 
+    /// Every operand passes through here, so each one takes a nesting
+    /// level, which also releases the levels its chain took.
     fn postfix(&mut self) -> PResult {
+        self.nested(Self::bare_postfix)
+    }
+
+    fn bare_postfix(&mut self) -> PResult {
         let mut e = self.primary()?;
         loop {
             if self.at(".") {
+                self.deepen()?;
                 self.bump();
                 let name = self.ident()?;
                 e = TreeNode::inner(
@@ -753,9 +667,11 @@ impl Parser {
                     vec![e, TreeNode::leaf("IdentifierName", name.as_str())],
                 );
             } else if self.at("(") {
+                self.deepen()?;
                 let args = self.argument_list()?;
                 e = TreeNode::inner("InvocationExpression", vec![e, args]);
             } else if self.at("[") {
+                self.deepen()?;
                 self.bump();
                 let idx = self.expression()?;
                 self.expect("]")?;
@@ -764,6 +680,7 @@ impl Parser {
                     vec![e, TreeNode::inner("BracketedArgumentList", vec![idx])],
                 );
             } else if self.at("++") || self.at("--") {
+                self.deepen()?;
                 let op = self.bump().text;
                 e = TreeNode::inner(format!("PostfixUnaryExpression{op}").as_str(), vec![e]);
             } else {
@@ -820,7 +737,7 @@ impl Parser {
                     let args = self.argument_list()?;
                     Ok(TreeNode::inner("ObjectCreationExpression", vec![ty, args]))
                 }
-                _ if is_keyword(&t.text) => {
+                _ if self.is_keyword(&t.text) => {
                     Err(self.error(&format!("unexpected keyword `{}`", t.text)))
                 }
                 _ => {
@@ -849,7 +766,7 @@ impl Parser {
                 }
             },
             TokenKind::Punct if t.text == "(" => {
-                if self.paren_starts_lambda() {
+                if self.group_followed_by("(", ")", "=>") {
                     self.bump();
                     let mut params = Vec::new();
                     while !self.at(")") {
@@ -878,27 +795,6 @@ impl Parser {
                 Ok(e)
             }
             _ => Err(self.error(&format!("unexpected token `{}`", t.text))),
-        }
-    }
-
-    fn paren_starts_lambda(&self) -> bool {
-        let mut depth = 0usize;
-        let mut i = self.pos;
-        loop {
-            let t = &self.tokens[i];
-            match t.kind {
-                TokenKind::Eof => return false,
-                TokenKind::Punct if t.text == "(" => depth += 1,
-                TokenKind::Punct if t.text == ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        let next = &self.tokens[(i + 1).min(self.tokens.len() - 1)];
-                        return next.kind == TokenKind::Punct && next.text == "=>";
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
         }
     }
 }

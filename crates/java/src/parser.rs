@@ -8,35 +8,9 @@
 //! from a reference — the same distinction UglifyJS's `SymbolVar` /
 //! `SymbolRef` gives the JavaScript frontend.
 
-use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind, PRIMITIVES};
+use crate::lexer::{tokenize, Java, PRIMITIVES};
+use pigeon_ast::syntax::{Cursor, Grammar, ParseError, TokenKind};
 use pigeon_ast::{Ast, TreeNode};
-use std::fmt;
-
-/// An error produced while parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset the error occurred at.
-    pub offset: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            offset: e.offset,
-        }
-    }
-}
 
 /// Parses a Java compilation unit into a PIGEON AST rooted at
 /// `CompilationUnit`.
@@ -57,8 +31,7 @@ impl From<LexError> for ParseError {
 /// # }
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
-    let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser(Cursor::new(tokenize(source)?));
     let mut children = Vec::new();
     if p.at("package") {
         p.bump();
@@ -84,68 +57,11 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
     Ok(TreeNode::inner("CompilationUnit", children).into_ast())
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
+pigeon_ast::grammar!(Parser, Java);
 
 type PResult = Result<TreeNode, ParseError>;
 
 impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn at_eof(&self) -> bool {
-        self.peek().kind == TokenKind::Eof
-    }
-
-    fn at(&self, text: &str) -> bool {
-        let t = self.peek();
-        matches!(t.kind, TokenKind::Ident | TokenKind::Punct) && t.text == text
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, text: &str) -> bool {
-        if self.at(text) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, text: &str) -> Result<Token, ParseError> {
-        if self.at(text) {
-            Ok(self.bump())
-        } else {
-            Err(self.error(&format!("expected `{text}`, found `{}`", self.peek().text)))
-        }
-    }
-
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            message: message.to_owned(),
-            offset: self.peek().offset,
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        let t = self.peek();
-        if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
-            Ok(self.bump().text)
-        } else {
-            Err(self.error(&format!("expected identifier, found `{}`", t.text)))
-        }
-    }
-
     fn qualified_name(&mut self) -> Result<String, ParseError> {
         let mut name = self.ident()?;
         while self.at(".") {
@@ -166,22 +82,7 @@ impl Parser {
             self.bump();
             let _ = self.ident();
             if self.at("(") {
-                let mut depth = 0usize;
-                loop {
-                    if self.at("(") {
-                        depth += 1;
-                    } else if self.at(")") {
-                        depth -= 1;
-                        self.bump();
-                        if depth == 0 {
-                            break;
-                        }
-                        continue;
-                    } else if self.at_eof() {
-                        break;
-                    }
-                    self.bump();
-                }
+                self.skip_group("(", ")");
             }
         }
     }
@@ -245,7 +146,7 @@ impl Parser {
     fn member(&mut self, class_name: &str) -> PResult {
         let mut children = self.modifiers();
         // Constructor: `ClassName (`.
-        if self.peek().text == class_name && self.tokens[self.pos + 1].text == "(" {
+        if self.peek().text == class_name && self.peek_at(1).text == "(" {
             let name = self.ident()?;
             children.push(TreeNode::leaf("NameMethod", name.as_str()));
             self.params_and_body(&mut children)?;
@@ -309,9 +210,15 @@ impl Parser {
 
     // ---- types ----------------------------------------------------------
 
+    /// Type arguments nest, so each type takes a nesting level.
     fn type_node(&mut self) -> PResult {
+        self.nested(Self::bare_type_node)
+    }
+
+    fn bare_type_node(&mut self) -> PResult {
         let mut base = self.base_type_node()?;
-        while self.at("[") && self.tokens[self.pos + 1].text == "]" {
+        while self.at("[") && self.peek_at(1).text == "]" {
+            self.deepen()?;
             self.bump();
             self.expect("]")?;
             base = TreeNode::inner("ArrayType", vec![base]);
@@ -350,11 +257,11 @@ impl Parser {
     /// `None` (with the position restored) when the tokens do not form a
     /// declaration head.
     fn try_decl_head(&mut self) -> Option<(TreeNode, String)> {
-        let save = self.pos;
+        let save = self.mark();
         let ty = match self.type_node() {
             Ok(t) => t,
             Err(_) => {
-                self.pos = save;
+                self.rewind(save);
                 return None;
             }
         };
@@ -363,7 +270,7 @@ impl Parser {
                 Some((ty, name))
             }
             _ => {
-                self.pos = save;
+                self.rewind(save);
                 None
             }
         }
@@ -381,7 +288,12 @@ impl Parser {
         Ok(TreeNode::inner("Block", stmts))
     }
 
+    /// Statements nest, so each one takes a nesting level.
     fn statement(&mut self) -> PResult {
+        self.nested(Self::bare_statement)
+    }
+
+    fn bare_statement(&mut self) -> PResult {
         if self.at("{") {
             return self.block();
         }
@@ -579,7 +491,13 @@ impl Parser {
 
     // ---- expressions ----------------------------------------------------
 
+    /// Every nested expression passes through here, so each one takes a
+    /// nesting level.
     fn expression(&mut self) -> PResult {
+        self.nested(Self::bare_expression)
+    }
+
+    fn bare_expression(&mut self) -> PResult {
         let lhs = self.conditional()?;
         for op in ["=", "+=", "-=", "*=", "/=", "%="] {
             if self.at(op) {
@@ -614,37 +532,32 @@ impl Parser {
         &["*", "/", "%"],
     ];
 
-    fn binary(&mut self, tier: usize) -> PResult {
-        if tier >= Self::BINARY_TIERS.len() {
-            return self.unary();
+    /// Operators of tier `min_tier` and tighter, folded left-associatively
+    /// by precedence climbing: one frame per operand, not one per tier.
+    fn binary(&mut self, min_tier: usize) -> PResult {
+        let mut lhs = self.unary()?;
+        let mut tiers = &Self::BINARY_TIERS[..];
+        while let Some((tier, op)) = self.operator(tiers, min_tier) {
+            self.deepen()?;
+            self.bump();
+            // A tighter operator after this one would belong to its right
+            // operand; after a type operand it may not continue at all.
+            tiers = &Self::BINARY_TIERS[..=tier];
+            lhs = if op == "instanceof" {
+                TreeNode::inner("InstanceOf", vec![lhs, self.type_node()?])
+            } else {
+                let rhs = self.binary(tier + 1)?;
+                TreeNode::inner(format!("Binary{op}").as_str(), vec![lhs, rhs])
+            };
         }
-        let mut lhs = self.binary(tier + 1)?;
-        loop {
-            let op = Self::BINARY_TIERS[tier]
-                .iter()
-                .find(|op| self.at(op))
-                .copied();
-            match op {
-                Some("instanceof") => {
-                    self.bump();
-                    let ty = self.type_node()?;
-                    lhs = TreeNode::inner("InstanceOf", vec![lhs, ty]);
-                }
-                Some(op) => {
-                    self.bump();
-                    let rhs = self.binary(tier + 1)?;
-                    lhs = TreeNode::inner(format!("Binary{op}").as_str(), vec![lhs, rhs]);
-                }
-                None => return Ok(lhs),
-            }
-        }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult {
         for op in ["!", "-", "+", "++", "--"] {
             if self.at(op) {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 return Ok(TreeNode::inner(
                     format!("UnaryPrefix{op}").as_str(),
                     vec![operand],
@@ -653,7 +566,7 @@ impl Parser {
         }
         // Cast: `(Type) expr` — backtrack if the parens don't hold a type.
         if self.at("(") {
-            let save = self.pos;
+            let save = self.mark();
             self.bump();
             if let Ok(ty) = self.type_node() {
                 if self.at(")") {
@@ -665,27 +578,34 @@ impl Parser {
                         t.kind,
                         TokenKind::Number | TokenKind::String | TokenKind::Char
                     ) || (t.kind == TokenKind::Ident
-                        && (!is_keyword(&t.text)
+                        && (!self.is_keyword(&t.text)
                             || matches!(
                                 t.text.as_str(),
                                 "new" | "this" | "true" | "false" | "null"
                             )))
                         || t.text == "(";
                     if starts_unary {
-                        let operand = self.unary()?;
+                        let operand = self.nested(Self::unary)?;
                         return Ok(TreeNode::inner("Cast", vec![ty, operand]));
                     }
                 }
             }
-            self.pos = save;
+            self.rewind(save);
         }
         self.postfix()
     }
 
+    /// Every operand passes through here, so each one takes a nesting
+    /// level, which also releases the levels its chain took.
     fn postfix(&mut self) -> PResult {
+        self.nested(Self::bare_postfix)
+    }
+
+    fn bare_postfix(&mut self) -> PResult {
         let mut e = self.primary()?;
         loop {
             if self.at(".") {
+                self.deepen()?;
                 self.bump();
                 let name = self.ident()?;
                 if self.at("(") {
@@ -700,11 +620,13 @@ impl Parser {
                     );
                 }
             } else if self.at("[") {
+                self.deepen()?;
                 self.bump();
                 let idx = self.expression()?;
                 self.expect("]")?;
                 e = TreeNode::inner("ArrayAccess", vec![e, idx]);
             } else if self.at("++") || self.at("--") {
+                self.deepen()?;
                 let op = self.bump().text;
                 e = TreeNode::inner(format!("UnaryPostfix{op}").as_str(), vec![e]);
             } else {
@@ -768,7 +690,7 @@ impl Parser {
                     children.extend(args);
                     Ok(TreeNode::inner("ObjectCreation", children))
                 }
-                _ if is_keyword(&t.text) => {
+                _ if self.is_keyword(&t.text) => {
                     Err(self.error(&format!("unexpected keyword `{}`", t.text)))
                 }
                 _ => {

@@ -6,35 +6,9 @@
 //! the kind, `Sub` for computed member access, `Dot` for named member
 //! access, and so on. See the crate docs for the full kind inventory.
 
-use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind};
+use crate::lexer::{tokenize, Js};
+use pigeon_ast::syntax::{Cursor, Grammar, ParseError, TokenKind};
 use pigeon_ast::{Ast, TreeNode};
-use std::fmt;
-
-/// An error produced while parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset the error occurred at.
-    pub offset: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            offset: e.offset,
-        }
-    }
-}
 
 /// Parses a JavaScript compilation unit into a PIGEON AST rooted at
 /// `Toplevel`.
@@ -52,8 +26,7 @@ impl From<LexError> for ParseError {
 /// # }
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
-    let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser(Cursor::new(tokenize(source)?));
     let mut stmts = Vec::new();
     while !p.at_eof() {
         stmts.push(p.statement()?);
@@ -61,73 +34,11 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
     Ok(TreeNode::inner("Toplevel", stmts).into_ast())
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
+pigeon_ast::grammar!(Parser, Js);
 
 type PResult = Result<TreeNode, ParseError>;
 
 impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn peek_at(&self, n: usize) -> &Token {
-        let i = (self.pos + n).min(self.tokens.len() - 1);
-        &self.tokens[i]
-    }
-
-    fn at_eof(&self) -> bool {
-        self.peek().kind == TokenKind::Eof
-    }
-
-    fn at(&self, text: &str) -> bool {
-        let t = self.peek();
-        t.kind != TokenKind::Eof && t.kind != TokenKind::String && t.text == text
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, text: &str) -> bool {
-        if self.at(text) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, text: &str) -> Result<Token, ParseError> {
-        if self.at(text) {
-            Ok(self.bump())
-        } else {
-            Err(self.error(&format!("expected `{text}`, found `{}`", self.peek().text)))
-        }
-    }
-
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            message: message.to_owned(),
-            offset: self.peek().offset,
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        let t = self.peek();
-        if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
-            Ok(self.bump().text)
-        } else {
-            Err(self.error(&format!("expected identifier, found `{}`", t.text)))
-        }
-    }
-
     // ---- statements -----------------------------------------------------
 
     /// Splices a parsed body into `children`: a braced block's statements
@@ -141,7 +52,12 @@ impl Parser {
         }
     }
 
+    /// Statements nest, so each one takes a nesting level.
     fn statement(&mut self) -> PResult {
+        self.nested(Self::bare_statement)
+    }
+
+    fn bare_statement(&mut self) -> PResult {
         if self.at("var") || self.at("let") || self.at("const") {
             let s = self.var_statement()?;
             self.eat(";");
@@ -243,7 +159,7 @@ impl Parser {
         self.expect("function")?;
         let mut children = Vec::new();
         let kind = if is_decl { "Defun" } else { "Function" };
-        if self.peek().kind == TokenKind::Ident && !is_keyword(&self.peek().text) {
+        if self.peek().kind == TokenKind::Ident && !self.is_keyword(&self.peek().text) {
             let name = self.ident()?;
             let name_kind = if is_decl {
                 "SymbolDefun"
@@ -418,7 +334,13 @@ impl Parser {
         Ok(e)
     }
 
+    /// Every nested expression passes through here, so each one takes a
+    /// nesting level.
     fn assignment(&mut self) -> PResult {
+        self.nested(Self::bare_assignment)
+    }
+
+    fn bare_assignment(&mut self) -> PResult {
         let lhs = self.conditional()?;
         for op in ["=", "+=", "-=", "*=", "/=", "%="] {
             if self.at(op) {
@@ -454,32 +376,24 @@ impl Parser {
         &["*", "/", "%"],
     ];
 
-    fn binary(&mut self, tier: usize) -> PResult {
-        if tier >= Self::BINARY_TIERS.len() {
-            return self.unary();
+    /// Operators of tier `min_tier` and tighter, folded left-associatively
+    /// by precedence climbing: one frame per operand, not one per tier.
+    fn binary(&mut self, min_tier: usize) -> PResult {
+        let mut lhs = self.unary()?;
+        while let Some((tier, op)) = self.operator(&Self::BINARY_TIERS, min_tier) {
+            self.deepen()?;
+            self.bump();
+            let rhs = self.binary(tier + 1)?;
+            lhs = TreeNode::inner(format!("Binary{op}").as_str(), vec![lhs, rhs]);
         }
-        let mut lhs = self.binary(tier + 1)?;
-        loop {
-            let op = Self::BINARY_TIERS[tier]
-                .iter()
-                .find(|op| self.at(op))
-                .copied();
-            match op {
-                Some(op) => {
-                    self.bump();
-                    let rhs = self.binary(tier + 1)?;
-                    lhs = TreeNode::inner(format!("Binary{op}").as_str(), vec![lhs, rhs]);
-                }
-                None => return Ok(lhs),
-            }
-        }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult {
         for op in ["!", "-", "+", "~", "typeof", "delete", "++", "--"] {
             if self.at(op) {
                 self.bump();
-                let operand = self.unary()?;
+                let operand = self.nested(Self::unary)?;
                 return Ok(TreeNode::inner(
                     format!("UnaryPrefix{op}").as_str(),
                     vec![operand],
@@ -500,7 +414,13 @@ impl Parser {
         Ok(e)
     }
 
+    /// Every operand passes through here, so each one takes a nesting
+    /// level, which also releases the levels its chain took.
     fn call_member(&mut self) -> PResult {
+        self.nested(Self::bare_call_member)
+    }
+
+    fn bare_call_member(&mut self) -> PResult {
         let mut e = if self.at("new") {
             self.bump();
             let callee = self.primary()?;
@@ -520,13 +440,16 @@ impl Parser {
         };
         loop {
             if self.eat(".") {
+                self.deepen()?;
                 let prop = self.property_name()?;
                 e = TreeNode::inner("Dot", vec![e, TreeNode::leaf("Property", prop.as_str())]);
             } else if self.eat("[") {
+                self.deepen()?;
                 let index = self.expression()?;
                 self.expect("]")?;
                 e = TreeNode::inner("Sub", vec![e, index]);
             } else if self.eat("(") {
+                self.deepen()?;
                 let mut children = vec![e];
                 while !self.at(")") {
                     children.push(self.assignment()?);
@@ -550,30 +473,6 @@ impl Parser {
             Ok(self.bump().text)
         } else {
             Err(self.error(&format!("expected property name, found `{}`", t.text)))
-        }
-    }
-
-    /// Whether the parenthesis at the current position opens an arrow
-    /// function's parameter list.
-    fn paren_starts_arrow(&self) -> bool {
-        debug_assert!(self.at("("));
-        let mut depth = 0usize;
-        let mut i = self.pos;
-        loop {
-            let t = &self.tokens[i];
-            match t.kind {
-                TokenKind::Eof => return false,
-                TokenKind::Punct if t.text == "(" => depth += 1,
-                TokenKind::Punct if t.text == ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        let next = &self.tokens[(i + 1).min(self.tokens.len() - 1)];
-                        return next.kind == TokenKind::Punct && next.text == "=>";
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
         }
     }
 
@@ -616,7 +515,7 @@ impl Parser {
                     Ok(TreeNode::leaf("This", "this"))
                 }
                 "function" => self.function(false),
-                _ if is_keyword(&t.text) => {
+                _ if self.is_keyword(&t.text) => {
                     Err(self.error(&format!("unexpected keyword `{}`", t.text)))
                 }
                 _ => {
@@ -631,7 +530,7 @@ impl Parser {
             },
             TokenKind::Punct => match t.text.as_str() {
                 "(" => {
-                    if self.paren_starts_arrow() {
+                    if self.group_followed_by("(", ")", "=>") {
                         self.bump();
                         let mut params = Vec::new();
                         while !self.at(")") {
@@ -681,7 +580,7 @@ impl Parser {
                 }
                 _ => Err(self.error(&format!("unexpected token `{}`", t.text))),
             },
-            TokenKind::Eof => Err(self.error("unexpected end of input")),
+            _ => Err(self.error("unexpected end of input")),
         }
     }
 

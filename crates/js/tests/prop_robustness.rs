@@ -48,3 +48,57 @@ proptest! {
         }
     }
 }
+
+/// A named input shape, built for a given nesting depth.
+type Shape = (&'static str, fn(usize) -> String);
+
+/// Hostile nesting shapes, each a function of its depth.
+const SHAPES: &[Shape] = &[
+    ("parens", |n| {
+        format!("var a = {}1{};", "(".repeat(n), ")".repeat(n))
+    }),
+    ("brackets", |n| {
+        format!("var a = {}1{};", "[".repeat(n), "]".repeat(n))
+    }),
+    ("objects", |n| {
+        format!("var a = {}1{};", "{a: ".repeat(n), "}".repeat(n))
+    }),
+    ("blocks", |n| format!("{}{}", "{".repeat(n), "}".repeat(n))),
+    ("functions", |n| {
+        format!("{}{}", "function f() {".repeat(n), "}".repeat(n))
+    }),
+    ("nots", |n| format!("x = {}x;", "!".repeat(n))),
+    ("ternaries", |n| format!("x = {}c;", "a ? b : ".repeat(n))),
+    ("assignments", |n| format!("{}1;", "a = ".repeat(n))),
+    ("calls", |n| {
+        format!("{}x{};", "f(".repeat(n), ")".repeat(n))
+    }),
+    ("arrows", |n| format!("f = {}x;", "x => ".repeat(n))),
+    ("paren arrows", |n| format!("f = {}x;", "(x) => ".repeat(n))),
+    ("else ifs", |n| {
+        format!("{}{{}}", "if (a) {} else ".repeat(n))
+    }),
+    ("sums", |n| format!("x = a{};", " + a".repeat(n))),
+    ("members", |n| format!("x = a{};", ".b".repeat(n))),
+    ("call chains", |n| format!("x = f{};", "()".repeat(n))),
+    ("index chains", |n| format!("x = a{};", "[0]".repeat(n))),
+];
+
+#[test]
+fn nesting_100k_deep_ends_in_a_tree_or_a_parse_error() {
+    for (name, shape) in SHAPES {
+        let src = shape(100_000);
+        if let Err(e) = pigeon_js::parse(&src) {
+            assert!(e.offset as usize <= src.len(), "{name}: {e}");
+        }
+    }
+}
+
+#[test]
+fn string_literals_keep_non_ascii_characters() {
+    let ast = pigeon_js::parse("s = \"café\";").unwrap();
+    assert_eq!(
+        pigeon_ast::sexp(&ast),
+        "(Toplevel (Assign= (SymbolRef s) (String café)))"
+    );
+}

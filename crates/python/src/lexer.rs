@@ -5,56 +5,7 @@
 //! `Newline` tokens terminate logical lines, and both are suppressed
 //! inside brackets (implicit line joining).
 
-use std::fmt;
-
-/// The lexical category of a [`Token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokenKind {
-    /// An identifier or keyword.
-    Ident,
-    /// A numeric literal.
-    Number,
-    /// A string literal (text excludes the quotes).
-    String,
-    /// A punctuation or operator token.
-    Punct,
-    /// End of a logical line.
-    Newline,
-    /// Increase of indentation depth.
-    Indent,
-    /// Decrease of indentation depth.
-    Dedent,
-    /// End of input.
-    Eof,
-}
-
-/// One lexical token with its text and byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
-    /// Lexical category.
-    pub kind: TokenKind,
-    /// The token's source text (empty for layout tokens).
-    pub text: String,
-    /// Byte offset of the first character in the source.
-    pub offset: u32,
-}
-
-/// An error produced while tokenizing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset the error occurred at.
-    pub offset: u32,
-}
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
+use pigeon_ast::syntax::{Lexicon, ParseError, Scanner, Token, TokenKind};
 
 /// Python keywords recognised by the parser.
 pub const KEYWORDS: &[&str] = &[
@@ -68,216 +19,106 @@ pub fn is_keyword(text: &str) -> bool {
     KEYWORDS.contains(&text)
 }
 
-const PUNCT2: &[&str] = &[
-    "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "//", "**", "->",
-];
-const PUNCT1: &[char] = &[
-    '(', ')', '[', ']', '{', '}', ':', ',', '.', ';', '=', '<', '>', '+', '-', '*', '/', '%', '@',
-    '&', '|', '^', '~',
-];
+/// The Python lexicon.
+pub(crate) struct Python;
+
+impl Lexicon for Python {
+    const KEYWORDS: &'static [&'static str] = KEYWORDS;
+    const PUNCT: &'static [&'static str] = &[
+        "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=", "%=", "//", "**", "->", "(", ")", "[", "]",
+        "{", "}", ":", ",", ".", ";", "=", "<", ">", "+", "-", "*", "/", "%", "@", "&", "|", "^",
+        "~",
+    ];
+    const IDENT_EXTRA: &'static [u8] = b"";
+    const NUMBER_EXTRA: &'static [u8] = b"_";
+    const QUOTES: &'static [(char, TokenKind)] =
+        &[('"', TokenKind::String), ('\'', TokenKind::String)];
+    const ESCAPES: &'static [(char, char)] = &[('n', '\n'), ('t', '\t'), ('r', '\r')];
+    const SINGLE_LINE_LITERALS: bool = true;
+}
 
 /// Tokenizes `source` with layout tokens.
 ///
 /// # Errors
 ///
-/// Returns [`LexError`] on inconsistent dedents, unterminated strings, or
-/// characters outside the subset's alphabet.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = source.as_bytes();
+/// Returns [`ParseError`] on inconsistent dedents, unterminated strings,
+/// or characters outside the subset's alphabet.
+pub fn tokenize(source: &str) -> Result<Vec<Token>, ParseError> {
+    let mut s = Scanner::<Python>::new(source);
     let mut tokens: Vec<Token> = Vec::new();
     let mut indents: Vec<usize> = vec![0];
-    let mut i = 0usize;
     let mut bracket_depth = 0usize;
     let mut at_line_start = true;
 
-    while i < bytes.len() {
+    while s.peek().is_some() {
         if at_line_start && bracket_depth == 0 {
             // Measure indentation; skip blank and comment-only lines.
-            let line_start = i;
+            let line_start = s.pos();
             let mut col = 0usize;
-            while i < bytes.len() && (bytes[i] == b' ' || bytes[i] == b'\t') {
-                col += if bytes[i] == b'\t' { 8 - col % 8 } else { 1 };
-                i += 1;
+            while let Some(b @ (b' ' | b'\t')) = s.peek() {
+                col += if b == b'\t' { 8 - col % 8 } else { 1 };
+                s.advance(1);
             }
-            if i >= bytes.len() {
-                break;
-            }
-            if bytes[i] == b'\n' {
-                i += 1;
-                continue;
-            }
-            if bytes[i] == b'#' {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
+            match s.peek() {
+                None => break,
+                Some(b'\n') => {
+                    s.advance(1);
+                    continue;
                 }
-                continue;
+                Some(b'#') => {
+                    s.skip_line();
+                    continue;
+                }
+                Some(_) => {}
             }
             let current = *indents.last().expect("indent stack never empty");
             if col > current {
                 indents.push(col);
-                tokens.push(Token {
-                    kind: TokenKind::Indent,
-                    text: String::new(),
-                    offset: line_start as u32,
-                });
+                tokens.push(s.layout(TokenKind::Indent, line_start));
             } else {
                 while col < *indents.last().expect("indent stack never empty") {
                     indents.pop();
-                    tokens.push(Token {
-                        kind: TokenKind::Dedent,
-                        text: String::new(),
-                        offset: line_start as u32,
-                    });
+                    tokens.push(s.layout(TokenKind::Dedent, line_start));
                 }
                 if col != *indents.last().expect("indent stack never empty") {
-                    return Err(LexError {
-                        message: "inconsistent dedent".into(),
-                        offset: line_start as u32,
-                    });
+                    return Err(s.error_at(line_start, "inconsistent dedent"));
                 }
             }
             at_line_start = false;
         }
 
-        if i >= bytes.len() {
-            break;
-        }
-        let c = bytes[i] as char;
-        if c == '\n' {
-            i += 1;
-            if bracket_depth == 0 {
-                // Suppress empty logical lines.
-                if !matches!(
-                    tokens.last().map(|t| t.kind),
-                    None | Some(TokenKind::Newline)
-                        | Some(TokenKind::Indent)
-                        | Some(TokenKind::Dedent)
-                ) {
-                    tokens.push(Token {
-                        kind: TokenKind::Newline,
-                        text: String::new(),
-                        offset: (i - 1) as u32,
-                    });
+        match (s.peek(), s.peek_at(1)) {
+            (Some(b'\n'), _) => {
+                s.advance(1);
+                if bracket_depth == 0 {
+                    // Suppress empty logical lines.
+                    if !matches!(
+                        tokens.last().map(|t| t.kind),
+                        None | Some(TokenKind::Newline)
+                            | Some(TokenKind::Indent)
+                            | Some(TokenKind::Dedent)
+                    ) {
+                        tokens.push(s.layout(TokenKind::Newline, s.pos() - 1));
+                    }
+                    at_line_start = true;
                 }
-                at_line_start = true;
             }
-            continue;
-        }
-        if c == ' ' || c == '\t' || c == '\r' {
-            i += 1;
-            continue;
-        }
-        if c == '#' {
-            while i < bytes.len() && bytes[i] != b'\n' {
-                i += 1;
-            }
-            continue;
-        }
-        if c == '\\' && i + 1 < bytes.len() && bytes[i + 1] == b'\n' {
+            (Some(b' ' | b'\t' | b'\r'), _) => s.advance(1),
+            (Some(b'#'), _) => s.skip_line(),
             // Explicit line joining.
-            i += 2;
-            continue;
-        }
-        let offset = i as u32;
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                i += 1;
-            }
-            tokens.push(Token {
-                kind: TokenKind::Ident,
-                text: source[start..i].to_owned(),
-                offset,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                let decimal_point =
-                    ch == '.' && i + 1 < bytes.len() && (bytes[i + 1] as char).is_ascii_digit();
-                if ch.is_ascii_alphanumeric() || ch == '_' || decimal_point {
-                    i += 1;
-                } else {
-                    break;
+            (Some(b'\\'), Some(b'\n')) => s.advance(2),
+            _ => {
+                let t = s.token()?;
+                if t.kind == TokenKind::Punct {
+                    match t.text.as_str() {
+                        "(" | "[" | "{" => bracket_depth += 1,
+                        ")" | "]" | "}" => bracket_depth = bracket_depth.saturating_sub(1),
+                        _ => {}
+                    }
                 }
+                tokens.push(t);
             }
-            tokens.push(Token {
-                kind: TokenKind::Number,
-                text: source[start..i].to_owned(),
-                offset,
-            });
-            continue;
         }
-        if c == '"' || c == '\'' {
-            let quote = c;
-            let start = i;
-            i += 1;
-            let mut text = String::new();
-            loop {
-                if i >= bytes.len() || bytes[i] == b'\n' {
-                    return Err(LexError {
-                        message: "unterminated string literal".into(),
-                        offset: start as u32,
-                    });
-                }
-                let ch = bytes[i] as char;
-                if ch == quote {
-                    i += 1;
-                    break;
-                }
-                if ch == '\\' && i + 1 < bytes.len() {
-                    let esc = bytes[i + 1] as char;
-                    text.push(match esc {
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        other => other,
-                    });
-                    i += 2;
-                    continue;
-                }
-                text.push(ch);
-                i += 1;
-            }
-            tokens.push(Token {
-                kind: TokenKind::String,
-                text,
-                offset,
-            });
-            continue;
-        }
-        let rest = &source[i..];
-        if let Some(p) = PUNCT2.iter().find(|p| rest.starts_with(**p)) {
-            tokens.push(Token {
-                kind: TokenKind::Punct,
-                text: (*p).to_owned(),
-                offset,
-            });
-            i += p.len();
-            continue;
-        }
-        if PUNCT1.contains(&c) {
-            match c {
-                '(' | '[' | '{' => bracket_depth += 1,
-                ')' | ']' | '}' => bracket_depth = bracket_depth.saturating_sub(1),
-                _ => {}
-            }
-            tokens.push(Token {
-                kind: TokenKind::Punct,
-                text: c.to_string(),
-                offset,
-            });
-            i += 1;
-            continue;
-        }
-        return Err(LexError {
-            message: format!("unexpected character {c:?}"),
-            offset,
-        });
     }
 
     // Terminate the last logical line and close open blocks.
@@ -285,25 +126,13 @@ pub fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
         tokens.last().map(|t| t.kind),
         None | Some(TokenKind::Newline) | Some(TokenKind::Dedent)
     ) {
-        tokens.push(Token {
-            kind: TokenKind::Newline,
-            text: String::new(),
-            offset: bytes.len() as u32,
-        });
+        tokens.push(s.layout(TokenKind::Newline, source.len()));
     }
     while indents.len() > 1 {
         indents.pop();
-        tokens.push(Token {
-            kind: TokenKind::Dedent,
-            text: String::new(),
-            offset: bytes.len() as u32,
-        });
+        tokens.push(s.layout(TokenKind::Dedent, source.len()));
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        text: String::new(),
-        offset: bytes.len() as u32,
-    });
+    tokens.push(s.eof());
     Ok(tokens)
 }
 

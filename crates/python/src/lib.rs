@@ -29,5 +29,6 @@
 mod lexer;
 mod parser;
 
-pub use lexer::{is_keyword, tokenize, LexError, Token, TokenKind, KEYWORDS};
-pub use parser::{parse, ParseError};
+pub use lexer::{is_keyword, tokenize, KEYWORDS};
+pub use parser::parse;
+pub use pigeon_ast::syntax::{ParseError, Token, TokenKind};

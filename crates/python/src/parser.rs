@@ -6,35 +6,9 @@
 //! get dedicated terminal kinds (`NameStore`, `NameParam`, `NameFunc`,
 //! `NameClass`) so paths distinguish binding sites from uses.
 
-use crate::lexer::{is_keyword, tokenize, LexError, Token, TokenKind};
+use crate::lexer::{tokenize, Python};
+use pigeon_ast::syntax::{Cursor, Grammar, ParseError, TokenKind};
 use pigeon_ast::{Ast, TreeNode};
-use std::fmt;
-
-/// An error produced while parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Human-readable description.
-    pub message: String,
-    /// Byte offset the error occurred at.
-    pub offset: u32,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            offset: e.offset,
-        }
-    }
-}
 
 /// Parses a Python module into a PIGEON AST rooted at `Module`.
 ///
@@ -54,8 +28,7 @@ impl From<LexError> for ParseError {
 /// # }
 /// ```
 pub fn parse(source: &str) -> Result<Ast, ParseError> {
-    let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser(Cursor::new(tokenize(source)?));
     let mut stmts = Vec::new();
     while !p.at_eof() {
         stmts.push(p.statement()?);
@@ -63,100 +36,11 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
     Ok(TreeNode::inner("Module", stmts).into_ast())
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-}
+pigeon_ast::grammar!(Parser, Python);
 
 type PResult = Result<TreeNode, ParseError>;
 
 impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
-    }
-
-    fn at_eof(&self) -> bool {
-        self.peek().kind == TokenKind::Eof
-    }
-
-    fn at(&self, text: &str) -> bool {
-        let t = self.peek();
-        matches!(t.kind, TokenKind::Ident | TokenKind::Punct) && t.text == text
-    }
-
-    fn at_kind(&self, kind: TokenKind) -> bool {
-        self.peek().kind == kind
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat(&mut self, text: &str) -> bool {
-        if self.at(text) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_kind(&mut self, kind: TokenKind) -> bool {
-        if self.at_kind(kind) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, text: &str) -> Result<Token, ParseError> {
-        if self.at(text) {
-            Ok(self.bump())
-        } else {
-            Err(self.error(&format!("expected `{text}`, found `{}`", self.describe())))
-        }
-    }
-
-    fn expect_kind(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
-        if self.at_kind(kind) {
-            Ok(self.bump())
-        } else {
-            Err(self.error(&format!("expected {kind:?}, found `{}`", self.describe())))
-        }
-    }
-
-    fn describe(&self) -> String {
-        let t = self.peek();
-        match t.kind {
-            TokenKind::Newline => "<newline>".into(),
-            TokenKind::Indent => "<indent>".into(),
-            TokenKind::Dedent => "<dedent>".into(),
-            TokenKind::Eof => "<eof>".into(),
-            _ => t.text.clone(),
-        }
-    }
-
-    fn error(&self, message: &str) -> ParseError {
-        ParseError {
-            message: message.to_owned(),
-            offset: self.peek().offset,
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        let t = self.peek();
-        if t.kind == TokenKind::Ident && !is_keyword(&t.text) {
-            Ok(self.bump().text)
-        } else {
-            Err(self.error(&format!("expected identifier, found `{}`", self.describe())))
-        }
-    }
-
     // ---- statements -----------------------------------------------------
 
     /// An indented block after `:`, or a simple statement on the same line.
@@ -177,7 +61,12 @@ impl Parser {
         }
     }
 
+    /// Statements nest, so each one takes a nesting level.
     fn statement(&mut self) -> PResult {
+        self.nested(Self::bare_statement)
+    }
+
+    fn bare_statement(&mut self) -> PResult {
         // Decorators are accepted and skipped.
         while self.at("@") {
             self.bump();
@@ -274,7 +163,7 @@ impl Parser {
         let mut children = vec![cond];
         children.extend(self.suite()?);
         if self.at("elif") {
-            let nested = self.if_statement()?;
+            let nested = self.nested(Self::if_statement)?;
             children.push(TreeNode::inner("OrElse", vec![nested]));
         } else if self.eat("else") {
             let body = self.suite()?;
@@ -442,8 +331,10 @@ impl Parser {
         Ok(TreeNode::inner("Tuple", parts))
     }
 
+    /// Every nested expression passes through here, so each one takes a
+    /// nesting level.
     fn expression(&mut self) -> PResult {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> PResult {
@@ -461,6 +352,7 @@ impl Parser {
     fn or_expr(&mut self) -> PResult {
         let mut lhs = self.and_expr()?;
         while self.at("or") {
+            self.deepen()?;
             self.bump();
             let rhs = self.and_expr()?;
             lhs = TreeNode::inner("BoolOpOr", vec![lhs, rhs]);
@@ -471,6 +363,7 @@ impl Parser {
     fn and_expr(&mut self) -> PResult {
         let mut lhs = self.not_expr()?;
         while self.at("and") {
+            self.deepen()?;
             self.bump();
             let rhs = self.not_expr()?;
             lhs = TreeNode::inner("BoolOpAnd", vec![lhs, rhs]);
@@ -481,7 +374,7 @@ impl Parser {
     fn not_expr(&mut self) -> PResult {
         if self.at("not") {
             self.bump();
-            let operand = self.not_expr()?;
+            let operand = self.nested(Self::not_expr)?;
             return Ok(TreeNode::inner("UnaryOpNot", vec![operand]));
         }
         self.comparison()
@@ -495,18 +388,21 @@ impl Parser {
                 .find(|op| self.at(op))
                 .copied();
             if let Some(op) = op {
+                self.deepen()?;
                 self.bump();
                 let rhs = self.arith(0)?;
                 lhs = TreeNode::inner(format!("Compare{op}").as_str(), vec![lhs, rhs]);
                 continue;
             }
             if self.at("in") {
+                self.deepen()?;
                 self.bump();
                 let rhs = self.arith(0)?;
                 lhs = TreeNode::inner("CompareIn", vec![lhs, rhs]);
                 continue;
             }
             if self.at("not") {
+                self.deepen()?;
                 self.bump();
                 self.expect("in")?;
                 let rhs = self.arith(0)?;
@@ -514,6 +410,7 @@ impl Parser {
                 continue;
             }
             if self.at("is") {
+                self.deepen()?;
                 self.bump();
                 let negated = self.eat("not");
                 let rhs = self.arith(0)?;
@@ -527,31 +424,23 @@ impl Parser {
 
     const ARITH_TIERS: [&'static [&'static str]; 2] = [&["+", "-"], &["*", "/", "//", "%"]];
 
-    fn arith(&mut self, tier: usize) -> PResult {
-        if tier >= Self::ARITH_TIERS.len() {
-            return self.unary();
+    /// Operators of tier `min_tier` and tighter, folded left-associatively
+    /// by precedence climbing: one frame per operand, not one per tier.
+    fn arith(&mut self, min_tier: usize) -> PResult {
+        let mut lhs = self.unary()?;
+        while let Some((tier, op)) = self.operator(&Self::ARITH_TIERS, min_tier) {
+            self.deepen()?;
+            self.bump();
+            let rhs = self.arith(tier + 1)?;
+            lhs = TreeNode::inner(format!("BinOp{op}").as_str(), vec![lhs, rhs]);
         }
-        let mut lhs = self.arith(tier + 1)?;
-        loop {
-            let op = Self::ARITH_TIERS[tier]
-                .iter()
-                .find(|op| self.at(op))
-                .copied();
-            match op {
-                Some(op) => {
-                    self.bump();
-                    let rhs = self.arith(tier + 1)?;
-                    lhs = TreeNode::inner(format!("BinOp{op}").as_str(), vec![lhs, rhs]);
-                }
-                None => return Ok(lhs),
-            }
-        }
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult {
         if self.at("-") || self.at("+") || self.at("~") {
             let op = self.bump().text;
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             return Ok(TreeNode::inner(
                 format!("UnaryOp{op}").as_str(),
                 vec![operand],
@@ -560,10 +449,17 @@ impl Parser {
         self.postfix()
     }
 
+    /// Every operand passes through here, so each one takes a nesting
+    /// level, which also releases the levels its chain took.
     fn postfix(&mut self) -> PResult {
+        self.nested(Self::bare_postfix)
+    }
+
+    fn bare_postfix(&mut self) -> PResult {
         let mut e = self.primary()?;
         loop {
             if self.at(".") {
+                self.deepen()?;
                 self.bump();
                 // Attribute names admit keywords rarely; identifiers only.
                 let name = self.ident()?;
@@ -572,14 +468,15 @@ impl Parser {
                     vec![e, TreeNode::leaf("AttrName", name.as_str())],
                 );
             } else if self.at("(") {
+                self.deepen()?;
                 self.bump();
                 let mut children = vec![e];
                 while !self.at(")") {
                     if self.peek().kind == TokenKind::Ident
-                        && !is_keyword(&self.peek().text)
-                        && self.tokens[self.pos + 1].text == "="
-                        && self.tokens[self.pos + 1].kind == TokenKind::Punct
-                        && self.tokens[self.pos + 2].text != "="
+                        && !self.is_keyword(&self.peek().text)
+                        && self.peek_at(1).text == "="
+                        && self.peek_at(1).kind == TokenKind::Punct
+                        && self.peek_at(2).text != "="
                     {
                         // Keyword argument: `shell=True`.
                         let kw = self.ident()?;
@@ -599,6 +496,7 @@ impl Parser {
                 self.expect(")")?;
                 e = TreeNode::inner("Call", children);
             } else if self.at("[") {
+                self.deepen()?;
                 self.bump();
                 let index = self.subscript_index()?;
                 self.expect("]")?;
@@ -663,7 +561,7 @@ impl Parser {
                     children.push(self.expression()?);
                     Ok(TreeNode::inner("Lambda", children))
                 }
-                _ if is_keyword(&t.text) => {
+                _ if self.is_keyword(&t.text) => {
                     Err(self.error(&format!("unexpected keyword `{}`", t.text)))
                 }
                 _ => {

@@ -42,13 +42,14 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Returns [`Error`] on malformed JSON or a shape mismatch.
 pub fn from_str<T: Deserialize>(json: &str) -> Result<T, Error> {
     let mut parser = Parser {
-        bytes: json.as_bytes(),
+        text: json,
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
+    if parser.pos != parser.text.len() {
         return Err(parser.error("trailing characters"));
     }
     T::from_value(&value)
@@ -142,9 +143,15 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest, as in real `serde_json`: the
+/// parser recurses once per level, so the bound keeps a hostile document
+/// from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -153,7 +160,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -163,7 +170,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), Error> {
@@ -176,7 +183,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -190,11 +197,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Runs `parse` for a container one level deeper, failing past
+    /// [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -303,16 +322,20 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.error("invalid escape")),
                     }
                 }
+                0x00..=0x1F => return Err(self.error("control character in string")),
                 _ => {
-                    // Consume one UTF-8 scalar from the source.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.error("control character in string"));
+                    // Copy the run of plain characters up to the next
+                    // quote, escape or control byte. Those are all ASCII,
+                    // so the run ends on a character boundary of the
+                    // `&str` input and needs no re-validation.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -320,11 +343,13 @@ impl<'a> Parser<'a> {
 
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.error("invalid \\u escape"))?;
+        let hex = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| self.error("invalid \\u escape"))?;
         let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid \\u escape"))?;
         self.pos = end;
         Ok(code)
@@ -356,8 +381,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Number(Number::PosInt(n)));
@@ -442,6 +466,38 @@ mod tests {
         ] {
             assert!(from_str::<Value>(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+        let deep_object = format!("{}1{}", "{\"a\":".repeat(10_000), "}".repeat(10_000));
+        assert!(from_str::<Value>(&deep_object).is_err());
+        assert!(from_str::<Value>(&nested(10_000)).is_err());
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        // A decoder quadratic in the string's length takes minutes here in
+        // a debug build; a linear one takes milliseconds.
+        let text = "é".repeat(1 << 19);
+        let json = to_string(&text).unwrap();
+        let started = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, text);
+        assert!(started.elapsed() < std::time::Duration::from_secs(2));
+    }
+
+    #[test]
+    fn control_characters_in_strings_are_rejected() {
+        let err = from_str::<String>("\"a\u{1}b\"").unwrap_err();
+        assert!(err.to_string().contains("control character"), "{err}");
     }
 
     #[test]

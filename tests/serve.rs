@@ -425,6 +425,45 @@ fn serve_rejects_oversized_requests() {
     let _ = child.wait();
 }
 
+/// Hostile bodies cost bounded work and end in a coded answer: a
+/// program nested 10 000 deep, a JSON document nested 10 000 deep and a
+/// source string of about 900 KB. The server keeps serving after each.
+#[test]
+fn serve_answers_hostile_bodies_and_keeps_serving() {
+    let dir = tmp_dir("hostile");
+    let model = train_model(&dir);
+    let (mut child, addr, _stdout) = spawn_server(&model, &["--idle-timeout", "60"]);
+
+    let deep_program = format!(
+        r#"{{"source": "var a = {}1{};"}}"#,
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    let (status, body) = post(&addr, "/v1/predict", &deep_program);
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("\"code\":\"parse\""), "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    assert_eq!(get(&addr, "/v1/health").0, 200);
+
+    let deep_json = format!(
+        r#"{{"source": {}"x"{}}}"#,
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let (status, body) = post(&addr, "/v1/predict", &deep_json);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"code\":\"bad-request\""), "{body}");
+    assert_eq!(get(&addr, "/v1/health").0, 200);
+
+    let long_string = format!(r#"{{"source": "var s = '{}';"}}"#, "x".repeat(900_000));
+    let (status, body) = post(&addr, "/v1/predict", &long_string);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(get(&addr, "/v1/health").0, 200);
+
+    child.kill().expect("kills");
+    let _ = child.wait();
+}
+
 /// Pins the v1 API contract: versioned paths, the `"api"` field on every
 /// JSON body, stable machine-readable error codes, 404 for the removed
 /// unversioned paths, and the Prometheus exposition.
