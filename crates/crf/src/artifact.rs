@@ -685,9 +685,12 @@ pub fn is_artifact(bytes: &[u8]) -> bool {
 // ---------------------------------------------------------------------------
 // Model-level encode / decode.
 
-/// Facade metadata carried in the artifact's meta section, as plain
-/// strings — this crate stays representation-agnostic; the facade
-/// resolves them back into its own enums (and rejects unknown names).
+/// A predictor's header: the eight settings every persisted form of it
+/// carries — the artifact's meta section, the model JSON's top-level
+/// keys, a training partial's meta and a distributed-training lease.
+/// Names stay plain strings so this crate stays representation-agnostic;
+/// the facade resolves a header into its own types through one
+/// validating resolver (and rejects unknown names and unusable limits).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactMeta {
     /// Language name (`Language::name`).
@@ -709,6 +712,64 @@ pub struct ArtifactMeta {
     /// written with the knob off are byte-identical to pre-knob files
     /// and old readers only reject files that actually need the flag.
     pub dataflow_contexts: bool,
+}
+
+impl ArtifactMeta {
+    /// The header as JSON object entries, keyed by field name.
+    /// `dataflow_contexts` appears only when set, so knob-off model files
+    /// stay byte-identical to files written before the knob existed.
+    pub fn to_json(&self) -> serde_json::Map {
+        let serde_json::Value::Object(mut object) = serde_json::json!({
+            "language": self.language,
+            "target": self.target,
+            "abstraction": self.abstraction,
+            "max_length": self.max_length,
+            "max_width": self.max_width,
+            "semi_paths": self.semi_paths,
+            "top_k": self.top_k,
+        }) else {
+            unreachable!("json! builds an object from an object literal")
+        };
+        if self.dataflow_contexts {
+            object.insert("dataflow_contexts".to_owned(), serde_json::json!(true));
+        }
+        object
+    }
+
+    /// Reads a header back from the keys [`ArtifactMeta::to_json`]
+    /// writes, ignoring any others. An absent flag is off, as in files
+    /// written before it existed.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first missing or mistyped field.
+    pub fn from_json(object: &serde_json::Value) -> Result<ArtifactMeta, String> {
+        let invalid = |key: &str| format!("missing or invalid field `{key}`");
+        let string = |key: &str| {
+            let value = object.get(key).and_then(|v| v.as_str());
+            value.map(str::to_owned).ok_or_else(|| invalid(key))
+        };
+        let number = |key: &str| {
+            let value = object.get(key).and_then(|v| v.as_u64());
+            value
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| invalid(key))
+        };
+        let flag = |key: &str| {
+            let value = object.get(key).map_or(Some(false), |v| v.as_bool());
+            value.ok_or_else(|| invalid(key))
+        };
+        Ok(ArtifactMeta {
+            language: string("language")?,
+            target: string("target")?,
+            abstraction: string("abstraction")?,
+            max_length: number("max_length")?,
+            max_width: number("max_width")?,
+            semi_paths: flag("semi_paths")?,
+            top_k: number("top_k")?,
+            dataflow_contexts: flag("dataflow_contexts")?,
+        })
+    }
 }
 
 /// A fully decoded artifact: metadata, vocabularies, and a validated
@@ -1006,18 +1067,13 @@ pub fn read_artifact(bytes: &[u8]) -> Result<ModelArtifact, String> {
     // 4 numbers is the original layout; a 5th (data-flow contexts) is
     // appended only when the flag is set, keeping knob-off artifacts
     // byte-identical to files written before the flag existed.
-    let [max_length, max_width, semi_paths, top_k, dataflow_contexts] = match meta_nums.len() {
-        4 => [meta_nums[0], meta_nums[1], meta_nums[2], meta_nums[3], 0],
-        5 => [
-            meta_nums[0],
-            meta_nums[1],
-            meta_nums[2],
-            meta_nums[3],
-            meta_nums[4],
-        ],
-        n => {
+    let [max_length, max_width, semi_paths, top_k, dataflow_contexts] = match meta_nums[..] {
+        [a, b, c, d] => [a, b, c, d, 0],
+        [a, b, c, d, e] => [a, b, c, d, e],
+        _ => {
             return Err(format!(
-                "meta section must hold 4 or 5 numeric fields, got {n}"
+                "meta section must hold 4 or 5 numeric fields, got {}",
+                meta_nums.len()
             ))
         }
     };

@@ -119,6 +119,27 @@ impl Instance {
             .map(|(i, _)| i)
             .collect()
     }
+
+    /// This graph with its label and path ids mapped through `labels`
+    /// and `paths` (local id → shared id): how a document extracted
+    /// against its own vocabularies joins a shared id space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range of its map.
+    pub fn remap(&self, labels: &[u32], paths: &[u32]) -> Instance {
+        let mut shared = self.clone();
+        for node in &mut shared.nodes {
+            node.label = labels[node.label as usize];
+        }
+        for pf in &mut shared.pairwise {
+            pf.path = paths[pf.path as usize];
+        }
+        for uf in &mut shared.unary {
+            uf.path = paths[uf.path as usize];
+        }
+        shared
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +150,24 @@ mod tests {
     fn unknown_nodes_are_listed() {
         let inst = Instance::new(vec![Node::known(1), Node::unknown(2), Node::unknown(0)]);
         assert_eq!(inst.unknown_nodes(), vec![1, 2]);
+    }
+
+    #[test]
+    fn remap_maps_labels_and_paths_and_keeps_structure() {
+        let mut inst = Instance::new(vec![Node::known(1), Node::unknown(0)]);
+        inst.add_pair(0, 1, 0);
+        inst.add_unary(1, 1);
+        let shared = inst.remap(&[7, 9], &[4, 5]);
+        assert_eq!(shared.nodes, vec![Node::known(9), Node::unknown(7)]);
+        assert_eq!(
+            shared.pairwise,
+            vec![PairFactor {
+                a: 0,
+                b: 1,
+                path: 4
+            }]
+        );
+        assert_eq!(shared.unary, vec![UnaryFactor { node: 1, path: 5 }]);
     }
 
     #[test]

@@ -22,6 +22,29 @@ pub enum ElementClass {
     Other,
 }
 
+impl ElementClass {
+    /// The prediction-target name model files, artifacts and partials
+    /// carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            ElementClass::Variable => "variables",
+            ElementClass::Method => "methods",
+            ElementClass::Other => "other",
+        }
+    }
+
+    /// Parses a class from its [`name`](ElementClass::name).
+    pub fn from_name(name: &str) -> Option<ElementClass> {
+        [
+            ElementClass::Variable,
+            ElementClass::Method,
+            ElementClass::Other,
+        ]
+        .into_iter()
+        .find(|c| c.name() == name)
+    }
+}
+
 /// Whether `leaf` is a declaration site of a local variable or parameter.
 fn is_var_decl(language: Language, ast: &Ast, leaf: NodeId) -> bool {
     let kind = ast.kind(leaf).as_str();
@@ -179,6 +202,19 @@ pub fn find_initializer(ast: &Ast, var: &str) -> Option<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn target_names_round_trip() {
+        for class in [
+            ElementClass::Variable,
+            ElementClass::Method,
+            ElementClass::Other,
+        ] {
+            assert_eq!(ElementClass::from_name(class.name()), Some(class));
+        }
+        assert_eq!(ElementClass::from_name("vars"), None);
+        assert_eq!(ElementClass::from_name("garbage"), None);
+    }
 
     fn classes(language: Language, src: &str) -> Vec<(String, ElementClass)> {
         let ast = language.parse(src).unwrap();

@@ -38,6 +38,53 @@ impl Vocabs {
     pub fn label_name(&self, id: u32) -> &str {
         self.labels.resolve(id)
     }
+
+    /// Both vocabularies' strings in id order, as model files,
+    /// artifacts and partials store them: `(labels, features)`.
+    pub fn tables(&self) -> (Vec<String>, Vec<String>) {
+        let strings = |v: &Interner<String>| v.iter().map(|(_, s)| s.clone()).collect();
+        (strings(&self.labels), strings(&self.features))
+    }
+
+    /// Interns a document's local tables (first-intern order) into
+    /// these vocabularies, returning the shared id of each local label
+    /// and feature id — the maps [`pigeon_crf::Instance::remap`] takes.
+    pub fn intern_tables(
+        &mut self,
+        labels: &[String],
+        features: &[String],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let intern = |v: &mut Interner<String>, items: &[String]| {
+            items.iter().map(|s| v.intern(s.clone())).collect()
+        };
+        (
+            intern(&mut self.labels, labels),
+            intern(&mut self.features, features),
+        )
+    }
+
+    /// Rebuilds vocabularies from stored [`tables`](Vocabs::tables).
+    ///
+    /// # Errors
+    ///
+    /// A table that repeats an entry: the repeat would collapse two ids
+    /// into one and silently shift every id after it.
+    pub fn from_tables(labels: Vec<String>, features: Vec<String>) -> Result<Vocabs, String> {
+        let mut vocabs = Vocabs::new();
+        for (what, items, vocab) in [
+            ("label", labels, &mut vocabs.labels),
+            ("feature", features, &mut vocabs.features),
+        ] {
+            let len = items.len();
+            for item in items {
+                vocab.intern(item);
+            }
+            if vocab.len() != len {
+                return Err(format!("duplicate entry in the {what} vocabulary"));
+            }
+        }
+        Ok(vocabs)
+    }
 }
 
 /// How a graph build resolves vocabulary entries.

@@ -23,7 +23,7 @@
 
 use pigeon_crf::artifact::{
     self, decode_strings, decode_u32s, decode_u64s, encode_strings, encode_u32s, encode_u64s,
-    kind_name, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_META,
+    kind_name, ArtifactMeta, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_META,
 };
 use pigeon_crf::{CrfConfig, Instance, Node, PairFactor, RawStatistics, UnaryFactor};
 use pigeon_telemetry as telemetry;
@@ -38,24 +38,11 @@ use crate::graph::Vocabs;
 /// silently wrong.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialMeta {
-    /// Language name (`Language::name`).
-    pub language: String,
-    /// Prediction target (`"variables"` / `"methods"` / `"other"`).
-    pub target: String,
-    /// Path abstraction name (`Abstraction::name`).
-    pub abstraction: String,
-    /// Extraction limit: maximum path length.
-    pub max_length: u32,
-    /// Extraction limit: maximum path width.
-    pub max_width: u32,
-    /// Whether semi-paths were extracted.
-    pub semi_paths: bool,
-    /// Whether edge-typed data-flow path-contexts were extracted.
-    /// Encoded as a 17th numeric field **only when set**, so partials
+    /// The predictor settings every model file and artifact persists
+    /// too; the merged model inherits them. `dataflow_contexts` is
+    /// encoded as a 17th numeric field **only when set**, so partials
     /// written with the knob off stay byte-identical to pre-knob files.
-    pub dataflow_contexts: bool,
-    /// Candidates per prediction (carried into the merged model file).
-    pub top_k: u32,
+    pub header: ArtifactMeta,
     /// Path-context keep probability (per-document derived seeds make
     /// this reproducible across any sharding).
     pub keep_prob: f64,
@@ -156,16 +143,17 @@ const META_NUMS: usize = 16;
 /// and suggestion maps in sorted key order.
 pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
     let m = &partial.meta;
+    let h = &m.header;
     let mut meta = encode_strings([
-        m.language.as_str(),
-        m.target.as_str(),
-        m.abstraction.as_str(),
+        h.language.as_str(),
+        h.target.as_str(),
+        h.abstraction.as_str(),
     ]);
     let mut nums = vec![
-        u64::from(m.max_length),
-        u64::from(m.max_width),
-        u64::from(m.semi_paths),
-        u64::from(m.top_k),
+        u64::from(h.max_length),
+        u64::from(h.max_width),
+        u64::from(h.semi_paths),
+        u64::from(h.top_k),
         m.keep_prob.to_bits(),
         m.crf.epochs as u64,
         u64::from(m.crf.learning_rate.to_bits()),
@@ -179,7 +167,7 @@ pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
         u64::from(m.shard_count),
         u64::from(m.total_docs),
     ];
-    if m.dataflow_contexts {
+    if h.dataflow_contexts {
         nums.push(1);
     }
     meta.extend_from_slice(&encode_u64s(&nums));
@@ -338,14 +326,16 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
         ));
     }
     let meta = PartialMeta {
-        language,
-        target,
-        abstraction,
-        max_length: as_u32(max_length, "max_length")?,
-        max_width: as_u32(max_width, "max_width")?,
-        semi_paths: semi_paths == 1,
-        dataflow_contexts: dataflow_contexts == 1,
-        top_k: as_u32(top_k, "top_k")?,
+        header: ArtifactMeta {
+            language,
+            target,
+            abstraction,
+            max_length: as_u32(max_length, "max_length")?,
+            max_width: as_u32(max_width, "max_width")?,
+            semi_paths: semi_paths == 1,
+            top_k: as_u32(top_k, "top_k")?,
+            dataflow_contexts: dataflow_contexts == 1,
+        },
         keep_prob,
         crf: CrfConfig {
             epochs: epochs as usize,
@@ -512,27 +502,47 @@ pub fn verify_doc_stats(doc: &DocPartial) -> Result<(), String> {
     Ok(())
 }
 
-/// The configuration knobs [`merge_partials`] requires to agree, with
-/// accessors for error messages. Public so the distributed-training
-/// ingest path can validate an uploaded partial against a job's
-/// expected configuration and name the offending knob in its 400.
-pub fn config_knobs(m: &PartialMeta) -> [(&'static str, String); 14] {
+/// Every configuration knob a partial carries — the knobs
+/// [`merge_partials`] requires to agree, with values for error
+/// messages. Public so the distributed-training ingest path validates an
+/// uploaded partial against a job's expected configuration by the same
+/// table (naming the offending knob in its 400) and fingerprints cache
+/// keys over it.
+pub fn config_knobs(m: &PartialMeta) -> [(&'static str, String); 17] {
+    let h = &m.header;
     [
-        ("language", m.language.clone()),
-        ("target", m.target.clone()),
-        ("abstraction", m.abstraction.clone()),
-        ("max_length", m.max_length.to_string()),
-        ("max_width", m.max_width.to_string()),
-        ("semi_paths", m.semi_paths.to_string()),
-        ("dataflow_contexts", m.dataflow_contexts.to_string()),
+        ("language", h.language.clone()),
+        ("target", h.target.clone()),
+        ("abstraction", h.abstraction.clone()),
+        ("max_length", h.max_length.to_string()),
+        ("max_width", h.max_width.to_string()),
+        ("semi_paths", h.semi_paths.to_string()),
+        ("dataflow_contexts", h.dataflow_contexts.to_string()),
+        ("top_k", h.top_k.to_string()),
         ("keep_prob", format!("{}", m.keep_prob)),
         ("crf.epochs", m.crf.epochs.to_string()),
         ("crf.learning_rate", format!("{}", m.crf.learning_rate)),
         ("crf.max_passes", m.crf.max_passes.to_string()),
         ("crf.max_candidates", m.crf.max_candidates.to_string()),
+        ("crf.global_candidates", m.crf.global_candidates.to_string()),
+        (
+            "crf.suggestions_per_key",
+            m.crf.suggestions_per_key.to_string(),
+        ),
         ("crf.use_unary", m.crf.use_unary.to_string()),
         ("crf.seed", format!("{:#x}", m.crf.seed)),
     ]
+}
+
+/// The first knob of [`config_knobs`] on which `a` and `b` disagree,
+/// with `a`'s and `b`'s values — the one comparison both the merge and
+/// the coordinator's ingest run.
+pub fn knob_mismatch(a: &PartialMeta, b: &PartialMeta) -> Option<(&'static str, String, String)> {
+    config_knobs(a)
+        .into_iter()
+        .zip(config_knobs(b))
+        .find(|((_, x), (_, y))| x != y)
+        .map(|((knob, x), (_, y))| (knob, x, y))
 }
 
 /// Merges decoded partials back into single-process training inputs:
@@ -554,39 +564,11 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
         .ok_or_else(|| "no partials to merge".to_owned())?;
 
     // Every configuration knob must agree; name the first that differs.
-    let reference = config_knobs(&first.meta);
     for p in &partials[1..] {
-        for ((knob, a), (_, b)) in reference.iter().zip(config_knobs(&p.meta)) {
-            if *a != b {
-                return Err(format!(
-                    "partials disagree on {knob}: shard {} has {a}, shard {} has {b}",
-                    first.meta.shard_index, p.meta.shard_index
-                ));
-            }
-        }
-        // Remaining CRF knobs shape the merged model too.
-        if p.meta.crf.global_candidates != first.meta.crf.global_candidates {
+        if let Some((knob, a, b)) = knob_mismatch(&first.meta, &p.meta) {
             return Err(format!(
-                "partials disagree on crf.global_candidates: shard {} has {}, shard {} has {}",
-                first.meta.shard_index,
-                first.meta.crf.global_candidates,
-                p.meta.shard_index,
-                p.meta.crf.global_candidates
-            ));
-        }
-        if p.meta.crf.suggestions_per_key != first.meta.crf.suggestions_per_key {
-            return Err(format!(
-                "partials disagree on crf.suggestions_per_key: shard {} has {}, shard {} has {}",
-                first.meta.shard_index,
-                first.meta.crf.suggestions_per_key,
-                p.meta.shard_index,
-                p.meta.crf.suggestions_per_key
-            ));
-        }
-        if p.meta.top_k != first.meta.top_k {
-            return Err(format!(
-                "partials disagree on top_k: shard {} has {}, shard {} has {}",
-                first.meta.shard_index, first.meta.top_k, p.meta.shard_index, p.meta.top_k
+                "partials disagree on {knob}: shard {} has {a}, shard {} has {b}",
+                first.meta.shard_index, p.meta.shard_index
             ));
         }
         if p.meta.shard_count != first.meta.shard_count {
@@ -646,46 +628,8 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
     let mut counts: Vec<u32> = Vec::new();
     let mut suggestions: HashMap<(u32, u32, u8), HashMap<u32, u32>> = HashMap::new();
     for doc in by_index.into_iter().map(|d| d.expect("coverage checked")) {
-        let label_map: Vec<u32> = doc
-            .labels
-            .iter()
-            .map(|s| vocabs.labels.intern(s.clone()))
-            .collect();
-        let feature_map: Vec<u32> = doc
-            .features
-            .iter()
-            .map(|s| vocabs.features.intern(s.clone()))
-            .collect();
-        instances.push(Instance {
-            nodes: doc
-                .instance
-                .nodes
-                .iter()
-                .map(|n| Node {
-                    label: label_map[n.label as usize],
-                    known: n.known,
-                })
-                .collect(),
-            pairwise: doc
-                .instance
-                .pairwise
-                .iter()
-                .map(|pf| PairFactor {
-                    a: pf.a,
-                    b: pf.b,
-                    path: feature_map[pf.path as usize],
-                })
-                .collect(),
-            unary: doc
-                .instance
-                .unary
-                .iter()
-                .map(|uf| UnaryFactor {
-                    node: uf.node,
-                    path: feature_map[uf.path as usize],
-                })
-                .collect(),
-        });
+        let (label_map, feature_map) = vocabs.intern_tables(&doc.labels, &doc.features);
+        instances.push(doc.instance.remap(&label_map, &feature_map));
         if counts.len() < vocabs.labels.len() {
             counts.resize(vocabs.labels.len(), 0);
         }
@@ -722,16 +666,22 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
 mod tests {
     use super::*;
 
-    fn sample_meta() -> PartialMeta {
-        PartialMeta {
+    fn sample_header() -> ArtifactMeta {
+        ArtifactMeta {
             language: "JavaScript".into(),
             target: "variables".into(),
             abstraction: "full".into(),
             max_length: 4,
             max_width: 3,
             semi_paths: false,
-            dataflow_contexts: false,
             top_k: 8,
+            dataflow_contexts: false,
+        }
+    }
+
+    fn sample_meta() -> PartialMeta {
+        PartialMeta {
+            header: sample_header(),
             keep_prob: 1.0,
             crf: CrfConfig {
                 jobs: 0,
@@ -779,14 +729,17 @@ mod tests {
     fn dataflow_flag_roundtrips_and_knob_off_layout_is_unchanged() {
         let on = TrainPartial {
             meta: PartialMeta {
-                dataflow_contexts: true,
+                header: ArtifactMeta {
+                    dataflow_contexts: true,
+                    ..sample_header()
+                },
                 ..sample_meta()
             },
             docs: vec![sample_doc(0), sample_doc(1)],
         };
         let bytes = encode_partial(&on);
         let back = decode_partial(&bytes).unwrap();
-        assert!(back.meta.dataflow_contexts);
+        assert!(back.meta.header.dataflow_contexts);
         assert_eq!(encode_partial(&back), bytes);
 
         // With the knob off the extra field is absent entirely, so the
@@ -797,7 +750,13 @@ mod tests {
         };
         let off_bytes = encode_partial(&off);
         assert!(off_bytes.len() < bytes.len());
-        assert!(!decode_partial(&off_bytes).unwrap().meta.dataflow_contexts);
+        assert!(
+            !decode_partial(&off_bytes)
+                .unwrap()
+                .meta
+                .header
+                .dataflow_contexts
+        );
     }
 
     #[test]
@@ -813,7 +772,10 @@ mod tests {
             meta: PartialMeta {
                 shard_index: 1,
                 shard_count: 2,
-                max_length: 7,
+                header: ArtifactMeta {
+                    max_length: 7,
+                    ..sample_header()
+                },
                 ..sample_meta()
             },
             docs: vec![sample_doc(1)],
@@ -824,6 +786,54 @@ mod tests {
             "error must name the knob: {err}"
         );
         assert!(err.contains('4') && err.contains('7'), "values: {err}");
+    }
+
+    #[test]
+    fn merge_names_top_k_and_the_candidate_caps() {
+        let shard = |index: u32, meta: PartialMeta| TrainPartial {
+            meta: PartialMeta {
+                shard_index: index,
+                shard_count: 2,
+                ..meta
+            },
+            docs: vec![sample_doc(index)],
+        };
+        let crf = sample_meta().crf;
+        for (knob, other) in [
+            (
+                "top_k",
+                PartialMeta {
+                    header: ArtifactMeta {
+                        top_k: 3,
+                        ..sample_header()
+                    },
+                    ..sample_meta()
+                },
+            ),
+            (
+                "crf.global_candidates",
+                PartialMeta {
+                    crf: CrfConfig {
+                        global_candidates: 1,
+                        ..crf
+                    },
+                    ..sample_meta()
+                },
+            ),
+            (
+                "crf.suggestions_per_key",
+                PartialMeta {
+                    crf: CrfConfig {
+                        suggestions_per_key: 1,
+                        ..crf
+                    },
+                    ..sample_meta()
+                },
+            ),
+        ] {
+            let err = merge_partials(&[shard(0, sample_meta()), shard(1, other)]).unwrap_err();
+            assert!(err.contains(knob), "error must name {knob}: {err}");
+        }
     }
 
     #[test]

@@ -16,9 +16,12 @@
 use std::time::Duration;
 
 use pigeon_corpus::Language;
+use pigeon_crf::artifact::ArtifactMeta;
+use pigeon_crf::CrfConfig;
+use pigeon_eval::ElementClass;
 
 use crate::http;
-use crate::{Pigeon, PigeonConfig};
+use crate::{Pigeon, PigeonConfig, PigeonError};
 
 /// The on-disk file extension for each language's sources — shared by
 /// the CLI's corpus scans and the coordinator/worker corpus listing.
@@ -131,9 +134,29 @@ fn field_u64(v: &serde_json::Value, field: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("lease is missing `{field}`: {}", render(v)))
 }
 
-/// Extracts and uploads one leased shard; returns `"cached"` when the
-/// partial was already in the coordinator's cache.
-fn work_one_lease(opts: &WorkerOptions, lease: &serde_json::Value) -> Result<&'static str, String> {
+/// Resolves the settings a lease carries — the job's header plus its
+/// `keep_prob` — through [`crate::resolve_header`], as every model loader
+/// does, so a worker builds its partial under the job's exact settings.
+///
+/// # Errors
+///
+/// [`crate::ErrorKind::ModelFormat`] naming the missing field or the
+/// header's problem.
+pub fn lease_config(
+    lease: &serde_json::Value,
+) -> Result<(Language, ElementClass, PigeonConfig), PigeonError> {
+    let err = |m: &str| PigeonError::model_format(format!("lease: {m}"));
+    let header = ArtifactMeta::from_json(lease).map_err(|m| err(&m))?;
+    let keep_prob = lease
+        .get("keep_prob")
+        .and_then(|n| n.as_f64())
+        .ok_or_else(|| err("missing field `keep_prob`"))?;
+    crate::resolve_header(&header, CrfConfig::default(), keep_prob).map_err(|e| err(e.message()))
+}
+
+/// Extracts and uploads one leased shard and reports it; returns `true`
+/// when the partial was already in the coordinator's cache.
+fn work_one_lease(opts: &WorkerOptions, lease: &serde_json::Value) -> Result<bool, String> {
     let job = field_u64(lease, "job")?;
     let shard_index = field_u64(lease, "shard_index")? as usize;
     let shard_count = field_u64(lease, "shard_count")? as usize;
@@ -149,46 +172,26 @@ fn work_one_lease(opts: &WorkerOptions, lease: &serde_json::Value) -> Result<&'s
         "application/json",
         b"",
     )?;
-    let partial =
-        if cached.status == 200 {
-            cached.body
-        } else {
-            let language_name = field_str(lease, "language")?;
-            let language = Language::from_name(language_name)
-                .ok_or_else(|| format!("lease names unknown language `{language_name}`"))?;
-            let target_name = field_str(lease, "target")?;
-            let target = crate::target_from_name(target_name)
-                .ok_or_else(|| format!("lease names unknown target `{target_name}`"))?;
-            let config =
-                PigeonConfig::builder()
-                    .limits(
-                        field_u64(lease, "max_length")? as usize,
-                        field_u64(lease, "max_width")? as usize,
-                    )
-                    .keep_prob(lease.get("keep_prob").and_then(|n| n.as_f64()).ok_or_else(
-                        || format!("lease is missing `keep_prob`: {}", render(lease)),
-                    )?)
-                    .dataflow_contexts(
-                        lease
-                            .get("dataflow_contexts")
-                            .and_then(|b| b.as_bool())
-                            .unwrap_or(false),
-                    )
-                    .jobs(opts.jobs)
-                    .build()
-                    .map_err(|e| e.to_string())?;
-            let files = list_corpus(language, field_str(lease, "corpus_dir")?)?;
-            let sources: Vec<&str> = files.iter().map(|(_, s)| s.as_str()).collect();
-            Pigeon::build_training_partial(
-                language,
-                target,
-                &sources,
-                shard_index,
-                shard_count,
-                &config,
-            )
-            .map_err(|e| e.to_string())?
+    let partial = if cached.status == 200 {
+        cached.body
+    } else {
+        let (language, target, config) = lease_config(lease).map_err(|e| e.to_string())?;
+        let config = PigeonConfig {
+            jobs: opts.jobs,
+            ..config
         };
+        let files = list_corpus(language, field_str(lease, "corpus_dir")?)?;
+        let sources: Vec<&str> = files.iter().map(|(_, s)| s.as_str()).collect();
+        Pigeon::build_training_partial(
+            language,
+            target,
+            &sources,
+            shard_index,
+            shard_count,
+            &config,
+        )
+        .map_err(|e| e.to_string())?
+    };
     if !opts.throttle.is_zero() {
         std::thread::sleep(opts.throttle);
     }
@@ -205,11 +208,13 @@ fn work_one_lease(opts: &WorkerOptions, lease: &serde_json::Value) -> Result<&'s
             String::from_utf8_lossy(&response.body)
         ));
     }
-    Ok(if cached.status == 200 {
-        "cached"
-    } else {
-        "extracted"
-    })
+    let from_cache = cached.status == 200;
+    println!(
+        "pigeon work: {} shard {shard_index}/{shard_count} of job {job} ({})",
+        opts.name,
+        if from_cache { "cached" } else { "extracted" }
+    );
+    Ok(from_cache)
 }
 
 /// The worker loop: lease, work, repeat. Connection errors are retried
@@ -257,24 +262,9 @@ pub fn run_worker(opts: &WorkerOptions) -> Result<(), String> {
             Some("assigned") => {
                 idle_polls = 0;
                 match work_one_lease(opts, &lease) {
-                    Ok(outcome) => {
+                    Ok(from_cache) => {
                         done += 1;
-                        if outcome == "cached" {
-                            cached += 1;
-                        }
-                        println!(
-                            "pigeon work: {} shard {}/{} of job {} ({outcome})",
-                            opts.name,
-                            lease
-                                .get("shard_index")
-                                .and_then(|n| n.as_u64())
-                                .unwrap_or(0),
-                            lease
-                                .get("shard_count")
-                                .and_then(|n| n.as_u64())
-                                .unwrap_or(0),
-                            lease.get("job").and_then(|n| n.as_u64()).unwrap_or(0),
-                        );
+                        cached += u64::from(from_cache);
                     }
                     Err(e) => {
                         // The lease deadline reassigns this shard; keep

@@ -62,6 +62,7 @@ pub mod serve;
 
 use pigeon_core::{derive_seed, downsample, Abstraction, ExtractionConfig, DOWNSAMPLE_SEED};
 use pigeon_corpus::Language;
+use pigeon_crf::artifact::ArtifactMeta;
 use pigeon_crf::{CrfConfig, CrfModel, RawStatistics, TrainControl, TrainOutcome, TrainState};
 use pigeon_eval::partial::{DocPartial, PartialMeta, TrainPartial};
 use pigeon_eval::{
@@ -135,6 +136,16 @@ pub struct PigeonConfigBuilder {
 }
 
 impl PigeonConfigBuilder {
+    /// The longest path [`PigeonConfigBuilder::build`] admits. Not a
+    /// knob: it bounds what a model file, artifact, partial or request
+    /// can make extraction cost, and admits every setting the paper uses
+    /// (Table 2: length ≤ 12).
+    pub const MAX_PATH_LENGTH: usize = 16;
+
+    /// The widest path [`PigeonConfigBuilder::build`] admits (the paper
+    /// uses width ≤ 6).
+    pub const MAX_PATH_WIDTH: usize = 8;
+
     /// Path length/width limits (§4.2 of the paper).
     pub fn extraction(mut self, extraction: ExtractionConfig) -> Self {
         self.config.extraction = extraction;
@@ -199,6 +210,9 @@ impl PigeonConfigBuilder {
     /// Returns a [`PigeonError`] with [`ErrorKind::Config`] when the
     /// configuration is unusable:
     /// * `max_length == 0` — no path fits, extraction is empty;
+    /// * `max_length` above [`Self::MAX_PATH_LENGTH`] or `max_width`
+    ///   above [`Self::MAX_PATH_WIDTH`] — extraction cost grows with the
+    ///   limits, quadratically in program size at extreme values;
     /// * `keep_prob` outside `(0, 1]` or not finite;
     /// * `top_k == 0` — predictions could never carry a candidate;
     /// * `crf.epochs == 0` — the model would never train.
@@ -208,6 +222,16 @@ impl PigeonConfigBuilder {
             return Err(PigeonError::config(
                 "extraction.max_length must be at least 1 (0 extracts nothing)",
             ));
+        }
+        for (what, limit, bound) in [
+            ("max_length", c.extraction.max_length, Self::MAX_PATH_LENGTH),
+            ("max_width", c.extraction.max_width, Self::MAX_PATH_WIDTH),
+        ] {
+            if limit > bound {
+                return Err(PigeonError::config(format!(
+                    "extraction.{what} must be at most {bound}, got {limit}"
+                )));
+            }
         }
         if !(c.keep_prob > 0.0 && c.keep_prob <= 1.0) {
             return Err(PigeonError::config(format!(
@@ -524,37 +548,16 @@ impl Pigeon {
             .collect::<Result<_, _>>()?;
         let merged = pigeon_eval::partial::merge_partials(&decoded).map_err(PigeonError::config)?;
         let meta = &merged.meta;
-        let err = |m: String| PigeonError::model_format(m);
-        let language = Language::from_name(&meta.language)
-            .ok_or_else(|| err(format!("partial: unknown language `{}`", meta.language)))?;
-        let target = target_from_name(&meta.target)
-            .ok_or_else(|| err(format!("partial: unknown target `{}`", meta.target)))?;
-        let abstraction = Abstraction::from_name(&meta.abstraction).ok_or_else(|| {
-            err(format!(
-                "partial: unknown abstraction `{}`",
-                meta.abstraction
-            ))
-        })?;
-        let mut extraction =
-            ExtractionConfig::with_limits(meta.max_length as usize, meta.max_width as usize);
-        extraction.semi_paths = meta.semi_paths;
-        let crf_cfg = CrfConfig {
+        let crf = CrfConfig {
             jobs: 1,
             ..meta.crf
         };
-        let config = PigeonConfig {
-            extraction,
-            abstraction,
-            crf: crf_cfg,
-            top_k: meta.top_k as usize,
-            keep_prob: meta.keep_prob,
-            jobs: 1,
-            dataflow_contexts: meta.dataflow_contexts,
-        };
+        let (language, target, config) = resolve_header(&meta.header, crf, meta.keep_prob)
+            .map_err(|e| PigeonError::model_format(format!("partial: {e}")))?;
         let model = pigeon_crf::train_from_statistics(
             &merged.instances,
             merged.vocabs.labels.len() as u32,
-            &crf_cfg,
+            &config.crf,
             merged.stats,
         )
         .map_err(PigeonError::internal)?;
@@ -593,15 +596,8 @@ impl Pigeon {
             for (labels, features, instance) in extracted {
                 // Re-intern the doc-local ids into the (growing) base
                 // vocabularies — the same replay the shard merge runs.
-                let label_map: Vec<u32> = labels
-                    .into_iter()
-                    .map(|s| vocabs.labels.intern(s))
-                    .collect();
-                let feature_map: Vec<u32> = features
-                    .into_iter()
-                    .map(|s| vocabs.features.intern(s))
-                    .collect();
-                instances.push(remap_instance(&instance, &label_map, &feature_map));
+                let (label_map, feature_map) = vocabs.intern_tables(&labels, &features);
+                instances.push(instance.remap(&label_map, &feature_map));
             }
         }
         let num_labels = vocabs.labels.len() as u32;
@@ -633,6 +629,23 @@ impl Pigeon {
         self.language
     }
 
+    /// The one header writer: the settings a `language`/`target`
+    /// predictor under `config` persists. Its model file, compiled
+    /// artifact and training partials all carry this header, and
+    /// [`resolve_header`] turns it back into the predictor's settings.
+    pub fn header(language: Language, target: ElementClass, config: &PigeonConfig) -> ArtifactMeta {
+        ArtifactMeta {
+            language: language.name().to_owned(),
+            target: target.name().to_owned(),
+            abstraction: config.abstraction.name().to_owned(),
+            max_length: config.extraction.max_length as u32,
+            max_width: config.extraction.max_width as u32,
+            semi_paths: config.extraction.semi_paths,
+            top_k: config.top_k as u32,
+            dataflow_contexts: config.dataflow_contexts,
+        }
+    }
+
     /// The trained CRF model, read-only — the `pigeon audit` model lint
     /// inspects weight tables and candidate sets through this.
     pub fn crf_model(&self) -> &CrfModel {
@@ -651,37 +664,12 @@ impl Pigeon {
     ///
     /// Returns the underlying `serde_json` error.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let labels: Vec<String> = self.vocabs.labels.iter().map(|(_, s)| s.clone()).collect();
-        let features: Vec<String> = self
-            .vocabs
-            .features
-            .iter()
-            .map(|(_, s)| s.clone())
-            .collect();
-        let mut file = serde_json::json!({
-            "language": self.language.name(),
-            "target": match self.target {
-                ElementClass::Variable => "variables",
-                ElementClass::Method => "methods",
-                ElementClass::Other => "other",
-            },
-            "max_length": self.config.extraction.max_length,
-            "max_width": self.config.extraction.max_width,
-            "semi_paths": self.config.extraction.semi_paths,
-            "abstraction": self.config.abstraction.name(),
-            "top_k": self.config.top_k,
-            "labels": labels,
-            "features": features,
-            "model": self.model.to_json()?,
-        });
-        // Inserted only when set: knob-off model files stay
-        // byte-identical to files written before the knob existed.
-        if self.config.dataflow_contexts {
-            file.as_object_mut()
-                .expect("json! object literal")
-                .insert("dataflow_contexts".to_owned(), serde_json::json!(true));
-        }
-        serde_json::to_string(&file)
+        let (labels, features) = self.vocabs.tables();
+        let mut file = Pigeon::header(self.language, self.target, &self.config).to_json();
+        file.insert("labels".to_owned(), serde_json::json!(labels));
+        file.insert("features".to_owned(), serde_json::json!(features));
+        file.insert("model".to_owned(), serde_json::json!(self.model.to_json()?));
+        serde_json::to_string(&serde_json::Value::Object(file))
     }
 
     /// Restores a predictor serialised by [`Pigeon::to_json`].
@@ -692,77 +680,37 @@ impl Pigeon {
     pub fn from_json(json: &str) -> Result<Pigeon, PigeonError> {
         let err = |m: &str| PigeonError::model_format(format!("model file: {m}"));
         let v: serde_json::Value = serde_json::from_str(json).map_err(|e| err(&e.to_string()))?;
-        let str_field = |k: &str| -> Result<&str, PigeonError> {
-            v.get(k)
-                .and_then(|x| x.as_str())
-                .ok_or_else(|| err(&format!("missing field `{k}`")))
-        };
-        let num_field = |k: &str| -> Result<u64, PigeonError> {
-            v.get(k)
-                .and_then(|x| x.as_u64())
-                .ok_or_else(|| err(&format!("missing field `{k}`")))
-        };
-        let language =
-            Language::from_name(str_field("language")?).ok_or_else(|| err("unknown language"))?;
-        let target = match str_field("target")? {
-            "variables" => ElementClass::Variable,
-            "methods" => ElementClass::Method,
-            _ => ElementClass::Other,
-        };
-        let abstraction = Abstraction::from_name(str_field("abstraction")?)
-            .ok_or_else(|| err("unknown abstraction"))?;
-        let mut vocabs = Vocabs::new();
-        for (key, vocab) in [
-            ("labels", &mut vocabs.labels),
-            ("features", &mut vocabs.features),
-        ] {
-            let items = v
-                .get(key)
+        let header = ArtifactMeta::from_json(&v).map_err(|m| err(&m))?;
+        // Training-only settings take their defaults: a deserialized
+        // model is for prediction.
+        let (language, target, config) =
+            resolve_header(&header, CrfConfig::default(), 1.0).map_err(|e| err(e.message()))?;
+        let table = |key: &str| -> Result<Vec<String>, PigeonError> {
+            v.get(key)
                 .and_then(|x| x.as_array())
-                .ok_or_else(|| err(&format!("missing field `{key}`")))?;
-            for item in items {
-                let s = item.as_str().ok_or_else(|| err("non-string vocab item"))?;
-                vocab.intern(s.to_owned());
-            }
-        }
+                .ok_or_else(|| err(&format!("missing field `{key}`")))?
+                .iter()
+                .map(|item| item.as_str().map(str::to_owned))
+                .collect::<Option<_>>()
+                .ok_or_else(|| err("non-string vocab item"))
+        };
+        let vocabs =
+            Vocabs::from_tables(table("labels")?, table("features")?).map_err(|m| err(&m))?;
         // A truncated or hand-edited file can carry weight-table ids
         // beyond the vocabularies it ships, non-finite weights, or
         // absurd inference caps; the loader validates against the
         // vocabularies so `predict` never indexes out of bounds or
         // scores against a poisoned table.
-        let model = CrfModel::from_json(
-            str_field("model")?,
-            vocabs.features.len(),
-            vocabs.labels.len(),
-        )
-        .map_err(|e| err(&e.to_string()))?;
-        let mut extraction = ExtractionConfig::with_limits(
-            num_field("max_length")? as usize,
-            num_field("max_width")? as usize,
-        );
-        extraction.semi_paths = v
-            .get("semi_paths")
-            .and_then(|x| x.as_bool())
-            .unwrap_or(false);
-        // Absent in files written before the knob existed (and in every
-        // knob-off file since): absent means off.
-        let dataflow_contexts = v
-            .get("dataflow_contexts")
-            .and_then(|x| x.as_bool())
-            .unwrap_or(false);
+        let model_json = v
+            .get("model")
+            .and_then(|x| x.as_str())
+            .ok_or_else(|| err("missing field `model`"))?;
+        let model = CrfModel::from_json(model_json, vocabs.features.len(), vocabs.labels.len())
+            .map_err(|e| err(&e.to_string()))?;
         Ok(Pigeon {
             language,
             target,
-            config: PigeonConfig {
-                extraction,
-                abstraction,
-                crf: CrfConfig::default(),
-                dataflow_contexts,
-                top_k: num_field("top_k")? as usize,
-                // Training-only knobs; a deserialized model is for
-                // prediction, so the defaults are fine.
-                ..PigeonConfig::default()
-            },
+            config,
             vocabs,
             model,
         })
@@ -781,29 +729,9 @@ impl Pigeon {
     /// range under [`crf::artifact::Quant::F16`].
     pub fn to_artifact(&self, quant: crf::artifact::Quant) -> Result<Vec<u8>, PigeonError> {
         let _span = telemetry::span("compile_artifact");
-        let labels: Vec<String> = self.vocabs.labels.iter().map(|(_, s)| s.clone()).collect();
-        let features: Vec<String> = self
-            .vocabs
-            .features
-            .iter()
-            .map(|(_, s)| s.clone())
-            .collect();
-        let meta = crf::artifact::ArtifactMeta {
-            language: self.language.name().to_owned(),
-            target: match self.target {
-                ElementClass::Variable => "variables",
-                ElementClass::Method => "methods",
-                ElementClass::Other => "other",
-            }
-            .to_owned(),
-            abstraction: self.config.abstraction.name().to_owned(),
-            max_length: self.config.extraction.max_length as u32,
-            max_width: self.config.extraction.max_width as u32,
-            semi_paths: self.config.extraction.semi_paths,
-            top_k: self.config.top_k as u32,
-            dataflow_contexts: self.config.dataflow_contexts,
-        };
-        crf::artifact::write_artifact(&meta, &labels, &features, &self.model, quant)
+        let (labels, features) = self.vocabs.tables();
+        let header = Pigeon::header(self.language, self.target, &self.config);
+        crf::artifact::write_artifact(&header, &labels, &features, &self.model, quant)
             .map_err(|m| PigeonError::model_format(format!("compiled artifact: {m}")))
     }
 
@@ -820,53 +748,15 @@ impl Pigeon {
         let _span = telemetry::span("load_artifact");
         let err = |m: &str| PigeonError::model_format(format!("compiled artifact: {m}"));
         let art = crf::artifact::read_artifact(bytes).map_err(|m| err(&m))?;
-        let language =
-            Language::from_name(&art.meta.language).ok_or_else(|| err("unknown language"))?;
-        let target = match art.meta.target.as_str() {
-            "variables" => ElementClass::Variable,
-            "methods" => ElementClass::Method,
-            "other" => ElementClass::Other,
-            other => return Err(err(&format!("unknown prediction target `{other}`"))),
-        };
-        let abstraction = Abstraction::from_name(&art.meta.abstraction)
-            .ok_or_else(|| err("unknown abstraction"))?;
-        if art.meta.max_length == 0 {
-            return Err(err("max_length must be at least 1"));
-        }
-        if art.meta.top_k == 0 {
-            return Err(err("top_k must be at least 1"));
-        }
-        let mut vocabs = Vocabs::new();
-        for (what, items, vocab) in [
-            ("label", &art.labels, &mut vocabs.labels),
-            ("feature", &art.features, &mut vocabs.features),
-        ] {
-            for item in items {
-                vocab.intern(item.clone());
-            }
-            // A repeated string would collapse two ids into one and
-            // silently shift every id after it.
-            if vocab.len() != items.len() {
-                return Err(err(&format!("duplicate entry in the {what} vocabulary")));
-            }
-        }
-        let mut extraction = ExtractionConfig::with_limits(
-            art.meta.max_length as usize,
-            art.meta.max_width as usize,
-        );
-        extraction.semi_paths = art.meta.semi_paths;
+        // Training-only settings take their defaults: an artifact-backed
+        // model is for prediction.
+        let (language, target, config) =
+            resolve_header(&art.meta, CrfConfig::default(), 1.0).map_err(|e| err(e.message()))?;
+        let vocabs = Vocabs::from_tables(art.labels, art.features).map_err(|m| err(&m))?;
         Ok(Pigeon {
             language,
             target,
-            config: PigeonConfig {
-                extraction,
-                abstraction,
-                dataflow_contexts: art.meta.dataflow_contexts,
-                top_k: art.meta.top_k as usize,
-                // Training-only knobs; an artifact-backed model is for
-                // prediction, so the defaults are fine.
-                ..PigeonConfig::default()
-            },
+            config,
             vocabs,
             model: art.model,
         })
@@ -1045,14 +935,7 @@ pub fn training_partial_meta(
     total_docs: u32,
 ) -> PartialMeta {
     PartialMeta {
-        language: language.name().to_owned(),
-        target: target_name(target).to_owned(),
-        abstraction: config.abstraction.name().to_owned(),
-        max_length: config.extraction.max_length as u32,
-        max_width: config.extraction.max_width as u32,
-        semi_paths: config.extraction.semi_paths,
-        dataflow_contexts: config.dataflow_contexts,
-        top_k: config.top_k as u32,
+        header: Pigeon::header(language, target, config),
         keep_prob: config.keep_prob,
         crf: CrfConfig {
             jobs: 0,
@@ -1064,24 +947,43 @@ pub fn training_partial_meta(
     }
 }
 
-/// The stable prediction-target string carried by model files and
-/// partials.
-fn target_name(target: ElementClass) -> &'static str {
-    match target {
-        ElementClass::Variable => "variables",
-        ElementClass::Method => "methods",
-        ElementClass::Other => "other",
-    }
-}
-
-/// Inverse of [`target_name`].
-fn target_from_name(name: &str) -> Option<ElementClass> {
-    match name {
-        "variables" => Some(ElementClass::Variable),
-        "methods" => Some(ElementClass::Method),
-        "other" => Some(ElementClass::Other),
-        _ => None,
-    }
+/// The one header resolver: turns a persisted header, plus the CRF
+/// settings and `keep_prob` a training partial carries beside it (model
+/// files and artifacts pass the defaults), into a predictor's language,
+/// target and configuration through [`PigeonConfigBuilder::build`].
+/// Every loader — [`Pigeon::from_json`], [`Pigeon::from_artifact`],
+/// [`Pigeon::from_partials`] and the distributed worker's lease — runs
+/// this, so what counts as a valid predictor is decided in one place.
+///
+/// # Errors
+///
+/// [`ErrorKind::ModelFormat`] naming an unknown language, target or
+/// abstraction, or whatever [`PigeonConfigBuilder::build`] rejects
+/// (`max_length`, `max_width`, `top_k`, …).
+pub fn resolve_header(
+    header: &ArtifactMeta,
+    crf: CrfConfig,
+    keep_prob: f64,
+) -> Result<(Language, ElementClass, PigeonConfig), PigeonError> {
+    let unknown =
+        |what: &str, name: &str| PigeonError::model_format(format!("unknown {what} `{name}`"));
+    let language = Language::from_name(&header.language)
+        .ok_or_else(|| unknown("language", &header.language))?;
+    let target =
+        ElementClass::from_name(&header.target).ok_or_else(|| unknown("target", &header.target))?;
+    let abstraction = Abstraction::from_name(&header.abstraction)
+        .ok_or_else(|| unknown("abstraction", &header.abstraction))?;
+    let config = PigeonConfig::builder()
+        .limits(header.max_length as usize, header.max_width as usize)
+        .semi_paths(header.semi_paths)
+        .abstraction(abstraction)
+        .top_k(header.top_k as usize)
+        .dataflow_contexts(header.dataflow_contexts)
+        .crf(crf)
+        .keep_prob(keep_prob)
+        .build()
+        .map_err(|e| PigeonError::model_format(e.message))?;
+    Ok((language, target, config))
 }
 
 /// The full single-process corpus pipeline: parallel parse + extract,
@@ -1181,45 +1083,8 @@ fn build_doc_partials(
             let features = downsample(features, config.keep_prob, &mut rng);
             let mut vocabs = Vocabs::new();
             let graph = build_name_graph(language, &ast, target, &features, &mut vocabs, true);
-            let labels: Vec<String> = vocabs.labels.iter().map(|(_, s)| s.clone()).collect();
-            let feats: Vec<String> = vocabs.features.iter().map(|(_, s)| s.clone()).collect();
+            let (labels, feats) = vocabs.tables();
             (labels, feats, graph.instance)
         })
         .collect())
-}
-
-/// Maps an instance's doc-local label/feature ids through intern maps
-/// into a shared id space.
-fn remap_instance(
-    instance: &pigeon_crf::Instance,
-    label_map: &[u32],
-    feature_map: &[u32],
-) -> pigeon_crf::Instance {
-    pigeon_crf::Instance {
-        nodes: instance
-            .nodes
-            .iter()
-            .map(|n| pigeon_crf::Node {
-                label: label_map[n.label as usize],
-                known: n.known,
-            })
-            .collect(),
-        pairwise: instance
-            .pairwise
-            .iter()
-            .map(|pf| pigeon_crf::PairFactor {
-                a: pf.a,
-                b: pf.b,
-                path: feature_map[pf.path as usize],
-            })
-            .collect(),
-        unary: instance
-            .unary
-            .iter()
-            .map(|uf| pigeon_crf::UnaryFactor {
-                node: uf.node,
-                path: feature_map[uf.path as usize],
-            })
-            .collect(),
-    }
 }

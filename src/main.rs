@@ -20,7 +20,7 @@ use pigeon::corpus::{generate, CorpusConfig, Language};
 use pigeon::crf::artifact::{container_kind, is_artifact, Quant, KIND_CHECKPOINT, KIND_PARTIAL};
 use pigeon::crf::checkpoint::{decode_checkpoint, encode_checkpoint};
 use pigeon::crf::TrainControl;
-use pigeon::distrib::{language_ext, run_worker, WorkerOptions};
+use pigeon::distrib::{language_ext, list_corpus, run_worker, WorkerOptions};
 use pigeon::eval::partial::{decode_partial, verify_doc_stats};
 use pigeon::eval::{run_name_experiment, ElementClass, NameExperiment};
 use pigeon::serve::{bind, ServeConfig};
@@ -115,8 +115,9 @@ LEVEL: full | no-arrows | forget-order | first-top-last | first-last | top | no-
 
 DEFAULTS:
   --max-length  7 for `paths` (the paper's Table 2 JavaScript setting),
-                4 for `train` (tuned for the small synthetic corpora)
-  --max-width   3
+                4 for `train` (tuned for the small synthetic corpora);
+                `train` and every model loader admit at most 16
+  --max-width   3; `train` and every model loader admit at most 8
   --jobs        1 (serial; 0 = all cores). Workers parallelise per-file
                 parse + path extraction, the CRF's statistics pass, and
                 held-out evaluation; the trained model is byte-identical
@@ -593,25 +594,6 @@ fn parse_shard(spec: &str) -> Result<(usize, usize), String> {
     Ok((index, count))
 }
 
-/// Lists a directory's sources for `language`, sorted by name — the
-/// corpus walk `pigeon train --add DIR` runs.
-fn read_dir_sources(language: Language, dir: &str) -> Result<Vec<String>, String> {
-    let ext = language_ext(language);
-    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| format!("{dir}: {e}"))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == ext))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("{dir}: no .{ext} files to add"));
-    }
-    files
-        .iter()
-        .map(|p| read_file(&p.display().to_string()))
-        .collect()
-}
-
 /// Set by the SIGINT handler `pigeon train` installs when checkpointing
 /// is on; the SGD loop polls it between instances.
 static TRAIN_INTERRUPT: AtomicBool = AtomicBool::new(false);
@@ -644,8 +626,11 @@ const TRAIN_FLAGS: &[FlagSpec] = &[
     ("language", "source language: js | java | python | csharp"),
     ("out", "where to write the trained model (MODEL.json)"),
     ("task", "prediction target: vars (default) | methods"),
-    ("max-length", "longest AST path kept (default 4)"),
-    ("max-width", "widest AST path kept (default 3)"),
+    (
+        "max-length",
+        "longest AST path kept (default 4, at most 16)",
+    ),
+    ("max-width", "widest AST path kept (default 3, at most 8)"),
     (
         "jobs",
         "worker threads; 0 = all cores (default 1; output is identical for any value)",
@@ -728,8 +713,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             }
         }
         let base = load_model(model_path)?;
-        let sources = read_dir_sources(base.language(), add_dir)?;
-        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+        let files = list_corpus(base.language(), add_dir)?;
+        let refs: Vec<&str> = files.iter().map(|(_, s)| s.as_str()).collect();
         let updated = base.update(&refs).map_err(|e| e.to_string())?;
         let json = updated.to_json().map_err(|e| e.to_string())?;
         std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;

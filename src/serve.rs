@@ -90,7 +90,7 @@ use pigeon_corpus::Language;
 use pigeon_eval::coordinator::{
     cache_key, config_fingerprint, corpus_shard_fingerprint, Lease, ShardBoard,
 };
-use pigeon_eval::partial::{config_knobs, decode_partial, PartialMeta};
+use pigeon_eval::partial::{config_knobs, decode_partial, knob_mismatch, PartialMeta};
 use pigeon_eval::{shard_range, ElementClass};
 use pigeon_telemetry as telemetry;
 use pigeon_telemetry::{Counter, Gauge, Histogram, Registry};
@@ -1099,14 +1099,12 @@ impl JobPhase {
 /// route.
 struct CoordJob {
     id: u64,
-    language: Language,
     corpus_dir: String,
     /// Where the finished model JSON lands (server-side path).
     out: String,
-    shard_count: u32,
-    total_docs: u32,
-    /// The meta every uploaded partial must agree with knob-for-knob
-    /// (`shard_index` is per-upload and ignored in the comparison).
+    /// The job's header, knobs and shard geometry: every uploaded
+    /// partial must agree with it knob-for-knob (`shard_index` is
+    /// per-upload and ignored in the comparison).
     expected: PartialMeta,
     board: ShardBoard,
     /// Shards found in the cache at job creation.
@@ -1174,31 +1172,17 @@ fn json_str<'a>(v: &'a serde_json::Value, field: &str) -> Option<&'a str> {
     v.get(field).and_then(|s| s.as_str())
 }
 
-fn json_u64(v: &serde_json::Value, field: &str, default: u64) -> Result<u64, HttpError> {
-    match v.get(field) {
-        None => Ok(default),
-        Some(n) => n
-            .as_u64()
-            .ok_or_else(|| HttpError::bad_request(format!("`{field}` must be a number"))),
-    }
-}
-
-fn json_f64(v: &serde_json::Value, field: &str, default: f64) -> Result<f64, HttpError> {
-    match v.get(field) {
-        None => Ok(default),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| HttpError::bad_request(format!("`{field}` must be a number"))),
-    }
-}
-
-fn json_bool(v: &serde_json::Value, field: &str, default: bool) -> Result<bool, HttpError> {
-    match v.get(field) {
-        None => Ok(default),
-        Some(b) => b
-            .as_bool()
-            .ok_or_else(|| HttpError::bad_request(format!("`{field}` must be a boolean"))),
-    }
+/// An optional train-job knob: `default` when absent, a coded 400
+/// naming the field when it holds another type.
+fn json_knob<T>(
+    v: &serde_json::Value,
+    field: &str,
+    default: T,
+    read: fn(&serde_json::Value) -> Option<T>,
+) -> Result<T, HttpError> {
+    v.get(field)
+        .map_or(Some(default), read)
+        .ok_or_else(|| HttpError::bad_request(format!("`{field}` has the wrong type")))
 }
 
 /// Derives every shard's content address for a job: FNV-1a of the
@@ -1243,18 +1227,20 @@ fn create_train_job(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError
         )
     })?;
     let target = match json_str(&value, "target").unwrap_or("variables") {
-        "variables" | "vars" => ElementClass::Variable,
-        "methods" => ElementClass::Method,
-        other => {
-            return Err(HttpError::new(
-                400,
-                "Bad Request",
-                "config",
-                format!("unknown target `{other}` (variables|methods)"),
-            ))
-        }
+        "vars" => ElementClass::Variable,
+        name => ElementClass::from_name(name)
+            .filter(|t| *t != ElementClass::Other)
+            .ok_or_else(|| {
+                HttpError::new(
+                    400,
+                    "Bad Request",
+                    "config",
+                    format!("unknown target `{name}` (variables|methods)"),
+                )
+            })?,
     };
-    let shard_count = json_u64(&value, "shard_count", 1)? as u32;
+    let number = serde_json::Value::as_u64;
+    let shard_count = json_knob(&value, "shard_count", 1, number)? as u32;
     if shard_count == 0 {
         return Err(HttpError::new(
             400,
@@ -1265,13 +1251,19 @@ fn create_train_job(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError
     }
     // The same validating builder the CLI trains through: bad knobs are
     // a coded 400 naming the constraint, not a job that fails later.
+    let max_length = json_knob(&value, "max_length", 4, number)? as usize;
+    let max_width = json_knob(&value, "max_width", 3, number)? as usize;
+    let keep_prob = json_knob(&value, "keep_prob", 1.0, serde_json::Value::as_f64)?;
+    let dataflow = json_knob(
+        &value,
+        "dataflow_contexts",
+        false,
+        serde_json::Value::as_bool,
+    )?;
     let config = PigeonConfig::builder()
-        .limits(
-            json_u64(&value, "max_length", 4)? as usize,
-            json_u64(&value, "max_width", 3)? as usize,
-        )
-        .keep_prob(json_f64(&value, "keep_prob", 1.0)?)
-        .dataflow_contexts(json_bool(&value, "dataflow_contexts", false)?)
+        .limits(max_length, max_width)
+        .keep_prob(keep_prob)
+        .dataflow_contexts(dataflow)
         .build()
         .map_err(|e| HttpError::new(400, "Bad Request", e.code(), e.to_string()))?;
     let files = crate::distrib::list_corpus(language, corpus_dir)
@@ -1294,11 +1286,8 @@ fn create_train_job(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError
     let id = coord.next_job_id.fetch_add(1, Ordering::Relaxed);
     let mut job = CoordJob {
         id,
-        language,
         corpus_dir: corpus_dir.to_owned(),
         out: out.to_owned(),
-        shard_count,
-        total_docs,
         expected,
         board,
         cached_at_creation: cached,
@@ -1353,7 +1342,7 @@ fn finish_job(ctx: &ServerCtx, coord: &CoordState, job: &mut CoordJob) {
             job.phase = JobPhase::Done;
             println!(
                 "pigeon serve: job {} merged {} shards → {}",
-                job.id, job.shard_count, job.out
+                job.id, job.expected.shard_count, job.out
             );
         }
         Err(e) => {
@@ -1385,21 +1374,16 @@ fn ingest_partial(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError> 
     for (pos, job) in jobs.iter().enumerate().rev() {
         if job.expected.shard_count != meta.shard_count
             || job.expected.total_docs != meta.total_docs
-            || meta.shard_index >= job.shard_count
         {
             continue;
         }
-        let disagreement = config_knobs(&job.expected)
-            .iter()
-            .zip(config_knobs(meta))
-            .find_map(|((knob, want), (_, got))| {
-                (*want != got).then(|| {
-                    format!("partial disagrees with job {} on {knob}: job has {want}, partial has {got}",
-                        job.id)
-                })
-            });
-        match disagreement {
-            Some(message) => mismatch = Some(message),
+        match knob_mismatch(&job.expected, meta) {
+            Some((knob, want, got)) => {
+                mismatch = Some(format!(
+                    "partial disagrees with job {} on {knob}: job has {want}, partial has {got}",
+                    job.id
+                ))
+            }
             None => {
                 matched = Some(pos);
                 break;
@@ -1502,25 +1486,25 @@ fn lease_shard(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError> {
                     ctx.stats.reassignments.inc();
                 }
                 let shard = &job.board.shards()[index];
-                let m = &job.expected;
-                return Ok(Payload::Json(serde_json::json!({
+                // The job's whole header, so the worker builds its
+                // partial under exactly the job's settings.
+                let mut lease = serde_json::json!({
                     "status": "assigned",
                     "job": job.id,
                     "worker": worker,
                     "shard_index": index,
-                    "shard_count": job.shard_count,
-                    "total_docs": job.total_docs,
+                    "shard_count": job.expected.shard_count,
+                    "total_docs": job.expected.total_docs,
                     "cache_key": shard.key,
                     "corpus_dir": job.corpus_dir,
-                    "language": m.language,
-                    "target": m.target,
-                    "max_length": m.max_length,
-                    "max_width": m.max_width,
-                    "keep_prob": m.keep_prob,
-                    "dataflow_contexts": m.dataflow_contexts,
+                    "keep_prob": job.expected.keep_prob,
                     "deadline_ms": shard.deadline_ms,
                     "reassigned": reassigned,
-                })));
+                });
+                if let serde_json::Value::Object(map) = &mut lease {
+                    map.extend(job.expected.header.to_json());
+                }
+                return Ok(Payload::Json(lease));
             }
             Lease::Wait => waiting = true,
             Lease::Complete => {}
@@ -1540,11 +1524,11 @@ fn job_status_json(job: &CoordJob, detailed: bool) -> serde_json::Value {
     let mut status = serde_json::json!({
         "id": job.id,
         "phase": job.phase.name(),
-        "language": job.language.name(),
+        "language": job.expected.header.language,
         "corpus_dir": job.corpus_dir,
         "out": job.out,
-        "shard_count": job.shard_count,
-        "total_docs": job.total_docs,
+        "shard_count": job.expected.shard_count,
+        "total_docs": job.expected.total_docs,
         "cached": job.cached_at_creation,
         "reassignments": job.reassignments,
         "shards_pending": pending,

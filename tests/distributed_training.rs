@@ -525,6 +525,58 @@ fn bad_uploads_are_rejected_with_stable_codes() {
     let _ = coord.wait();
 }
 
+/// Ingest checks every knob the merge checks: a partial that matches a
+/// job's geometry but was built with another `top_k` is a coded 400
+/// naming `top_k`, and the job keeps running rather than merging a model
+/// with the partial's settings.
+#[test]
+fn partial_ingest_rejects_a_top_k_mismatch() {
+    use pigeon::eval::ElementClass;
+    use pigeon::{Pigeon, PigeonConfig};
+
+    let dir = tmp_dir("top-k");
+    let corpus_dir = dir.join("corpus");
+    let files = generate_corpus(&corpus_dir, 6);
+    let (mut coord, addr, _stdout) =
+        spawn_coordinator(&dir.join("cache"), &["--idle-timeout", "120"]);
+    let (status, body) = post(
+        &addr,
+        "/v1/train-jobs",
+        &job_request(&corpus_dir, &dir.join("model.json"), 1),
+    );
+    assert_eq!(status, 200, "{body}");
+    let id = json_u64(&body, "id").expect("job id");
+
+    let sources: Vec<String> = files
+        .iter()
+        .map(|f| String::from_utf8(read(f)).expect("UTF-8 source"))
+        .collect();
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let config = PigeonConfig::builder()
+        .top_k(3)
+        .build()
+        .expect("valid config");
+    let partial = Pigeon::build_training_partial(
+        pigeon::corpus::Language::JavaScript,
+        ElementClass::Variable,
+        &refs,
+        0,
+        1,
+        &config,
+    )
+    .expect("partial builds");
+    let (status, body) = post_bytes(&addr, "/v1/partials", &partial);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"code\":\"config\""), "{body}");
+    assert!(body.contains("top_k"), "the error must name top_k: {body}");
+    let (status, body) = get(&addr, &format!("/v1/train-jobs/{id}"));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"phase\":\"running\""), "{body}");
+
+    coord.kill().expect("kills");
+    let _ = coord.wait();
+}
+
 /// A model-less `pigeon serve --cache-dir` keeps the coordinator's
 /// 64 MiB default body bound: a 2 MiB partial upload is read and judged
 /// on its contents — a coded 400 for junk bytes — where the 1 MiB bound

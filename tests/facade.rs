@@ -217,11 +217,157 @@ fn config_builder_matches_default_and_validates() {
             "keep_prob",
         ),
         (PigeonConfig::builder().top_k(0).build(), "top_k"),
+        (PigeonConfig::builder().limits(17, 3).build(), "max_length"),
+        (PigeonConfig::builder().limits(4, 9).build(), "max_width"),
+        (
+            PigeonConfig::builder().limits(1_000_000, 1_000_000).build(),
+            "max_length",
+        ),
+        (
+            PigeonConfig::builder().limits(4, 1_000_000).build(),
+            "max_width",
+        ),
     ] {
         let err = config.expect_err(needle);
         assert_eq!(err.kind(), ErrorKind::Config, "{err}");
         assert_eq!(err.code(), "config");
         assert!(err.to_string().contains(needle), "{err}");
+    }
+}
+
+/// The path-limit bound admits every setting the paper (Table 2:
+/// length ≤ 12, width ≤ 6) and this repository (Fig. 10 sweeps 3–7 ×
+/// 1–3, the tuned 3–8 × 3, the CLI's 4 × 3) use, up to the bound itself.
+#[test]
+fn config_builder_bound_admits_every_setting_in_use() {
+    use pigeon::PigeonConfigBuilder;
+
+    let (length, width) = (
+        PigeonConfigBuilder::MAX_PATH_LENGTH,
+        PigeonConfigBuilder::MAX_PATH_WIDTH,
+    );
+    assert_eq!((length, width), (16, 8));
+    for (l, w) in [(12, 6), (3, 1), (7, 3), (8, 3), (4, 3), (length, width)] {
+        let config = PigeonConfig::builder().limits(l, w).build();
+        assert!(config.is_ok(), "{l} × {w}: {:?}", config.err());
+    }
+}
+
+/// One table of malformed headers, each run through every loader —
+/// model JSON, compiled artifact, training partials and the worker's
+/// lease. Every path must reject it with `model-format` and the same
+/// message the one header resolver gives.
+#[test]
+fn every_loader_rejects_a_malformed_header_the_same_way() {
+    use pigeon::crf::artifact::{write_artifact, ArtifactMeta, Quant};
+    use pigeon::crf::CrfConfig;
+    use pigeon::eval::partial::{decode_partial, encode_partial};
+    use pigeon::eval::ElementClass;
+
+    let corpus = generate(
+        Language::JavaScript,
+        &CorpusConfig::default().with_files(12),
+    );
+    let sources: Vec<&str> = corpus.docs.iter().map(|d| d.source.as_str()).collect();
+    let namer =
+        Pigeon::train_variable_namer(Language::JavaScript, &sources, &PigeonConfig::default())
+            .expect("training corpus parses");
+    let good = Pigeon::header(
+        Language::JavaScript,
+        ElementClass::Variable,
+        &PigeonConfig::default(),
+    );
+    let model_json: serde_json::Value =
+        serde_json::from_str(&namer.to_json().unwrap()).expect("model JSON parses");
+    let (labels, features) = namer.vocabs().tables();
+    let partial = Pigeon::build_training_partial(
+        Language::JavaScript,
+        ElementClass::Variable,
+        &sources,
+        0,
+        1,
+        &PigeonConfig::default(),
+    )
+    .expect("partial builds");
+
+    // Each loader, fed a predictor whose header is `header`.
+    let load_all = |header: &ArtifactMeta| -> [(&'static str, Result<(), pigeon::PigeonError>); 4] {
+        let mut json = model_json.clone();
+        let object = json.as_object_mut().expect("model JSON is an object");
+        object.remove("dataflow_contexts");
+        object.extend(header.to_json());
+        let artifact = write_artifact(header, &labels, &features, namer.crf_model(), Quant::F32)
+            .expect("artifact encodes");
+        let mut decoded = decode_partial(&partial).expect("partial decodes");
+        decoded.meta.header = header.clone();
+        let mut lease = header.to_json();
+        lease.insert("keep_prob".to_owned(), serde_json::json!(1.0));
+        [
+            (
+                "json",
+                Pigeon::from_json(&serde_json::to_string(&json).unwrap()).map(drop),
+            ),
+            ("artifact", Pigeon::from_artifact(&artifact).map(drop)),
+            (
+                "partial",
+                Pigeon::from_partials(&[encode_partial(&decoded)]).map(drop),
+            ),
+            (
+                "lease",
+                pigeon::distrib::lease_config(&serde_json::Value::Object(lease)).map(drop),
+            ),
+        ]
+    };
+
+    for (path, outcome) in load_all(&good) {
+        assert!(
+            outcome.is_ok(),
+            "{path}: the valid header must load: {outcome:?}"
+        );
+    }
+    let bad = |edit: fn(&mut ArtifactMeta)| {
+        let mut header = good.clone();
+        edit(&mut header);
+        header
+    };
+    for (header, needle) in [
+        (
+            bad(|h| h.language = "cobol".into()),
+            "unknown language `cobol`",
+        ),
+        (
+            bad(|h| h.target = "garbage".into()),
+            "unknown target `garbage`",
+        ),
+        (
+            bad(|h| h.abstraction = "zigzag".into()),
+            "unknown abstraction `zigzag`",
+        ),
+        (bad(|h| h.max_length = 0), "max_length"),
+        (bad(|h| h.top_k = 0), "top_k"),
+        (bad(|h| h.max_length = 17), "max_length"),
+        (bad(|h| h.max_width = 9), "max_width"),
+        (
+            bad(|h| {
+                h.max_length = 1_000_000;
+                h.max_width = 1_000_000;
+            }),
+            "max_length",
+        ),
+        (bad(|h| h.max_width = 1_000_000), "max_width"),
+    ] {
+        let expected = pigeon::resolve_header(&header, CrfConfig::default(), 1.0)
+            .expect_err("the resolver rejects the header");
+        assert_eq!(expected.code(), "model-format");
+        assert!(expected.message().contains(needle), "{expected}");
+        for (path, outcome) in load_all(&header) {
+            let err = outcome.expect_err(path);
+            assert_eq!(err.code(), "model-format", "{path}: {err}");
+            assert!(
+                err.message().ends_with(expected.message()),
+                "{path} must give the resolver's rejection `{expected}`, gave `{err}`"
+            );
+        }
     }
 }
 

@@ -1019,6 +1019,47 @@ fn serve_hot_swaps_a_binary_artifact_and_rejects_poisoned_uploads() {
     let _ = child.wait();
 }
 
+/// A model header whose path limits pass the bound (16 × 8) is a coded
+/// `model-format` 400 on `POST /v1/models`, never an active model that
+/// makes every later predict quadratic in program size; the server keeps
+/// serving its current version. The bound itself is admitted.
+#[test]
+fn serve_rejects_over_bound_path_limits_and_keeps_serving() {
+    let dir = tmp_dir("header-bound");
+    let model = |max_length: u32, max_width: u32| {
+        format!(
+            r#"{{"language":"js","target":"variables","abstraction":"full",
+            "max_length":{max_length},"max_width":{max_width},"semi_paths":false,"top_k":5,
+            "labels":["a","b"],"features":["f0"],
+            "model":"{{\"pair_weights\":[[0,0,1,0.5]],\"unary_weights\":[],\"label_counts\":[1,1],\"candidates\":[],\"global_candidates\":[0],\"max_candidates\":4,\"max_passes\":4}}"}}"#
+        )
+    };
+    let path = dir.join("model.json");
+    std::fs::write(&path, model(4, 3)).expect("writes model");
+    let (mut child, addr, _stdout) = spawn_server(&path, &["--idle-timeout", "60"]);
+
+    for (max_length, max_width, knob) in [
+        (1_000_000, 1_000_000, "max_length"),
+        (4, 1_000_000, "max_width"),
+        (17, 3, "max_length"),
+    ] {
+        let (status, body) = post(&addr, "/v1/models", &model(max_length, max_width));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("\"code\":\"model-format\""), "{body}");
+        assert!(body.contains(knob), "the error must name {knob}: {body}");
+        let (status, body) = get(&addr, "/v1/health");
+        assert_eq!(status, 200, "{body}");
+        let (_, body) = get(&addr, "/v1/models");
+        assert!(body.contains("\"active_version\":1"), "{body}");
+    }
+    let (status, body) = post(&addr, "/v1/models", &model(16, 8));
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"version\":2"), "{body}");
+
+    child.kill().expect("kills");
+    let _ = child.wait();
+}
+
 /// The deterministic metric families are byte-identical whatever
 /// `--jobs` is: shard merging and serial traffic leave no thread-count
 /// fingerprint in the exposition (timing families excluded, they
