@@ -19,20 +19,22 @@
 //! same shuffled order and the statistics merge is a sum of per-chunk
 //! integer counts.
 //!
-//! Three scale-out entry points build on the same loop:
+//! Four entry points wrap one private core, which strips unary factors
+//! when they are off, validates labels, checks the statistics' label
+//! space, truncates the candidate tables and runs the SGD loop:
 //!
-//! - [`RawStatistics`] is the pre-truncation count state. Shard workers
-//!   collect it per document, [`RawStatistics::absorb`] merges partials
-//!   by integer addition, and [`train_from_statistics`] finishes training
-//!   from the merged counts — byte-identical to a single-process
-//!   [`train`] because candidate truncation and global-candidate
-//!   derivation only ever run on the fully merged counts.
-//! - [`train_resumable`] threads a [`TrainControl`] through the SGD loop:
-//!   periodic [`TrainState`] snapshots (weights, averaging sums, shuffle
-//!   order, exact RNG state), a polled interrupt that yields a mid-epoch
-//!   snapshot, and resume from a snapshot that replays the remaining
-//!   updates exactly — the resumed model is byte-identical to an
-//!   uninterrupted run.
+//! - [`train`] and [`train_resumable`] gather [`RawStatistics`] from the
+//!   instances themselves. [`train_resumable`] threads a [`TrainControl`]
+//!   through the loop: periodic [`TrainState`] snapshots (weights,
+//!   averaging sums, shuffle order, exact RNG state), a polled interrupt
+//!   that yields a mid-epoch snapshot, and resume from a snapshot that
+//!   replays the remaining updates exactly — the resumed model is
+//!   byte-identical to an uninterrupted run.
+//! - [`train_from_statistics`] takes statistics the caller collected
+//!   over the same instances, as the merge of replayed shards does.
+//!   Candidate truncation and global-candidate derivation only ever run
+//!   on statistics over the whole corpus, so the result is
+//!   byte-identical to [`train`].
 //! - [`train_incremental`] folds new documents' statistics into an
 //!   existing model's count state and runs the same loop warm-started
 //!   from its weights, skipping re-extraction of the original corpus.
@@ -96,8 +98,8 @@ impl Default for CrfConfig {
 /// and the `(path, other_label, side)` → gold-label co-occurrence
 /// counts. Unlike the truncated tables stored on [`CrfModel`], this is
 /// closed under merging — summing two `RawStatistics` gives exactly the
-/// statistics of the concatenated corpora, which is what makes sharded
-/// training byte-identical to a single pass.
+/// statistics of the concatenated corpora, which is what makes the
+/// chunked statistics pass identical for any `jobs`.
 #[derive(Debug, Clone, Default)]
 pub struct RawStatistics {
     /// Unknown-node occurrences per label id.
@@ -291,11 +293,13 @@ pub enum TrainOutcome {
 ///
 /// Panics if any instance references a label `>= num_labels`.
 pub fn train(instances: &[Instance], num_labels: u32, cfg: &CrfConfig) -> CrfModel {
-    match train_resumable(instances, num_labels, cfg, TrainControl::default()) {
-        Ok(TrainOutcome::Completed(model)) => *model,
-        Ok(TrainOutcome::Interrupted(_)) => unreachable!("no interrupt installed"),
-        Err(e) => panic!("{e}"),
-    }
+    completed(train_resumable(
+        instances,
+        num_labels,
+        cfg,
+        TrainControl::default(),
+    ))
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`train`] with checkpoint/resume/interrupt hooks. With a default
@@ -314,30 +318,12 @@ pub fn train_resumable(
     control: TrainControl<'_>,
 ) -> Result<TrainOutcome, String> {
     let _span = telemetry::span("crf_train");
-    let stripped: Vec<Instance>;
-    let instances: &[Instance] = if cfg.use_unary {
-        instances
-    } else {
-        stripped = strip_unary(instances);
-        &stripped
-    };
-    validate_labels(instances, num_labels)?;
-
-    let stats = gather_statistics(instances, num_labels, cfg);
-    let model = finish_statistics(stats, cfg);
-    sgd(
-        model,
-        Weights::default(),
-        instances,
-        num_labels,
-        cfg,
-        control,
-    )
+    train_core(instances, num_labels, cfg, None, None, control)
 }
 
-/// Finishes training from pre-merged statistics (the `pigeon merge`
-/// path): derives the truncated candidate tables from `stats` exactly as
-/// a single-process pass would, then runs the standard SGD loop.
+/// Finishes training from statistics over exactly `instances` (the
+/// `pigeon merge` path): derives the truncated candidate tables from
+/// `stats` exactly as [`train`] does, then runs the standard SGD loop.
 ///
 /// # Errors
 ///
@@ -349,23 +335,14 @@ pub fn train_from_statistics(
     stats: RawStatistics,
 ) -> Result<CrfModel, String> {
     let _span = telemetry::span("crf_train");
-    let stripped: Vec<Instance>;
-    let instances: &[Instance] = if cfg.use_unary {
-        instances
-    } else {
-        stripped = strip_unary(instances);
-        &stripped
-    };
-    validate_labels(instances, num_labels)?;
-    if stats.counts.len() != num_labels as usize {
-        return Err(format!(
-            "statistics cover {} labels but the corpus has {num_labels}",
-            stats.counts.len()
-        ));
-    }
-
-    let model = finish_statistics(stats, cfg);
-    run_to_completion(model, Weights::default(), instances, num_labels, cfg)
+    completed(train_core(
+        instances,
+        num_labels,
+        cfg,
+        Some(stats),
+        None,
+        TrainControl::default(),
+    ))
 }
 
 /// Folds `new_stats` (statistics over `new_instances` only) into
@@ -387,58 +364,14 @@ pub fn train_incremental(
     new_stats: &RawStatistics,
 ) -> Result<CrfModel, String> {
     let _span = telemetry::span("crf_train_incremental");
-    if !base.has_candidate_counts() {
-        return Err("incremental update needs the base model's candidate \
-                    counts; a compiled artifact ships none, so update the JSON model"
-            .to_owned());
-    }
-    let stripped: Vec<Instance>;
-    let new_instances: &[Instance] = if cfg.use_unary {
-        new_instances
-    } else {
-        stripped = strip_unary(new_instances);
-        &stripped
-    };
-    validate_labels(new_instances, num_labels)?;
-    if new_stats.counts.len() != num_labels as usize {
-        return Err(format!(
-            "statistics cover {} labels but the corpus has {num_labels}",
-            new_stats.counts.len()
-        ));
-    }
-    let base_counts = base.label_count_table();
-    if base_counts.len() > num_labels as usize {
-        return Err(format!(
-            "base model has {} labels but the updated vocabulary has {num_labels}",
-            base_counts.len()
-        ));
-    }
-
-    // Fold the new counts into the base model's (truncated) tables. The
-    // base's candidate lists already lost their tail, so this is an
-    // approximation; the surviving counts still rank candidates well.
-    let mut stats = RawStatistics::new(num_labels);
-    stats.counts[..base_counts.len()].copy_from_slice(base_counts);
-    for (key, labels, counts) in base.candidate_entries() {
-        let slot = stats.suggestions.entry(key).or_default();
-        for (&label, &count) in labels.iter().zip(counts) {
-            *slot.entry(label).or_insert(0) += count;
-        }
-    }
-    stats.absorb(new_stats);
-    let model = finish_statistics(stats, cfg);
-
-    // Warm-start the weights from the base; SGD then only sees the new
-    // instances. Epoch averaging keeps the warm start (it is part of
-    // every epoch's snapshot).
-    let mut warm = Weights::default();
-    for (path, key, w) in base.pair.iter_entries() {
-        warm.0.add(path, key, w);
-    }
-    for (path, key, w) in base.unary.iter_entries() {
-        warm.1.add(path, key, w);
-    }
-    run_to_completion(model, warm, new_instances, num_labels, cfg)
+    completed(train_core(
+        new_instances,
+        num_labels,
+        cfg,
+        Some(new_stats.clone()),
+        Some(base),
+        TrainControl::default(),
+    ))
 }
 
 /// Live weights of the SGD loop: pairwise and unary buckets.
@@ -447,22 +380,79 @@ type Weights = (BucketWeights, BucketWeights);
 /// Epoch-average accumulators, keyed like [`Weights`].
 type Sums = (BucketWeights<f64>, BucketWeights<f64>);
 
-/// [`sgd`] without checkpoint hooks, from the given starting weights.
-fn run_to_completion(
-    model: CrfModel,
-    weights: Weights,
+/// The one training core behind every entry point: strips unary factors
+/// when they are off, validates labels, checks the label space of
+/// `stats` (gathered from `instances` when `None`), folds in `base`'s
+/// counts and weights when given, truncates the candidate tables and
+/// runs the SGD loop.
+fn train_core(
     instances: &[Instance],
     num_labels: u32,
     cfg: &CrfConfig,
-) -> Result<CrfModel, String> {
-    match sgd(
-        model,
-        weights,
-        instances,
-        num_labels,
-        cfg,
-        TrainControl::default(),
-    )? {
+    stats: Option<RawStatistics>,
+    base: Option<&CrfModel>,
+    control: TrainControl<'_>,
+) -> Result<TrainOutcome, String> {
+    if base.is_some_and(|base| !base.has_candidate_counts()) {
+        return Err("incremental update needs the base model's candidate \
+                    counts; a compiled artifact ships none, so update the JSON model"
+            .to_owned());
+    }
+    let stripped: Vec<Instance>;
+    let instances: &[Instance] = if cfg.use_unary {
+        instances
+    } else {
+        stripped = strip_unary(instances);
+        &stripped
+    };
+    validate_labels(instances, num_labels)?;
+    let mut stats = match stats {
+        None => gather_statistics(instances, num_labels, cfg),
+        Some(stats) if stats.counts.len() != num_labels as usize => {
+            return Err(format!(
+                "statistics cover {} labels but the corpus has {num_labels}",
+                stats.counts.len()
+            ))
+        }
+        Some(stats) => stats,
+    };
+    let mut weights = Weights::default();
+    if let Some(base) = base {
+        // Fold in the base's (truncated) count tables: its candidate
+        // lists already lost their tail, so an update is an
+        // approximation, but the surviving counts still rank candidates
+        // well. Weights warm-start from the base; epoch averaging keeps
+        // the warm start (it is part of every epoch's snapshot).
+        let base_counts = base.label_count_table();
+        if base_counts.len() > stats.counts.len() {
+            return Err(format!(
+                "base model has {} labels but the updated vocabulary has {num_labels}",
+                base_counts.len()
+            ));
+        }
+        for (total, &count) in stats.counts.iter_mut().zip(base_counts) {
+            *total += count;
+        }
+        for (key, labels, counts) in base.candidate_entries() {
+            let slot = stats.suggestions.entry(key).or_default();
+            for (&label, &count) in labels.iter().zip(counts) {
+                *slot.entry(label).or_insert(0) += count;
+            }
+        }
+        for (path, key, w) in base.pair.iter_entries() {
+            weights.0.add(path, key, w);
+        }
+        for (path, key, w) in base.unary.iter_entries() {
+            weights.1.add(path, key, w);
+        }
+    }
+    let model = finish_statistics(stats, cfg);
+    sgd(model, weights, instances, num_labels, cfg, control)
+}
+
+/// The finished model of a run without an interrupt hook.
+fn completed(outcome: Result<TrainOutcome, String>) -> Result<CrfModel, String> {
+    match outcome? {
         TrainOutcome::Completed(model) => Ok(*model),
         TrainOutcome::Interrupted(_) => unreachable!("no interrupt installed"),
     }

@@ -49,13 +49,22 @@ impl Vocabs {
     /// Interns a document's local tables (first-intern order) into
     /// these vocabularies, returning the shared id of each local label
     /// and feature id — the maps [`pigeon_crf::Instance::remap`] takes.
-    pub fn intern_tables(
+    /// Only [`crate::partial::replay`] calls this.
+    pub(crate) fn intern_tables(
         &mut self,
         labels: &[String],
         features: &[String],
     ) -> (Vec<u32>, Vec<u32>) {
+        // Most strings are already known: probe by reference and copy
+        // only the new ones.
         let intern = |v: &mut Interner<String>, items: &[String]| {
-            items.iter().map(|s| v.intern(s.clone())).collect()
+            items
+                .iter()
+                .map(|s| match v.get_by(s.as_str()) {
+                    Some(id) => id,
+                    None => v.intern(s.clone()),
+                })
+                .collect()
         };
         (
             intern(&mut self.labels, labels),

@@ -49,8 +49,8 @@ pub use graph::{
 };
 pub use metrics::{exact_match, normalize_name, subtoken_prf, subtokens, Scoreboard};
 pub use partial::{
-    decode_partial, encode_partial, is_partial, merge_partials, shard_range, verify_doc_stats,
-    DocPartial, MergedTraining, PartialMeta, TrainPartial,
+    decode_partial, encode_partial, is_partial, merge_partials, replay, shard_range,
+    verify_doc_stats, DocPartial, MergedTraining, PartialMeta, TrainPartial,
 };
 // The worker pool lives in `pigeon-core` (so `pigeon-crf` can share it);
 // re-exported here because every experiment driver fans out over it.

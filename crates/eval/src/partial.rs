@@ -1,20 +1,18 @@
 //! Partial training-statistics files (`.pgnc`, container kind
-//! `partial`) and their deterministic merge — the scale-out half of
-//! `pigeon train --shard i/n` / `pigeon merge`.
+//! `partial`), their deterministic merge, and the one vocabulary
+//! [`replay`] behind every trainer.
 //!
-//! A shard worker extracts its 1/n slice of the corpus and stores, per
-//! document: the document's **local vocabularies** (label and feature
-//! strings in first-intern order), its CRF instance in doc-local ids,
-//! and its [`RawStatistics`] in the doc-local label space. Merging
-//! replays each document's vocabulary in global document order, which
-//! reproduces the single-process interner state exactly: in training
-//! mode the graph builder's intern sequence depends only on the
-//! document itself, so a document's first-touch list interned in order
-//! yields the same global ids the single pass would have assigned.
-//! Instances and statistics are then remapped and integer-summed, and
-//! candidate truncation happens only after the full merge — making
-//! `pigeon merge` byte-identical to single-process `pigeon train` for
-//! any shard count.
+//! Training extracts each document on its own: its **local
+//! vocabularies** (label and feature strings in first-intern order) and
+//! its CRF instance in doc-local ids. [`replay`] interns those tables in
+//! global document order, which reproduces one shared interner exactly:
+//! in training mode the graph builder's intern sequence depends only on
+//! the document itself. Single-process training replays its documents in
+//! memory; a shard worker stores them in a partial, and
+//! [`merge_partials`] replays every shard's. Statistics come from the
+//! replayed instances and candidate truncation runs only after the full
+//! replay, so `pigeon merge` is byte-identical to single-process
+//! `pigeon train` for any shard count.
 //!
 //! The file reuses the `.pgnc` container of [`pigeon_crf::artifact`]
 //! (magic, versioned checksummed section table, kind tag
@@ -60,10 +58,10 @@ pub struct PartialMeta {
 /// One document's contribution to training: its local vocabularies (in
 /// first-intern order — the replay key), its instance in doc-local
 /// ids, and its statistics in the doc-local label space. The
-/// statistics are redundant with the instance (merge could recompute
-/// them) but storing them lets `pigeon audit` cross-check a partial's
-/// count maps and lets merge sum integers instead of re-walking
-/// factors.
+/// statistics are redundant with the instance: merge ignores them and
+/// collects its statistics from the replayed instances, so a stored
+/// count cannot skew a model. They stay in the file, decoded and
+/// validated, for `pigeon audit` to cross-check ([`verify_doc_stats`]).
 #[derive(Debug, Clone)]
 pub struct DocPartial {
     /// Position of this document in the full corpus.
@@ -97,7 +95,7 @@ pub struct MergedTraining {
     pub vocabs: Vocabs,
     /// All instances in global ids, corpus order.
     pub instances: Vec<Instance>,
-    /// Summed statistics over the global label space.
+    /// Statistics of `instances` over the global label space.
     pub stats: RawStatistics,
 }
 
@@ -546,9 +544,9 @@ pub fn knob_mismatch(a: &PartialMeta, b: &PartialMeta) -> Option<(&'static str, 
 }
 
 /// Merges decoded partials back into single-process training inputs:
-/// validates configuration equality and shard coverage, replays each
-/// document's local vocabulary in global order, remaps instances, and
-/// integer-sums the statistics.
+/// validates configuration equality and shard coverage, [`replay`]s the
+/// documents in global order, and collects statistics from the replayed
+/// instances (the counts stored in the partials are not read).
 ///
 /// # Errors
 ///
@@ -621,30 +619,15 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
         ));
     }
 
-    // Replay: interning each document's first-touch vocabulary in
-    // global order reproduces the single-process interner state.
     let mut vocabs = Vocabs::new();
-    let mut instances = Vec::with_capacity(total);
-    let mut counts: Vec<u32> = Vec::new();
-    let mut suggestions: HashMap<(u32, u32, u8), HashMap<u32, u32>> = HashMap::new();
-    for doc in by_index.into_iter().map(|d| d.expect("coverage checked")) {
-        let (label_map, feature_map) = vocabs.intern_tables(&doc.labels, &doc.features);
-        instances.push(doc.instance.remap(&label_map, &feature_map));
-        if counts.len() < vocabs.labels.len() {
-            counts.resize(vocabs.labels.len(), 0);
-        }
-        for (local, &c) in doc.stats.counts.iter().enumerate() {
-            counts[label_map[local] as usize] += c;
-        }
-        for (&(path, other, side), by_label) in &doc.stats.suggestions {
-            let key = (feature_map[path as usize], label_map[other as usize], side);
-            let slot = suggestions.entry(key).or_default();
-            for (&label, &c) in by_label {
-                *slot.entry(label_map[label as usize]).or_insert(0) += c;
-            }
-        }
-    }
-    counts.resize(vocabs.labels.len(), 0);
+    let instances = replay(
+        &mut vocabs,
+        by_index.into_iter().map(|d| {
+            let doc = d.expect("coverage checked");
+            (&doc.labels[..], &doc.features[..], &doc.instance)
+        }),
+    );
+    let stats = RawStatistics::collect(&instances, vocabs.labels.len() as u32);
 
     telemetry::observe(
         "pigeon_shard_merge_micros",
@@ -655,11 +638,25 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
         meta: first.meta.clone(),
         vocabs,
         instances,
-        stats: RawStatistics {
-            counts,
-            suggestions,
-        },
+        stats,
     })
+}
+
+/// The one vocabulary replay behind every trainer: interns each
+/// document's local `(labels, features)` tables, in order, into `vocabs`
+/// and returns its `instance` remapped into the shared ids. An
+/// incremental update replays into the base model's vocabularies.
+pub fn replay<'a>(
+    vocabs: &mut Vocabs,
+    docs: impl IntoIterator<Item = (&'a [String], &'a [String], &'a Instance)>,
+) -> Vec<Instance> {
+    let _span = telemetry::span("replay");
+    docs.into_iter()
+        .map(|(labels, features, instance)| {
+            let (label_map, feature_map) = vocabs.intern_tables(labels, features);
+            instance.remap(&label_map, &feature_map)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -63,8 +63,10 @@ pub mod serve;
 use pigeon_core::{derive_seed, downsample, Abstraction, ExtractionConfig, DOWNSAMPLE_SEED};
 use pigeon_corpus::Language;
 use pigeon_crf::artifact::ArtifactMeta;
-use pigeon_crf::{CrfConfig, CrfModel, RawStatistics, TrainControl, TrainOutcome, TrainState};
-use pigeon_eval::partial::{DocPartial, PartialMeta, TrainPartial};
+use pigeon_crf::{
+    CrfConfig, CrfModel, Instance, RawStatistics, TrainControl, TrainOutcome, TrainState,
+};
+use pigeon_eval::partial::{replay, DocPartial, PartialMeta, TrainPartial};
 use pigeon_eval::{
     build_name_graph, build_name_graph_lookup, extract_edge_features, parallel_map_indexed,
     shard_range, ElementClass, Representation, Vocabs,
@@ -118,6 +120,16 @@ impl Default for PigeonConfig {
 }
 
 impl PigeonConfig {
+    /// The CRF settings under this configuration's worker budget: the
+    /// statistics pass shares it, and the sequential SGD loop makes the
+    /// model byte-identical for any value.
+    fn crf_with_jobs(&self) -> CrfConfig {
+        CrfConfig {
+            jobs: self.jobs,
+            ..self.crf
+        }
+    }
+
     /// A validating builder starting from the defaults. Unlike struct
     /// literals, [`PigeonConfigBuilder::build`] rejects configurations
     /// that would silently train a useless model (`max_length == 0`,
@@ -389,7 +401,14 @@ impl Pigeon {
         sources: &[&str],
         config: &PigeonConfig,
     ) -> Result<Pigeon, PigeonError> {
-        Pigeon::train(language, ElementClass::Variable, sources, config)
+        Pigeon::train_namer_resumable(
+            language,
+            ElementClass::Variable,
+            sources,
+            config,
+            TrainControl::default(),
+        )
+        .map(TrainRun::into_completed)
     }
 
     /// Trains a method-name predictor on `sources`.
@@ -402,38 +421,23 @@ impl Pigeon {
         sources: &[&str],
         config: &PigeonConfig,
     ) -> Result<Pigeon, PigeonError> {
-        Pigeon::train(language, ElementClass::Method, sources, config)
-    }
-
-    fn train(
-        language: Language,
-        target: ElementClass,
-        sources: &[&str],
-        config: &PigeonConfig,
-    ) -> Result<Pigeon, PigeonError> {
-        let _span = telemetry::span("train");
-        let (vocabs, instances) = build_training_inputs(language, target, sources, 0, config)?;
-        // The CRF's statistics pass shares the same worker budget; its
-        // sequential-update training is byte-identical for any value.
-        let crf_cfg = CrfConfig {
-            jobs: config.jobs,
-            ..config.crf
-        };
-        let model = pigeon_crf::train(&instances, vocabs.labels.len() as u32, &crf_cfg);
-        Ok(Pigeon {
+        Pigeon::train_namer_resumable(
             language,
-            target,
-            config: config.clone(),
-            vocabs,
-            model,
-        })
+            ElementClass::Method,
+            sources,
+            config,
+            TrainControl::default(),
+        )
+        .map(TrainRun::into_completed)
     }
 
-    /// Trains a name predictor with checkpoint/resume control — the
-    /// engine behind `pigeon train --checkpoint-every/--resume`. The
-    /// corpus pipeline is identical to [`Pigeon::train_variable_namer`];
-    /// only the SGD loop is driven through `control`, so a run that is
-    /// never interrupted produces the byte-identical model.
+    /// The one facade trainer, with checkpoint/resume control — the
+    /// engine behind `pigeon train` and both `train_*_namer`s. Documents
+    /// go through the per-document stage and are replayed in corpus
+    /// order, exactly as [`Pigeon::from_partials`] replays one shard
+    /// holding the whole corpus; the SGD loop is driven through
+    /// `control`, so a run that is never interrupted produces the
+    /// byte-identical model.
     ///
     /// # Errors
     ///
@@ -449,14 +453,20 @@ impl Pigeon {
     ) -> Result<TrainRun, PigeonError> {
         let _span = telemetry::span("train");
         register_training_metrics();
-        let (vocabs, instances) = build_training_inputs(language, target, sources, 0, config)?;
-        let crf_cfg = CrfConfig {
-            jobs: config.jobs,
-            ..config.crf
-        };
-        let outcome =
-            pigeon_crf::train_resumable(&instances, vocabs.labels.len() as u32, &crf_cfg, control)
-                .map_err(PigeonError::config)?;
+        let mut vocabs = Vocabs::new();
+        let instances = replay(
+            &mut vocabs,
+            extract_documents(language, target, sources, 0, config)?
+                .iter()
+                .map(|(labels, features, instance)| (&labels[..], &features[..], instance)),
+        );
+        let outcome = pigeon_crf::train_resumable(
+            &instances,
+            vocabs.labels.len() as u32,
+            &config.crf_with_jobs(),
+            control,
+        )
+        .map_err(PigeonError::config)?;
         Ok(match outcome {
             TrainOutcome::Completed(model) => TrainRun::Completed(Box::new(Pigeon {
                 language,
@@ -494,23 +504,23 @@ impl Pigeon {
             )));
         }
         let range = shard_range(sources.len(), shard_index, shard_count);
-        let slice = &sources[range.clone()];
-        let mut docs = Vec::with_capacity(slice.len());
-        for (offset, built) in build_doc_partials(language, target, slice, range.start, config)?
-            .into_iter()
-            .enumerate()
-        {
-            let (labels, features, instance) = built;
-            let stats =
-                RawStatistics::collect(std::slice::from_ref(&instance), labels.len() as u32);
-            docs.push(DocPartial {
-                global_index: (range.start + offset) as u32,
-                labels,
-                features,
-                instance,
-                stats,
-            });
-        }
+        let docs = extract_documents(
+            language,
+            target,
+            &sources[range.clone()],
+            range.start,
+            config,
+        )?
+        .into_iter()
+        .zip(range.start as u32..)
+        .map(|((labels, features, instance), global_index)| DocPartial {
+            global_index,
+            stats: RawStatistics::collect(std::slice::from_ref(&instance), labels.len() as u32),
+            labels,
+            features,
+            instance,
+        })
+        .collect();
         let meta = training_partial_meta(
             language,
             target,
@@ -527,8 +537,10 @@ impl Pigeon {
 
     /// Merges partial statistics files written by
     /// [`Pigeon::build_training_partial`] and finishes training — the
-    /// engine behind `pigeon merge`. The result is byte-identical to
-    /// single-process training on the full corpus, for any shard count.
+    /// engine behind `pigeon merge`. The documents are replayed as
+    /// single-process training replays them, and statistics come from
+    /// the replayed instances, so the result is byte-identical to
+    /// single-process training on the full corpus for any shard count.
     ///
     /// # Errors
     ///
@@ -586,35 +598,23 @@ impl Pigeon {
     /// to parse ([`ErrorKind::Parse`]).
     pub fn update(&self, new_sources: &[&str]) -> Result<Pigeon, PigeonError> {
         let _span = telemetry::span("train_update");
+        // The new documents replay into the (growing) base vocabularies.
         let mut vocabs = self.vocabs.clone();
-        let base_labels = vocabs.labels.len();
-        let mut instances = Vec::with_capacity(new_sources.len());
-        let extracted =
-            build_doc_partials(self.language, self.target, new_sources, 0, &self.config)?;
-        {
-            let _phase = telemetry::span("graph_build");
-            for (labels, features, instance) in extracted {
-                // Re-intern the doc-local ids into the (growing) base
-                // vocabularies — the same replay the shard merge runs.
-                let (label_map, feature_map) = vocabs.intern_tables(&labels, &features);
-                instances.push(instance.remap(&label_map, &feature_map));
-            }
-        }
+        let instances = replay(
+            &mut vocabs,
+            extract_documents(self.language, self.target, new_sources, 0, &self.config)?
+                .iter()
+                .map(|(labels, features, instance)| (&labels[..], &features[..], instance)),
+        );
         let num_labels = vocabs.labels.len() as u32;
-        let new_stats = RawStatistics::collect(&instances, num_labels);
-        let crf_cfg = CrfConfig {
-            jobs: self.config.jobs,
-            ..self.config.crf
-        };
         let model = pigeon_crf::train_incremental(
             &instances,
             num_labels,
-            &crf_cfg,
+            &self.config.crf_with_jobs(),
             &self.model,
-            &new_stats,
+            &RawStatistics::collect(&instances, num_labels),
         )
         .map_err(PigeonError::config)?;
-        debug_assert!(base_labels <= vocabs.labels.len());
         Ok(Pigeon {
             language: self.language,
             target: self.target,
@@ -868,6 +868,16 @@ pub enum TrainRun {
     Interrupted(Box<TrainState>),
 }
 
+impl TrainRun {
+    /// The predictor of a run without an interrupt hook.
+    fn into_completed(self) -> Pigeon {
+        match self {
+            TrainRun::Completed(model) => *model,
+            TrainRun::Interrupted(_) => unreachable!("no interrupt installed"),
+        }
+    }
+}
+
 /// Registers every training-path metric family (checkpoint save/load
 /// latency and totals, shard-merge latency, resume counts) on the
 /// current telemetry sink. Training entry points call this themselves;
@@ -986,105 +996,51 @@ pub fn resolve_header(
     Ok((language, target, config))
 }
 
-/// The full single-process corpus pipeline: parallel parse + extract,
-/// then source-order downsample + graph build into shared vocabularies.
-/// Document `i` downsamples with a seed derived from its **global**
-/// index `index_base + i`, so any contiguous slice of the corpus
-/// samples exactly as the full run does — the property shard workers
-/// rely on.
-fn build_training_inputs(
+/// One training document out of [`extract_documents`]: its local label
+/// and feature tables in first-intern order, and its instance in those
+/// local ids.
+type Document = (Vec<String>, Vec<String>, Instance);
+
+/// The one per-document stage. Each document is parsed, extracted (plus
+/// data-flow contexts when on), downsampled with a seed derived from its
+/// **global** index `index_base + i`, and graph-built into its own
+/// [`Vocabs`], all in one pass over the worker pool. Nothing is shared
+/// between documents, so the result is identical for any `jobs`, and a
+/// contiguous slice of the corpus yields exactly the documents the full
+/// run does — the property shard workers rely on. Errors name the first
+/// failing source by its global index.
+fn extract_documents(
     language: Language,
     target: ElementClass,
     sources: &[&str],
     index_base: usize,
     config: &PigeonConfig,
-) -> Result<(Vocabs, Vec<pigeon_crf::Instance>), PigeonError> {
-    let extracted = parse_and_extract(language, sources, index_base, config)?;
-    let mut vocabs = Vocabs::new();
-    let mut instances = Vec::with_capacity(sources.len());
-    {
-        let _phase = telemetry::span("graph_build");
-        for (i, (ast, features)) in extracted.into_iter().enumerate() {
-            let mut rng =
-                SmallRng::seed_from_u64(derive_seed(DOWNSAMPLE_SEED, (index_base + i) as u64));
-            let features = downsample(features, config.keep_prob, &mut rng);
-            let graph = build_name_graph(language, &ast, target, &features, &mut vocabs, true);
-            instances.push(graph.instance);
-        }
-    }
-    Ok((vocabs, instances))
-}
-
-/// Parse + extract fan out over the worker pool; everything that
-/// interns into vocabularies (downsampling included, because it
-/// consumes the sampling rng) runs afterwards in source order, so the
-/// result is identical for any `jobs`. Error messages carry the global
-/// document index.
-fn parse_and_extract(
-    language: Language,
-    sources: &[&str],
-    index_base: usize,
-    config: &PigeonConfig,
-) -> Result<Vec<(ast::Ast, Vec<pigeon_eval::EdgeFeature>)>, PigeonError> {
+) -> Result<Vec<Document>, PigeonError> {
     let rep = Representation::AstPaths(config.abstraction);
-    let extracted = {
-        let _phase = telemetry::span("parse_extract");
-        parallel_map_indexed(sources, config.jobs, |_, source| {
-            language.parse(source).map(|ast| {
-                let mut features = extract_edge_features(language, &ast, rep, &config.extraction);
-                if config.dataflow_contexts {
-                    features.extend(dataflow_edge_features(
-                        language,
-                        &ast,
-                        &config.extraction,
-                        config.abstraction,
-                    ));
-                }
-                (ast, features)
-            })
-        })
-    };
-    if let Some((i, Err(e))) = extracted.iter().enumerate().find(|(_, r)| r.is_err()) {
-        return Err(PigeonError::parse(format!(
-            "training source {}: {e}",
-            index_base + i
-        )));
-    }
-    Ok(extracted
-        .into_iter()
-        .map(|r| r.expect("errors returned above"))
-        .collect())
-}
-
-/// Runs the per-document half of the pipeline with **doc-local**
-/// vocabularies: each document is parsed, extracted, downsampled with
-/// its global-index-derived seed, and graph-built into a fresh
-/// [`Vocabs`]. Returns `(labels, features, instance)` per document —
-/// local vocabulary strings in first-intern order plus the instance in
-/// doc-local ids. In training mode the graph builder's intern sequence
-/// depends only on the document, so replaying these local tables in
-/// global document order reproduces the shared vocabularies exactly.
-#[allow(clippy::type_complexity)]
-fn build_doc_partials(
-    language: Language,
-    target: ElementClass,
-    sources: &[&str],
-    index_base: usize,
-    config: &PigeonConfig,
-) -> Result<Vec<(Vec<String>, Vec<String>, pigeon_crf::Instance)>, PigeonError> {
-    let extracted = parse_and_extract(language, sources, index_base, config)?;
-    let _phase = telemetry::span("graph_build");
-    Ok(extracted
-        .into_iter()
-        .enumerate()
-        .map(|(i, (ast, features))| {
-            let mut rng =
-                SmallRng::seed_from_u64(derive_seed(DOWNSAMPLE_SEED, (index_base + i) as u64));
-            let features = downsample(features, config.keep_prob, &mut rng);
-            let mut vocabs = Vocabs::new();
-            let graph = build_name_graph(language, &ast, target, &features, &mut vocabs, true);
-            let (labels, feats) = vocabs.tables();
-            (labels, feats, graph.instance)
-        })
-        .collect())
+    let _phase = telemetry::span("parse_extract");
+    parallel_map_indexed(sources, config.jobs, |i, source| {
+        let ast = language.parse(source)?;
+        let mut features = extract_edge_features(language, &ast, rep, &config.extraction);
+        if config.dataflow_contexts {
+            features.extend(dataflow_edge_features(
+                language,
+                &ast,
+                &config.extraction,
+                config.abstraction,
+            ));
+        }
+        let mut rng =
+            SmallRng::seed_from_u64(derive_seed(DOWNSAMPLE_SEED, (index_base + i) as u64));
+        let features = downsample(features, config.keep_prob, &mut rng);
+        let mut vocabs = Vocabs::new();
+        let graph = build_name_graph(language, &ast, target, &features, &mut vocabs, true);
+        let (labels, features) = vocabs.tables();
+        Ok::<_, String>((labels, features, graph.instance))
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, doc)| {
+        doc.map_err(|e| PigeonError::parse(format!("training source {}: {e}", index_base + i)))
+    })
+    .collect()
 }

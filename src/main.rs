@@ -116,8 +116,8 @@ LEVEL: full | no-arrows | forget-order | first-top-last | first-last | top | no-
 DEFAULTS:
   --max-length  7 for `paths` (the paper's Table 2 JavaScript setting),
                 4 for `train` (tuned for the small synthetic corpora);
-                `train` and every model loader admit at most 16
-  --max-width   3; `train` and every model loader admit at most 8
+                every command and model loader admits at most 16
+  --max-width   3; every command and model loader admits at most 8
   --jobs        1 (serial; 0 = all cores). Workers parallelise per-file
                 parse + path extraction, the CRF's statistics pass, and
                 held-out evaluation; the trained model is byte-identical
@@ -426,9 +426,9 @@ const PATHS_FLAGS: &[FlagSpec] = &[
     ("language", "source language: js | java | python | csharp"),
     (
         "max-length",
-        "longest AST path kept (default 7, the paper's Table 2 setting)",
+        "longest AST path kept (default 7, the paper's Table 2 setting, at most 16)",
     ),
-    ("max-width", "widest AST path kept (default 3)"),
+    ("max-width", "widest AST path kept (default 3, at most 8)"),
     (
         "abstraction",
         "path abstraction level: full | no-arrows | forget-order | first-top-last | \
@@ -452,8 +452,8 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     let [file] = positional.as_slice() else {
         return Err("expected exactly one FILE".into());
     };
-    let max_length = parse_usize(&flags, "max-length", 7)?;
-    let max_width = parse_usize(&flags, "max-width", 3)?;
+    let extraction = extraction_limits(&flags, ExtractionConfig::with_limits(7, 3))?;
+    let (max_length, max_width) = (extraction.max_length, extraction.max_width);
     let abstraction = match flag(&flags, "abstraction") {
         None => Abstraction::Full,
         Some(name) => {
@@ -462,7 +462,7 @@ fn cmd_paths(args: &[String]) -> Result<(), String> {
     };
     let source = read_file(file)?;
     let ast = language.parse(&source)?;
-    let contexts = extract(&ast, &ExtractionConfig::with_limits(max_length, max_width));
+    let contexts = extract(&ast, &extraction);
     println!(
         "{} path-contexts (max_length {max_length}, max_width {max_width}, α = {abstraction}):",
         contexts.len()
@@ -551,6 +551,23 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         stats.functions
     );
     Ok(())
+}
+
+/// `--max-length`/`--max-width` over `default`'s limits, bounded by
+/// `PigeonConfigBuilder::build` as every trained predictor's limits are.
+fn extraction_limits(
+    flags: &[(String, String)],
+    default: ExtractionConfig,
+) -> Result<ExtractionConfig, String> {
+    PigeonConfig::builder()
+        .extraction(default)
+        .limits(
+            parse_usize(flags, "max-length", default.max_length)?,
+            parse_usize(flags, "max-width", default.max_width)?,
+        )
+        .build()
+        .map(|config| config.extraction)
+        .map_err(|e| e.to_string())
 }
 
 fn train_config(flags: &[(String, String)]) -> Result<PigeonConfig, String> {
@@ -788,21 +805,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 
     let out = require_out()?;
 
-    // Plain training: no checkpoint machinery in the loop at all.
-    if checkpoint_every == 0 && checkpoint_dir.is_none() && resume_dir.is_none() {
-        let model = match target {
-            ElementClass::Variable => Pigeon::train_variable_namer(language, &refs, &config),
-            _ => Pigeon::train_method_namer(language, &refs, &config),
-        }
-        .map_err(|e| e.to_string())?;
-        let json = model.to_json().map_err(|e| e.to_string())?;
-        std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
-        observability.finish()?;
-        println!("trained on {} files; model saved to {out}", refs.len());
-        return Ok(());
-    }
-
-    // Checkpointed / resumed training.
+    // One trainer for every mode: without a checkpoint directory no
+    // snapshot is written and no interrupt handler is installed.
     let resume = match resume_dir {
         None => None,
         Some(dir) => {
@@ -1234,11 +1238,11 @@ const EXPERIMENT_FLAGS: &[FlagSpec] = &[
     ("jobs", "worker threads; 0 = all cores (default 1)"),
     (
         "max-length",
-        "override the per-language tuned path length limit",
+        "override the per-language tuned path length limit (at most 16)",
     ),
     (
         "max-width",
-        "override the per-language tuned path width limit",
+        "override the per-language tuned path width limit (at most 8)",
     ),
     (
         "dataflow-contexts",
@@ -1276,15 +1280,10 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     };
     exp.corpus = exp.corpus.with_files(files);
     exp.jobs = parse_usize(&flags, "jobs", 1)?;
-    // Override the per-language tuned limits only when asked — that is
-    // how the equal-context-budget comparison (data-flow paths vs
-    // longer AST paths) is run.
-    let max_length = parse_usize(&flags, "max-length", exp.extraction.max_length)?;
-    let max_width = parse_usize(&flags, "max-width", exp.extraction.max_width)?;
-    if (max_length, max_width) != (exp.extraction.max_length, exp.extraction.max_width) {
-        let semi = exp.extraction.semi_paths;
-        exp.extraction = ExtractionConfig::with_limits(max_length, max_width).semi_paths(semi);
-    }
+    // The per-language tuned limits unless overridden — that is how the
+    // equal-context-budget comparison (data-flow paths vs longer AST
+    // paths) is run.
+    exp.extraction = extraction_limits(&flags, exp.extraction)?;
     if parse_bool(&flags, "dataflow-contexts", false)? {
         exp = exp.with_dataflow(pigeon::dataflow_edge_features);
     }

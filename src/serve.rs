@@ -1218,36 +1218,19 @@ fn create_train_job(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError
         .ok_or_else(|| HttpError::bad_request("`out` (string) is required".to_owned()))?;
     let language_name = json_str(&value, "language")
         .ok_or_else(|| HttpError::bad_request("`language` (string) is required".to_owned()))?;
-    let language = Language::from_name(language_name).ok_or_else(|| {
-        HttpError::new(
-            400,
-            "Bad Request",
-            "config",
-            format!("unknown language `{language_name}`"),
-        )
-    })?;
+    let config_error = |message: String| HttpError::new(400, "Bad Request", "config", message);
+    let language = Language::from_name(language_name)
+        .ok_or_else(|| config_error(format!("unknown language `{language_name}`")))?;
     let target = match json_str(&value, "target").unwrap_or("variables") {
         "vars" => ElementClass::Variable,
         name => ElementClass::from_name(name)
             .filter(|t| *t != ElementClass::Other)
-            .ok_or_else(|| {
-                HttpError::new(
-                    400,
-                    "Bad Request",
-                    "config",
-                    format!("unknown target `{name}` (variables|methods)"),
-                )
-            })?,
+            .ok_or_else(|| config_error(format!("unknown target `{name}` (variables|methods)")))?,
     };
     let number = serde_json::Value::as_u64;
-    let shard_count = json_knob(&value, "shard_count", 1, number)? as u32;
+    let shard_count = json_knob(&value, "shard_count", 1, number)?;
     if shard_count == 0 {
-        return Err(HttpError::new(
-            400,
-            "Bad Request",
-            "config",
-            "`shard_count` must be at least 1".to_owned(),
-        ));
+        return Err(config_error("`shard_count` must be at least 1".to_owned()));
     }
     // The same validating builder the CLI trains through: bad knobs are
     // a coded 400 naming the constraint, not a job that fails later.
@@ -1268,6 +1251,15 @@ fn create_train_job(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError
         .map_err(|e| HttpError::new(400, "Bad Request", e.code(), e.to_string()))?;
     let files = crate::distrib::list_corpus(language, corpus_dir)
         .map_err(|e| HttpError::new(400, "Bad Request", "io", e))?;
+    // Every shard costs a cache key and a board slot, so the count is
+    // bounded by the corpus before anything is derived from it.
+    if shard_count > files.len() as u64 {
+        return Err(config_error(format!(
+            "`shard_count` must be at most the corpus's {} files, got {shard_count}",
+            files.len()
+        )));
+    }
+    let shard_count = shard_count as u32;
     let total_docs = files.len() as u32;
     let expected =
         crate::training_partial_meta(language, target, &config, 0, shard_count, total_docs);

@@ -70,6 +70,44 @@ fn unknown_command_fails_with_message() {
     assert!(err.contains("unknown command"));
 }
 
+/// `pigeon paths` and `pigeon experiment` take their path limits through
+/// `PigeonConfigBuilder`, as every trained predictor does: an over-bound
+/// limit is its `config` message and exit 1, not a run whose cost grows
+/// with the limit.
+#[test]
+fn local_tools_reject_over_bound_path_limits() {
+    let dir = tmp_dir("local-limits");
+    let file = dir.join("one.js");
+    std::fs::write(&file, "function f(a) { var b = a + 1; return b; }").unwrap();
+    for (limit, value, message) in [
+        ("--max-length", "1000000", "max_length must be at most 16"),
+        ("--max-width", "9", "max_width must be at most 8"),
+    ] {
+        let paths = pigeon()
+            .args(["paths", "--language", "js", limit, value])
+            .arg(&file)
+            .output()
+            .expect("runs");
+        let experiment = pigeon()
+            .args([
+                "experiment",
+                "--language",
+                "js",
+                "--files",
+                "10",
+                limit,
+                value,
+            ])
+            .output()
+            .expect("runs");
+        for (command, out) in [("paths", paths), ("experiment", experiment)] {
+            assert_eq!(out.status.code(), Some(1), "{command} {limit} {value}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(message), "{command} {limit} {value}: {err}");
+        }
+    }
+}
+
 #[test]
 fn paths_prints_the_fig1_path() {
     let dir = tmp_dir("paths");

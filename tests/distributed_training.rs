@@ -159,7 +159,7 @@ fn metric_u64(addr: &str, name: &str) -> u64 {
 }
 
 /// The default-knob train-job request for a corpus dir.
-fn job_request(corpus_dir: &Path, out: &Path, shard_count: u32) -> String {
+fn job_request(corpus_dir: &Path, out: &Path, shard_count: u64) -> String {
     format!(
         r#"{{"corpus_dir": "{}", "language": "js", "out": "{}", "shard_count": {shard_count}}}"#,
         corpus_dir.display(),
@@ -573,6 +573,43 @@ fn partial_ingest_rejects_a_top_k_mismatch() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"phase\":\"running\""), "{body}");
 
+    coord.kill().expect("kills");
+    let _ = coord.wait();
+}
+
+/// Every shard costs the coordinator a cache key and a board slot, so
+/// `shard_count` is bounded by the corpus before any is derived: more
+/// shards than files, or a count past 32 bits (which a cast would
+/// truncate to 1), answers 400 `config` naming the knob, no job is
+/// created, and the server keeps serving.
+#[test]
+fn train_jobs_reject_more_shards_than_files() {
+    let dir = tmp_dir("shard-bound");
+    let corpus_dir = dir.join("corpus");
+    let files = generate_corpus(&corpus_dir, 3);
+    let (mut coord, addr, _stdout) =
+        spawn_coordinator(&dir.join("cache"), &["--idle-timeout", "60"]);
+    for count in [files.len() as u64 + 1, (1 << 32) + 1] {
+        let (status, body) = post(
+            &addr,
+            "/v1/train-jobs",
+            &job_request(&corpus_dir, &dir.join("model.json"), count),
+        );
+        assert_eq!(status, 400, "shard_count {count}: {body}");
+        assert!(body.contains("\"code\":\"config\""), "{body}");
+        assert!(
+            body.contains("shard_count"),
+            "the error must name the knob: {body}"
+        );
+    }
+    let (status, body) = get(&addr, "/v1/train-jobs");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        body.contains("\"jobs\":[]"),
+        "no job may be created: {body}"
+    );
+    let (status, body) = get(&addr, "/v1/health");
+    assert_eq!(status, 200, "{body}");
     coord.kill().expect("kills");
     let _ = coord.wait();
 }

@@ -297,3 +297,124 @@ fn artifact_backed_models_refuse_incremental_update() {
     let err = compiled.update(&refs[..2]).unwrap_err();
     assert_eq!(err.code(), "config");
 }
+
+/// The model-JSON hashes of every facade trainer, recorded before the
+/// trainers shared one per-document stage and one replay: plain
+/// training at jobs 1 and 4, method names, data-flow contexts under
+/// downsampling, an incremental update, and an interrupted then resumed
+/// run. Any drift in extraction, downsampling, interning, statistics or
+/// SGD shows up here as a changed constant.
+#[test]
+fn facade_trainers_match_pinned_hashes() {
+    let js = Language::JavaScript;
+    let sources = corpus_sources(24, 0x51AD_000B);
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let added = corpus_sources(6, 0xD00D_0002);
+    let added_refs: Vec<&str> = added.iter().map(String::as_str).collect();
+    let hash = |model: &Pigeon| pigeon::core::fnv64(model.to_json().unwrap().as_bytes());
+    let serial = PigeonConfig::default();
+    let parallel = PigeonConfig::builder().jobs(4).build().unwrap();
+    let flow = PigeonConfig::builder()
+        .dataflow_contexts(true)
+        .keep_prob(0.5)
+        .build()
+        .unwrap();
+
+    let base = Pigeon::train_variable_namer(js, &refs, &serial).unwrap();
+    let polls = Cell::new(0u32);
+    let interrupt = || {
+        polls.set(polls.get() + 1);
+        polls.get() > 30
+    };
+    let run = |control| {
+        Pigeon::train_namer_resumable(js, ElementClass::Method, &refs, &serial, control).unwrap()
+    };
+    let TrainRun::Interrupted(state) = run(TrainControl {
+        interrupt: Some(&interrupt),
+        ..TrainControl::default()
+    }) else {
+        panic!("30 instances cannot cover 8 epochs over 24 docs");
+    };
+    let TrainRun::Completed(resumed) = run(TrainControl {
+        resume: Some(*state),
+        ..TrainControl::default()
+    }) else {
+        panic!("resume without an interrupt hook must complete");
+    };
+
+    let got = [
+        ("variables, jobs 1", hash(&base)),
+        (
+            "variables, jobs 4",
+            hash(&Pigeon::train_variable_namer(js, &refs, &parallel).unwrap()),
+        ),
+        (
+            "methods",
+            hash(&Pigeon::train_method_namer(js, &refs, &serial).unwrap()),
+        ),
+        (
+            "data-flow contexts, keep_prob 0.5",
+            hash(&Pigeon::train_variable_namer(js, &refs, &flow).unwrap()),
+        ),
+        ("update", hash(&base.update(&added_refs).unwrap())),
+        ("methods, interrupted and resumed", hash(&resumed)),
+    ];
+    let want = [
+        ("variables, jobs 1", 1489314818857980224),
+        ("variables, jobs 4", 1489314818857980224),
+        ("methods", 9085611626340182489),
+        ("data-flow contexts, keep_prob 0.5", 10663363757289047338),
+        ("update", 1493387300085329800),
+        ("methods, interrupted and resumed", 9085611626340182489),
+    ];
+    assert_eq!(got, want);
+}
+
+/// A partial's stored statistics are redundant with its instances, and
+/// the merge takes its counts from the replayed instances: raising one
+/// stored suggestion count changes nothing in the merged model, while
+/// the audit cross-check still flags the forged document.
+#[test]
+fn stored_partial_counts_cannot_skew_a_merge() {
+    use pigeon::eval::partial::{decode_partial, encode_partial, verify_doc_stats};
+
+    let sources = corpus_sources(16, 0x51AD_000C);
+    let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let config = PigeonConfig::default();
+    let parts: Vec<Vec<u8>> = (0..2)
+        .map(|i| {
+            Pigeon::build_training_partial(
+                Language::JavaScript,
+                ElementClass::Variable,
+                &refs,
+                i,
+                2,
+                &config,
+            )
+            .unwrap()
+        })
+        .collect();
+    let honest = Pigeon::from_partials(&parts).unwrap().to_json().unwrap();
+
+    let mut forged = decode_partial(&parts[1]).unwrap();
+    let doc = forged
+        .docs
+        .iter_mut()
+        .find(|d| !d.stats.suggestions.is_empty())
+        .expect("a document with suggestion counts");
+    let key = *doc.stats.suggestions.keys().min().unwrap();
+    let by_label = doc.stats.suggestions.get_mut(&key).unwrap();
+    let label = *by_label.keys().min().unwrap();
+    *by_label.get_mut(&label).unwrap() += 1000;
+    let err = verify_doc_stats(doc).unwrap_err();
+    assert!(err.contains("suggestion counts"), "{err}");
+
+    let merged = Pigeon::from_partials(&[parts[0].clone(), encode_partial(&forged)])
+        .unwrap()
+        .to_json()
+        .unwrap();
+    assert!(
+        merged == honest,
+        "a forged stored count changed the merged model"
+    );
+}
