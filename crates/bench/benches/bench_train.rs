@@ -1,6 +1,8 @@
 //! Training-path performance: full CRF training at two corpus sizes,
 //! the shard-merge path (`pigeon merge` over partial statistics files),
-//! checkpoint resume, and incremental updates vs full retraining.
+//! checkpoint resume, and incremental updates vs full retraining. The
+//! small-corpus paths the ratios compare are timed interleaved, one of
+//! each per iteration.
 //!
 //! Writes `BENCH_TRAIN.json` at the repo root (override the path with
 //! `PIGEON_BENCH_OUT`) with median/p95 per path, host metadata, and the
@@ -16,16 +18,15 @@ use pigeon::{Pigeon, PigeonConfig, TrainRun};
 use pigeon_bench::{bench_files, Section};
 use std::time::Instant;
 
-/// Times `f` over `iterations` runs and returns `(median, p95)` in
-/// microseconds.
-fn measure<T>(iterations: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
-    let mut micros: Vec<f64> = (0..iterations)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+/// Runs `f` once and returns its wall time in microseconds.
+fn time<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64() * 1e6
+}
+
+/// `(median, p95)` of a set of timings.
+fn summarize(mut micros: Vec<f64>) -> (f64, f64) {
     micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let p95 = micros[((micros.len() - 1) * 95) / 100];
     (micros[micros.len() / 2], p95)
@@ -35,7 +36,7 @@ fn sources_of(corpus: &pigeon::corpus::Corpus) -> Vec<&str> {
     corpus.docs.iter().map(|d| d.source.as_str()).collect()
 }
 
-const SMALL_ITERS: usize = 11;
+const SMALL_ITERS: usize = 21;
 const MEDIUM_ITERS: usize = 5;
 const SHARDS: usize = 4;
 
@@ -60,8 +61,11 @@ fn main() {
         Pigeon::train_variable_namer(Language::JavaScript, refs, &config).expect("trains")
     };
 
-    let (small_median, small_p95) = measure(SMALL_ITERS, || train(&small_refs));
-    let (medium_median, medium_p95) = measure(MEDIUM_ITERS, || train(&medium_refs));
+    let medium_stats = summarize(
+        (0..MEDIUM_ITERS)
+            .map(|_| time(|| train(&medium_refs)))
+            .collect(),
+    );
 
     // Shard-merge path: partials are produced once (that cost is the
     // workers' extraction, measured by crf_train_*); the merge path is
@@ -79,9 +83,6 @@ fn main() {
             .expect("builds partial")
         })
         .collect();
-    let (merge_median, merge_p95) = measure(SMALL_ITERS, || {
-        Pigeon::from_partials(&parts).expect("merges")
-    });
 
     // Resume path: snapshot at the halfway epoch once, then measure
     // checkpoint decode + the remaining epochs.
@@ -104,7 +105,7 @@ fn main() {
     .expect("trains");
     assert!(matches!(run, TrainRun::Completed(_)));
     let snapshot = snapshot.expect("halfway checkpoint fired");
-    let (resume_median, resume_p95) = measure(SMALL_ITERS, || {
+    let resume = || {
         let state = decode_checkpoint(&snapshot).expect("decodes");
         let resumed = Pigeon::train_namer_resumable(
             Language::JavaScript,
@@ -118,7 +119,7 @@ fn main() {
         )
         .expect("resumes");
         assert!(matches!(resumed, TrainRun::Completed(_)));
-    });
+    };
 
     // Incremental update vs full retrain over the same final corpus.
     let base = train(&small_refs);
@@ -131,25 +132,37 @@ fn main() {
     let extra_refs = sources_of(&extra);
     let mut combined = small_refs.clone();
     combined.extend(&extra_refs);
-    let (update_median, update_p95) =
-        measure(SMALL_ITERS, || base.update(&extra_refs).expect("updates"));
-    let (retrain_median, retrain_p95) = measure(SMALL_ITERS, || train(&combined));
+
+    // The small-corpus paths run interleaved: each iteration times every
+    // one of them back to back, so host drift over the run lands on all
+    // of them alike and cancels in the ratios instead of skewing them.
+    let mut small_times: [Vec<f64>; 5] = Default::default();
+    for _ in 0..SMALL_ITERS {
+        let [small_t, merge_t, resume_t, update_t, retrain_t] = &mut small_times;
+        small_t.push(time(|| train(&small_refs)));
+        merge_t.push(time(|| Pigeon::from_partials(&parts).expect("merges")));
+        resume_t.push(time(resume));
+        update_t.push(time(|| base.update(&extra_refs).expect("updates")));
+        retrain_t.push(time(|| train(&combined)));
+    }
+    let [small_stats, merge_stats, resume_stats, update_stats, retrain_stats] =
+        small_times.map(summarize);
 
     let rows = [
-        ("crf_train_small", small_median, small_p95),
-        ("crf_train_medium", medium_median, medium_p95),
-        ("shard_merge", merge_median, merge_p95),
-        ("resume", resume_median, resume_p95),
-        ("incremental_update", update_median, update_p95),
-        ("full_retrain", retrain_median, retrain_p95),
+        ("crf_train_small", small_stats),
+        ("crf_train_medium", medium_stats),
+        ("shard_merge", merge_stats),
+        ("resume", resume_stats),
+        ("incremental_update", update_stats),
+        ("full_retrain", retrain_stats),
     ];
     println!("{:<20} {:>14} {:>14}", "Path", "Median (µs)", "p95 (µs)");
-    for (name, median, p95) in &rows {
+    for (name, (median, p95)) in &rows {
         println!("{name:<20} {median:>14.1} {p95:>14.1}");
     }
-    let merge_ratio = merge_median / small_median;
-    let resume_ratio = resume_median / small_median;
-    let incremental_speedup = retrain_median / update_median;
+    let merge_ratio = merge_stats.0 / small_stats.0;
+    let resume_ratio = resume_stats.0 / small_stats.0;
+    let incremental_speedup = retrain_stats.0 / update_stats.0;
     println!(
         "\nshard_merge/train {merge_ratio:.2}  resume/train {resume_ratio:.2}  \
          incremental speedup {incremental_speedup:.2}×"
@@ -157,7 +170,7 @@ fn main() {
 
     let entries: Vec<String> = rows
         .iter()
-        .map(|(name, median, p95)| {
+        .map(|(name, (median, p95))| {
             format!("    \"{name}\": {{\"median_micros\": {median:.1}, \"p95_micros\": {p95:.1}}}")
         })
         .collect();

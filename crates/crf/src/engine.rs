@@ -7,20 +7,37 @@
 //!
 //! * **Packed weights** — `(path, lᵃ, lᵇ)` / `(path, l)` keys collapse to
 //!   a `u64` per entry (`lᵃ << 32 | lᵇ`, resp. `l`), stored sorted in one
-//!   flat array with a per-path offset index (CSR). A lookup is an O(1)
-//!   offset fetch plus a binary search over that path's slice — no
-//!   hashing, and the slice is contiguous in cache. Training uses the
-//!   mutable sibling [`BucketWeights`] (per-path sorted buckets) so
-//!   subgradient updates write back in O(bucket), then packs the
-//!   epoch-averaged result once.
+//!   flat array with a per-path offset index (CSR). Because a path's keys
+//!   are sorted, the entries a pairwise factor can contribute when its
+//!   `lᵃ` end is fixed form one contiguous run of that path's slice, and
+//!   a unary path's slice is one run. Training uses the mutable sibling
+//!   [`BucketWeights`] (per-path sorted buckets) so subgradient updates
+//!   write back in O(bucket), then packs the epoch-averaged result once.
+//!   The training store also keeps a transposed `lᵇ << 32 | lᵃ` mirror of
+//!   its pairwise buckets, so a factor whose `lᵇ` end is fixed is one run
+//!   too; the packed model keeps no mirror and probes each candidate's
+//!   key there instead.
 //! * **Packed candidates** — the `(path, other_label, side)` suggestion
 //!   table packs the same way, with suggestion lists in one flat label
 //!   pool and their co-occurrence counts in a parallel array. The binary
 //!   artifact ships no counts, so that array is empty after a `.pgnc`
 //!   load.
-//! * **Workspace** — per-instance CSR adjacency, the candidate buffer and
-//!   the label-dedup stamps live in a [`Workspace`] reused across
+//! * **Workspace** — per-instance CSR adjacency, the candidate buffer,
+//!   the label-dedup stamps with each stamped label's candidate position,
+//!   and the per-candidate scores live in a [`Workspace`] reused across
 //!   `infer` calls; steady-state inference allocates nothing.
+//! * **One scoring routine** — [`score_candidates`] scores all of a
+//!   node's candidates at once: each candidate starts at its prior, then
+//!   every factor is visited once, in adjacency order, and scatters the
+//!   weights of its run into the candidates they name (a walk of the run,
+//!   or one probe per candidate when the run is much longer than the
+//!   candidate list). Each candidate's sum takes its terms in the order a
+//!   per-candidate lookup would (prior, pairwise factors in adjacency
+//!   order, unary factors, margin), and skipping an absent entry is
+//!   adding `0.0`, which leaves every sum that is not `-0.0` unchanged —
+//!   none is, as each starts at a positive prior. So the scores are
+//!   bit-identical to looking every candidate up factor by factor. ICM's
+//!   argmax and the top-k ranking both call it.
 //! * **Delta-ICM** — after a node flips, only its factor-graph neighbours
 //!   can change their best response, so sweeps re-score just the nodes
 //!   marked dirty by a neighbour flip. The schedule still walks unknowns
@@ -54,12 +71,18 @@ pub(crate) fn pair_key(la: u32, lb: u32) -> u64 {
     (u64::from(la) << 32) | u64::from(lb)
 }
 
-/// A weight store the ICM engine can score against. Implemented by
-/// [`CrfModel`] (prediction) and by a pair of [`BucketWeights`]
-/// (training, where updates interleave with inference).
+/// A weight store the ICM engine can score against, as per-path sorted
+/// `(keys, weights)` slices. Implemented by [`CrfModel`] (prediction) and
+/// by the training loop's live weights, where updates interleave with
+/// inference.
 pub(crate) trait WeightStore {
-    fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32;
-    fn unary_w(&self, path: u32, l: u32) -> f32;
+    /// Path `path`'s pairwise entries, keyed `lᵃ << 32 | lᵇ`.
+    fn pair_slice(&self, path: u32) -> (&[u64], &[f32]);
+    /// The same entries keyed `lᵇ << 32 | lᵃ`, when the store keeps that
+    /// mirror.
+    fn pair_mirror_slice(&self, path: u32) -> Option<(&[u64], &[f32])>;
+    /// Path `path`'s unary entries, keyed by label.
+    fn unary_slice(&self, path: u32) -> (&[u64], &[f32]);
 }
 
 /// The number of path slots a set of tables spans: one past the largest
@@ -98,17 +121,22 @@ impl PackedWeights {
         }
     }
 
+    /// Path `path`'s sorted keys and their weights; empty past the
+    /// offsets index.
     #[inline]
-    fn get(&self, path: u32, key: u64) -> f32 {
+    fn slice(&self, path: u32) -> (&[u64], &[f32]) {
         let p = path as usize;
         if p + 1 >= self.offsets.len() {
-            return 0.0;
+            return (&[], &[]);
         }
         let (s, e) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
-        match self.keys[s..e].binary_search(&key) {
-            Ok(i) => self.weights[s + i],
-            Err(_) => 0.0,
-        }
+        (&self.keys[s..e], &self.weights[s..e])
+    }
+
+    /// The weight stored under `(path, key)`, or `0.0`.
+    pub(crate) fn get(&self, path: u32, key: u64) -> f32 {
+        let (keys, weights) = self.slice(path);
+        keys.binary_search(&key).map_or(0.0, |i| weights[i])
     }
 
     /// Visits every entry as `(path, key, weight)`, in `(path, key)`
@@ -121,29 +149,35 @@ impl PackedWeights {
     }
 }
 
-/// Mutable indexed values for the training loop: one sorted
-/// `(key, value)` bucket per path id. Lookups binary-search a small
-/// contiguous bucket; write-back inserts in O(bucket size), which stays
-/// cheap because features distribute across paths. `f32` buckets hold
-/// the live weights, `f64` buckets the epoch-average sums.
+/// Mutable indexed values for the training loop: one sorted bucket of
+/// keys, with their values alongside, per path id. Write-back inserts in
+/// O(bucket size), which stays cheap because features distribute across
+/// paths. `f32` buckets hold the live weights, `f64` buckets the
+/// epoch-average sums.
 ///
 /// An entry, once inserted, is never removed even when its value
 /// returns to zero — the epoch-averaging step sums every entry ever
 /// touched.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BucketWeights<T = f32> {
-    buckets: Vec<Vec<(u64, T)>>,
+    buckets: Vec<Bucket<T>>,
+}
+
+/// One path's entries: strictly increasing keys and their values.
+#[derive(Debug, Clone, Default)]
+struct Bucket<T> {
+    keys: Vec<u64>,
+    values: Vec<T>,
 }
 
 impl<T: Copy + Default + AddAssign> BucketWeights<T> {
+    /// Path `path`'s sorted keys and their values; empty for a path never
+    /// written.
     #[inline]
-    fn get(&self, path: u32, key: u64) -> T {
+    pub(crate) fn slice(&self, path: u32) -> (&[u64], &[T]) {
         match self.buckets.get(path as usize) {
-            Some(b) => match b.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(i) => b[i].1,
-                Err(_) => T::default(),
-            },
-            None => T::default(),
+            Some(b) => (&b.keys, &b.values),
+            None => (&[], &[]),
         }
     }
 
@@ -151,38 +185,25 @@ impl<T: Copy + Default + AddAssign> BucketWeights<T> {
     pub(crate) fn add(&mut self, path: u32, key: u64, delta: T) {
         let p = path as usize;
         if p >= self.buckets.len() {
-            self.buckets.resize(p + 1, Vec::new());
+            self.buckets.resize_with(p + 1, Bucket::default);
         }
         let b = &mut self.buckets[p];
-        let i = b
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .unwrap_or_else(|i| {
-                b.insert(i, (key, T::default()));
-                i
-            });
-        b[i].1 += delta;
+        let i = b.keys.binary_search(&key).unwrap_or_else(|i| {
+            b.keys.insert(i, key);
+            b.values.insert(i, T::default());
+            i
+        });
+        b.values[i] += delta;
     }
 
     /// Visits every entry as `(path, key, value)`, in `(path, key)`
     /// order.
     pub(crate) fn for_each(&self, mut f: impl FnMut(u32, u64, T)) {
         for (p, b) in self.buckets.iter().enumerate() {
-            for &(k, w) in b {
-                f(p as u32, k, w);
+            for (&k, &v) in b.keys.iter().zip(&b.values) {
+                f(p as u32, k, v);
             }
         }
-    }
-}
-
-impl WeightStore for (BucketWeights, BucketWeights) {
-    #[inline]
-    fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32 {
-        self.0.get(path, pair_key(la, lb))
-    }
-
-    #[inline]
-    fn unary_w(&self, path: u32, l: u32) -> f32 {
-        self.1.get(path, u64::from(l))
     }
 }
 
@@ -310,7 +331,7 @@ impl EngineShared {
             slots = slots.max(*l as usize + 1);
         }
         // Uncounted labels score the frequency-zero prior (see
-        // `node_score`), so the table only covers the counted ones.
+        // `score_candidates`), so the table only covers the counted ones.
         let prior = label_counts
             .iter()
             .map(|&c| 1e-3 * (1.0 + f32::ln(1.0 + c as f32)))
@@ -329,13 +350,20 @@ impl EngineShared {
 
 impl WeightStore for CrfModel {
     #[inline]
-    fn pair_w(&self, path: u32, la: u32, lb: u32) -> f32 {
-        self.pair.get(path, pair_key(la, lb))
+    fn pair_slice(&self, path: u32) -> (&[u64], &[f32]) {
+        self.pair.slice(path)
+    }
+
+    /// The packed model keeps no mirror: loading and serving stay as
+    /// lean as the stored tables.
+    #[inline]
+    fn pair_mirror_slice(&self, _path: u32) -> Option<(&[u64], &[f32])> {
+        None
     }
 
     #[inline]
-    fn unary_w(&self, path: u32, l: u32) -> f32 {
-        self.unary.get(path, u64::from(l))
+    fn unary_slice(&self, path: u32) -> (&[u64], &[f32]) {
+        self.unary.slice(path)
     }
 }
 
@@ -360,7 +388,11 @@ pub(crate) struct Workspace {
     cand: Vec<u32>,
     /// `seen[l] == stamp` ⇔ label `l` is already in `cand`.
     seen: Vec<u32>,
+    /// `cand[pos[l]] == l` while `seen[l] == stamp`.
+    pos: Vec<u32>,
     stamp: u32,
+    /// The score of each candidate, parallel to `cand`.
+    score: Vec<f32>,
 }
 
 impl Workspace {
@@ -427,17 +459,20 @@ impl Workspace {
         self.dirty.resize(n, false);
         if self.seen.len() < num_label_slots {
             self.seen.resize(num_label_slots, 0);
+            self.pos.resize(num_label_slots, 0);
         }
     }
 
+    /// Appends `l` to the candidates unless it is already there or the
+    /// list holds `cap` labels.
     #[inline]
-    fn pair_factors(&self, node: usize) -> &[u32] {
-        &self.pair_adj[self.pair_off[node] as usize..self.pair_off[node + 1] as usize]
-    }
-
-    #[inline]
-    fn unary_factors(&self, node: usize) -> &[u32] {
-        &self.unary_adj[self.unary_off[node] as usize..self.unary_off[node + 1] as usize]
+    fn offer(&mut self, l: u32, cap: usize) {
+        let slot = &mut self.seen[l as usize];
+        if *slot != self.stamp && self.cand.len() < cap {
+            *slot = self.stamp;
+            self.pos[l as usize] = self.cand.len() as u32;
+            self.cand.push(l);
+        }
     }
 }
 
@@ -462,59 +497,129 @@ fn collect_candidates(shared: &EngineShared, inst: &Instance, ws: &mut Workspace
         };
         let other_label = ws.labels[other];
         for &l in shared.cands.get(pf.path, other_label, side) {
-            let slot = &mut ws.seen[l as usize];
-            if *slot != ws.stamp && ws.cand.len() < cap {
-                *slot = ws.stamp;
-                ws.cand.push(l);
-            }
+            ws.offer(l, cap);
         }
     }
     for &l in &shared.global_candidates {
-        let slot = &mut ws.seen[l as usize];
-        if *slot != ws.stamp && ws.cand.len() < cap {
-            *slot = ws.stamp;
-            ws.cand.push(l);
+        ws.offer(l, cap);
+    }
+}
+
+/// The candidates being scored, seen from a weight run: the stamps tell
+/// which labels are candidates and `pos` where their scores sit.
+struct Scatter<'a> {
+    cand: &'a [u32],
+    seen: &'a [u32],
+    pos: &'a [u32],
+    stamp: u32,
+    score: &'a mut [f32],
+}
+
+/// A run at most this many times the candidate count is walked entry by
+/// entry; a longer one is probed once per candidate, so no factor costs
+/// more than a per-candidate lookup would.
+const WALK_PER_CANDIDATE: usize = 8;
+
+impl Scatter<'_> {
+    /// Adds the weight stored under `fixed << 32 | c`, if any, to each
+    /// candidate `c`'s score. `keys` is one path's sorted slice and
+    /// `weights` runs parallel to it.
+    #[inline]
+    fn add_run(&mut self, keys: &[u64], weights: &[f32], fixed: u32) {
+        let hi = u64::from(fixed);
+        let start = keys.partition_point(|&k| k >> 32 < hi);
+        let len = keys[start..].partition_point(|&k| k >> 32 == hi);
+        let (keys, weights) = (&keys[start..start + len], &weights[start..start + len]);
+        if keys.len() <= WALK_PER_CANDIDATE * self.cand.len() {
+            for (&k, &w) in keys.iter().zip(weights) {
+                let l = k as u32 as usize;
+                if self.seen.get(l) == Some(&self.stamp) {
+                    self.score[self.pos[l] as usize] += w;
+                }
+            }
+        } else {
+            self.probe(keys, weights, |c| pair_key(fixed, c));
+        }
+    }
+
+    /// Adds the weight stored under `key(c)`, if any, to each candidate
+    /// `c`'s score.
+    #[inline]
+    fn probe(&mut self, keys: &[u64], weights: &[f32], key: impl Fn(u32) -> u64) {
+        for (s, &c) in self.score.iter_mut().zip(self.cand) {
+            if let Ok(i) = keys.binary_search(&key(c)) {
+                *s += weights[i];
+            }
         }
     }
 }
 
-/// The score of assigning `label` to `node` with every other node held
-/// at `labels`, accumulated in a fixed order (prior, pairwise factors in
-/// adjacency order, unary factors, margin) so results are bit-stable.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn node_score<W: WeightStore>(
+/// Scores every candidate in `ws.cand` for `node`, with every other node
+/// held at the workspace labels, into `ws.score`. Each candidate's sum
+/// takes its terms in one fixed order (prior, pairwise factors in
+/// adjacency order, unary factors, margin), so results are bit-stable;
+/// see the module doc for why scattering each factor's stored weights
+/// reproduces a per-candidate lookup exactly.
+fn score_candidates<W: WeightStore>(
     shared: &EngineShared,
     weights: &W,
     inst: &Instance,
-    labels: &[u32],
-    pair_factors: &[u32],
-    unary_factors: &[u32],
+    ws: &mut Workspace,
     node: usize,
-    label: u32,
     loss_augment: bool,
-) -> f32 {
+) {
+    let Workspace {
+        labels,
+        pair_off,
+        pair_adj,
+        unary_off,
+        unary_adj,
+        cand,
+        seen,
+        pos,
+        stamp,
+        score,
+        ..
+    } = ws;
+    score.clear();
     // A label outside the count table has frequency zero.
-    let mut s = shared
-        .prior
-        .get(label as usize)
-        .copied()
-        .unwrap_or(1e-3 * 1.0);
-    for &f in pair_factors {
+    score.extend(
+        cand.iter()
+            .map(|&c| shared.prior.get(c as usize).copied().unwrap_or(1e-3 * 1.0)),
+    );
+    let mut scatter = Scatter {
+        cand,
+        seen,
+        pos,
+        stamp: *stamp,
+        score,
+    };
+    for &f in &pair_adj[pair_off[node] as usize..pair_off[node + 1] as usize] {
         let pf = inst.pairwise[f as usize];
-        s += if pf.a == node {
-            weights.pair_w(pf.path, label, labels[pf.b])
+        let (keys, w) = weights.pair_slice(pf.path);
+        if pf.a != node {
+            // Node is the `b` end: the fixed `a` label selects a run.
+            scatter.add_run(keys, w, labels[pf.a]);
+        } else if let Some((keys, w)) = weights.pair_mirror_slice(pf.path) {
+            scatter.add_run(keys, w, labels[pf.b]);
         } else {
-            weights.pair_w(pf.path, labels[pf.a], label)
-        };
+            let lb = labels[pf.b];
+            scatter.probe(keys, w, |c| pair_key(c, lb));
+        }
     }
-    for &f in unary_factors {
-        s += weights.unary_w(inst.unary[f as usize].path, label);
+    for &f in &unary_adj[unary_off[node] as usize..unary_off[node + 1] as usize] {
+        let (keys, w) = weights.unary_slice(inst.unary[f as usize].path);
+        // Unary keys are bare labels: one run under a zero high half.
+        scatter.add_run(keys, w, 0);
     }
-    if loss_augment && label != inst.nodes[node].label {
-        s += 1.0;
+    if loss_augment {
+        let gold = inst.nodes[node].label;
+        for (s, &c) in score.iter_mut().zip(cand.iter()) {
+            if c != gold {
+                *s += 1.0;
+            }
+        }
     }
-    s
 }
 
 /// Best candidate for `node` against the current workspace labels; the
@@ -523,34 +628,22 @@ fn argmax<W: WeightStore>(
     shared: &EngineShared,
     weights: &W,
     inst: &Instance,
-    ws: &Workspace,
+    ws: &mut Workspace,
     node: usize,
     loss_augment: bool,
 ) -> u32 {
+    if ws.cand.is_empty() {
+        // No evidence at all: the most frequent training label.
+        return shared.global_candidates.first().copied().unwrap_or(0);
+    }
+    score_candidates(shared, weights, inst, ws, node, loss_augment);
     let mut best = ws.labels[node];
     let mut best_score = f32::NEG_INFINITY;
-    let pair_factors = ws.pair_factors(node);
-    let unary_factors = ws.unary_factors(node);
-    for &c in &ws.cand {
-        let s = node_score(
-            shared,
-            weights,
-            inst,
-            &ws.labels,
-            pair_factors,
-            unary_factors,
-            node,
-            c,
-            loss_augment,
-        );
+    for (&c, &s) in ws.cand.iter().zip(&ws.score) {
         if s > best_score {
             best_score = s;
             best = c;
         }
-    }
-    if ws.cand.is_empty() {
-        // No evidence at all: the most frequent training label.
-        best = shared.global_candidates.first().copied().unwrap_or(0);
     }
     best
 }
@@ -700,25 +793,12 @@ impl CrfModel {
         k: usize,
     ) -> Vec<(u32, f32)> {
         collect_candidates(&self.shared, inst, ws, node);
-        let pair_factors = ws.pair_factors(node);
-        let unary_factors = ws.unary_factors(node);
+        score_candidates(&self.shared, self, inst, ws, node, false);
         let mut scored: Vec<(u32, f32)> = ws
             .cand
             .iter()
-            .map(|&c| {
-                let s = node_score(
-                    &self.shared,
-                    self,
-                    inst,
-                    &ws.labels,
-                    pair_factors,
-                    unary_factors,
-                    node,
-                    c,
-                    false,
-                );
-                (c, s)
-            })
+            .copied()
+            .zip(ws.score.iter().copied())
             .collect();
         scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
         scored.truncate(k);

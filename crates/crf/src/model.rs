@@ -1,7 +1,7 @@
 //! The model: packed weights, candidate tables, validation and read
 //! accessors.
 
-use crate::engine::{EngineShared, PackedCandidates, PackedWeights, WeightStore};
+use crate::engine::{pair_key, EngineShared, PackedCandidates, PackedWeights};
 use crate::instance::Instance;
 
 /// One borrowed candidate-table entry:
@@ -290,10 +290,10 @@ impl CrfModel {
     pub fn assignment_score(&self, inst: &Instance, labels: &[u32]) -> f32 {
         let mut s = 0.0;
         for pf in &inst.pairwise {
-            s += self.pair_w(pf.path, labels[pf.a], labels[pf.b]);
+            s += self.pair.get(pf.path, pair_key(labels[pf.a], labels[pf.b]));
         }
         for uf in &inst.unary {
-            s += self.unary_w(uf.path, labels[uf.node]);
+            s += self.unary.get(uf.path, u64::from(labels[uf.node]));
         }
         for (i, n) in inst.nodes.iter().enumerate() {
             if !n.known {
@@ -313,7 +313,7 @@ impl CrfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{pair_key, path_span};
+    use crate::engine::path_span;
     use crate::instance::Node;
 
     /// A hand-weighted model: path 0 strongly links label pairs (1,2) and
@@ -389,6 +389,34 @@ mod tests {
         let top = m.top_k(&inst, 0, 3);
         assert_eq!(top[0].0, m.predict(&inst)[0]);
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
+    }
+
+    #[test]
+    fn long_weight_runs_score_like_short_ones() {
+        // Path 3 and unary path 6 hold a weight for every candidate
+        // label 0..5; the long model adds entries for labels no node can
+        // take, so its runs outgrow the candidate list and are probed per
+        // candidate instead of walked. The scores must not move a bit.
+        let w = |c: u32| 0.1 + 0.25 * c as f32;
+        let short_pair: Vec<_> = (0..5).map(|c| (3, 2, c, w(c))).collect();
+        let short_unary: Vec<_> = (0..5).map(|c| (6, c, w(5 - c))).collect();
+        let mut long_pair = short_pair.clone();
+        long_pair.extend((5..400).map(|c| (3, 2, c, 9.0)));
+        let mut long_unary = short_unary.clone();
+        long_unary.extend((5..400).map(|c| (6, c, 9.0)));
+        let short = toy_model(&short_pair, &short_unary);
+        let long = toy_model(&long_pair, &long_unary);
+        let mut inst = Instance::new(vec![Node::known(2), Node::unknown(0)]);
+        inst.add_pair(0, 1, 3);
+        inst.add_unary(1, 6);
+        let bits = |m: &CrfModel| -> Vec<(u32, u32)> {
+            m.top_k(&inst, 1, 5)
+                .into_iter()
+                .map(|(c, s)| (c, s.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&short).len(), 5);
+        assert_eq!(bits(&short), bits(&long));
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! perceptron without per-feature regularisation bookkeeping.
 //!
 //! The inner loop runs on the ICM engine of [`crate::engine`]: weights
-//! live in indexed per-path buckets (no tuple hashing in scoring),
-//! inference reuses one workspace across every update and sweeps with
-//! delta-ICM, and the epoch average is packed into the model's CSR
-//! tables once at the end. Statistics gathering fans out over
+//! live in indexed per-path buckets (no tuple hashing in scoring), the
+//! pairwise ones beside a transposed mirror so that ICM scores either
+//! end of a factor from one run of keys, inference reuses one workspace
+//! across every update and sweeps with delta-ICM, and the epoch average
+//! is packed into the model's CSR tables once at the end. Statistics
+//! gathering fans out over
 //! [`pigeon_core::parallel_map_indexed`] when [`CrfConfig::jobs`] allows.
 //! The trained model is **byte-identical** for any `jobs` value — and to
 //! the original hash-map implementation (pinned in
@@ -41,7 +43,7 @@
 
 use crate::engine::{
     infer, pair_key, path_span, BucketWeights, CandidateRow, EngineShared, PackedCandidates,
-    PackedWeights, Workspace,
+    PackedWeights, WeightStore, Workspace,
 };
 use crate::instance::Instance;
 use crate::model::CrfModel;
@@ -374,10 +376,64 @@ pub fn train_incremental(
     ))
 }
 
-/// Live weights of the SGD loop: pairwise and unary buckets.
-type Weights = (BucketWeights, BucketWeights);
+/// Live weights of the SGD loop: pairwise and unary buckets, plus a
+/// transposed mirror of the pairwise ones that lets ICM score a factor's
+/// `a` end from one contiguous run (see [`crate::engine`]).
+///
+/// Every pairwise write goes through [`TrainWeights::add_pair`], so the
+/// mirror always holds exactly the primary entries with their label
+/// halves swapped. Everything that persists or averages weights —
+/// checkpoints, epoch sums, the final pack — reads only the primary
+/// tables; warm starts and resumes rebuild the mirror through
+/// `add_pair`.
+#[derive(Debug, Clone, Default)]
+struct TrainWeights {
+    /// Keyed `la << 32 | lb`.
+    pair: BucketWeights,
+    /// Keyed `lb << 32 | la`; written only by `add_pair`.
+    pair_mirror: BucketWeights,
+    unary: BucketWeights,
+}
 
-/// Epoch-average accumulators, keyed like [`Weights`].
+impl TrainWeights {
+    /// Adds `delta` to the pairwise entry `(path, key)` and to its mirror.
+    fn add_pair(&mut self, path: u32, key: u64, delta: f32) {
+        self.pair.add(path, key, delta);
+        self.pair_mirror.add(path, key.rotate_left(32), delta);
+    }
+
+    /// The live weights a snapshot holds, mirror rebuilt.
+    fn restore(state: &TrainState) -> TrainWeights {
+        let mut weights = TrainWeights::default();
+        for &(path, key, w) in &state.pair {
+            weights.add_pair(path, key, w);
+        }
+        for &(path, key, w) in &state.unary {
+            weights.unary.add(path, key, w);
+        }
+        weights
+    }
+}
+
+impl WeightStore for TrainWeights {
+    #[inline]
+    fn pair_slice(&self, path: u32) -> (&[u64], &[f32]) {
+        self.pair.slice(path)
+    }
+
+    #[inline]
+    fn pair_mirror_slice(&self, path: u32) -> Option<(&[u64], &[f32])> {
+        Some(self.pair_mirror.slice(path))
+    }
+
+    #[inline]
+    fn unary_slice(&self, path: u32) -> (&[u64], &[f32]) {
+        self.unary.slice(path)
+    }
+}
+
+/// Epoch-average accumulators for the pairwise and unary weights, keyed
+/// like the primary tables of [`TrainWeights`].
 type Sums = (BucketWeights<f64>, BucketWeights<f64>);
 
 /// The one training core behind every entry point: strips unary factors
@@ -416,7 +472,7 @@ fn train_core(
         }
         Some(stats) => stats,
     };
-    let mut weights = Weights::default();
+    let mut weights = TrainWeights::default();
     if let Some(base) = base {
         // Fold in the base's (truncated) count tables: its candidate
         // lists already lost their tail, so an update is an
@@ -440,10 +496,10 @@ fn train_core(
             }
         }
         for (path, key, w) in base.pair.iter_entries() {
-            weights.0.add(path, key, w);
+            weights.add_pair(path, key, w);
         }
         for (path, key, w) in base.unary.iter_entries() {
-            weights.1.add(path, key, w);
+            weights.unary.add(path, key, w);
         }
     }
     let model = finish_statistics(stats, cfg);
@@ -486,7 +542,7 @@ fn validate_labels(instances: &[Instance], num_labels: u32) -> Result<(), String
 /// instance violated the margin (drove an update).
 fn sgd_step(
     shared: &EngineShared,
-    weights: &mut Weights,
+    weights: &mut TrainWeights,
     inst: &Instance,
     cfg: &CrfConfig,
     ws: &mut Workspace,
@@ -502,32 +558,28 @@ fn sgd_step(
         let g = (gold[pf.a], gold[pf.b]);
         let p = (predicted[pf.a], predicted[pf.b]);
         if g != p {
-            weights
-                .0
-                .add(pf.path, pair_key(g.0, g.1), cfg.learning_rate);
-            weights
-                .0
-                .add(pf.path, pair_key(p.0, p.1), -cfg.learning_rate);
+            weights.add_pair(pf.path, pair_key(g.0, g.1), cfg.learning_rate);
+            weights.add_pair(pf.path, pair_key(p.0, p.1), -cfg.learning_rate);
         }
     }
     for uf in &inst.unary {
         let g = gold[uf.node];
         let p = predicted[uf.node];
         if g != p {
-            weights.1.add(uf.path, u64::from(g), cfg.learning_rate);
-            weights.1.add(uf.path, u64::from(p), -cfg.learning_rate);
+            weights.unary.add(uf.path, u64::from(g), cfg.learning_rate);
+            weights.unary.add(uf.path, u64::from(p), -cfg.learning_rate);
         }
     }
     1
 }
 
 /// Accumulates the live weights into the epoch-average sums.
-fn accumulate_sums(weights: &Weights, sums: &mut Sums) {
+fn accumulate_sums(weights: &TrainWeights, sums: &mut Sums) {
     weights
-        .0
+        .pair
         .for_each(|path, key, w| sums.0.add(path, key, f64::from(w)));
     weights
-        .1
+        .unary
         .for_each(|path, key, w| sums.1.add(path, key, f64::from(w)));
 }
 
@@ -559,15 +611,17 @@ fn capture_state(
     (epoch, pos, shuffled): (usize, usize, bool),
     order: &[usize],
     rng: &SmallRng,
-    weights: &Weights,
+    weights: &TrainWeights,
     sums: &Sums,
     fingerprint: &TrainFingerprint,
 ) -> TrainState {
     let mut pair = Vec::new();
-    weights.0.for_each(|path, key, w| pair.push((path, key, w)));
+    weights
+        .pair
+        .for_each(|path, key, w| pair.push((path, key, w)));
     let mut unary = Vec::new();
     weights
-        .1
+        .unary
         .for_each(|path, key, w| unary.push((path, key, w)));
     let mut pair_sum = Vec::new();
     sums.0
@@ -638,7 +692,7 @@ fn check_resumed_ids(
 /// fixed by the seed, so [`train`] stays byte-for-byte reproducible.
 fn sgd(
     mut model: CrfModel,
-    mut weights: Weights,
+    mut weights: TrainWeights,
     instances: &[Instance],
     num_labels: u32,
     cfg: &CrfConfig,
@@ -670,13 +724,7 @@ fn sgd(
             return Err("checkpoint state is inconsistent with the corpus size".to_owned());
         }
         check_resumed_ids(&state, instances, num_labels)?;
-        weights = Weights::default();
-        for &(path, key, w) in &state.pair {
-            weights.0.add(path, key, w);
-        }
-        for &(path, key, w) in &state.unary {
-            weights.1.add(path, key, w);
-        }
+        weights = TrainWeights::restore(&state);
         for &(path, a, b, sum) in &state.pair_sum {
             sums.0.add(path, pair_key(a, b), sum);
         }
@@ -1084,6 +1132,78 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("checkpoint"), "unexpected error: {err}");
+    }
+
+    /// The primary pairwise entries with their label halves swapped, as
+    /// the mirror must hold them: `(path, lb << 32 | la, weight bits)`.
+    fn transposed(weights: &TrainWeights) -> Vec<(u32, u64, u32)> {
+        let mut entries = Vec::new();
+        weights
+            .pair
+            .for_each(|path, key, w| entries.push((path, key.rotate_left(32), w.to_bits())));
+        entries.sort_unstable();
+        entries
+    }
+
+    fn mirror(weights: &TrainWeights) -> Vec<(u32, u64, u32)> {
+        let mut entries = Vec::new();
+        weights
+            .pair_mirror
+            .for_each(|path, key, w| entries.push((path, key, w.to_bits())));
+        entries
+    }
+
+    #[test]
+    fn the_pairwise_mirror_is_the_transposed_primary_table() {
+        let mut rng = SmallRng::seed_from_u64(71);
+        let mut weights = TrainWeights::default();
+        for _ in 0..3000 {
+            let (path, la, lb) = (
+                rng.gen_range(0..7u32),
+                rng.gen_range(0..12u32),
+                rng.gen_range(0..12u32),
+            );
+            let delta = [0.1f32, -0.1, 0.375][rng.gen_range(0..3usize)];
+            weights.add_pair(path, pair_key(la, lb), delta);
+            if rng.gen_range(0..4u32) == 0 {
+                // A fresh entry that cancels back to exactly 0.0 stays in
+                // both tables.
+                let key = pair_key(lb + 100, la + 100);
+                weights.add_pair(path, key, delta);
+                weights.add_pair(path, key, -delta);
+            }
+        }
+        let expected = transposed(&weights);
+        assert!(
+            expected.iter().any(|&(_, _, w)| w == 0),
+            "no entry cancelled to 0.0"
+        );
+        assert_eq!(mirror(&weights), expected);
+
+        // A resume rebuilds the mirror from the snapshot's primary
+        // entries alone.
+        let world = toy_world(80, 10, 4, 72);
+        let calls = std::cell::Cell::new(0usize);
+        let stop = move || {
+            calls.set(calls.get() + 1);
+            calls.get() > 170
+        };
+        let control = TrainControl {
+            interrupt: Some(&stop),
+            ..TrainControl::default()
+        };
+        let state = match train_resumable(&world, 7, &CrfConfig::default(), control).unwrap() {
+            TrainOutcome::Interrupted(state) => state,
+            TrainOutcome::Completed(_) => panic!("interrupt never fired"),
+        };
+        let restored = TrainWeights::restore(&state);
+        let mut primary = Vec::new();
+        restored
+            .pair
+            .for_each(|path, key, w| primary.push((path, key, w)));
+        assert!(!primary.is_empty());
+        assert_eq!(primary, state.pair);
+        assert_eq!(mirror(&restored), transposed(&restored));
     }
 
     #[test]

@@ -137,6 +137,30 @@ proptest! {
         }
     }
 
+    /// The engine scores each candidate exactly as the reference adds
+    /// up its terms one lookup at a time: `predict_top_k` returns the
+    /// reference's MAP labels and, for every unknown, its ranked labels
+    /// with bit-identical scores.
+    #[test]
+    fn top_k_scores_equal_the_reference(specs in prop::collection::vec(instance_strategy(), 1..12)) {
+        let instances: Vec<Instance> = specs.iter().map(build).collect();
+        let model = train(&instances, NUM_LABELS, &CrfConfig {
+            epochs: 2,
+            ..CrfConfig::default()
+        });
+        let reference = Reference::new(&model);
+        for inst in &instances {
+            let unknowns = inst.unknown_nodes();
+            let (labels, ranked) = model.predict_top_k(inst, &unknowns, 5);
+            let map = reference.infer(inst, false);
+            prop_assert_eq!(&labels, &map);
+            for (&node, list) in unknowns.iter().zip(&ranked) {
+                let expected = reference.top_k(inst, &map, node, 5);
+                prop_assert_eq!(bits(list), bits(&expected), "node {}", node);
+            }
+        }
+    }
+
     /// Delta-ICM (the packed sweeps that re-score only neighbours of a
     /// flipped node) never returns an assignment scoring below the
     /// all-global-head initialisation: skipping clean nodes must not
@@ -190,14 +214,17 @@ proptest! {
         // `top_k` (each re-running inference) does, score bits included.
         let (labels, ranked) = model.predict_top_k(&inst, &unknowns, 4);
         prop_assert_eq!(&labels, &map);
-        let bits = |lists: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&(c, s)| (c, s.to_bits())).collect())
-                .collect()
+        let all_bits = |lists: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
+            lists.iter().map(|l| bits(l)).collect()
         };
-        prop_assert_eq!(bits(&ranked), bits(&per_node));
+        prop_assert_eq!(all_bits(&ranked), all_bits(&per_node));
     }
+}
+
+/// A ranked list with each score as its bit pattern, so equality is
+/// bit-exact.
+fn bits(list: &[(u32, f32)]) -> Vec<(u32, u32)> {
+    list.iter().map(|&(c, s)| (c, s.to_bits())).collect()
 }
 
 fn map_blank(model: &CrfModel) -> u32 {

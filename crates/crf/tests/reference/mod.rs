@@ -111,7 +111,8 @@ impl Reference {
 
     /// The score of assigning `label` to `node` with every other node
     /// held at `labels`; `loss_augment` adds a unit margin against the
-    /// gold label.
+    /// gold label. Terms are added in the engine's order: prior,
+    /// pairwise factors in adjacency order, unary factors, margin.
     fn node_score(
         &self,
         inst: &Instance,
@@ -162,6 +163,30 @@ impl Reference {
             best = self.global_candidates.first().copied().unwrap_or(0);
         }
         best
+    }
+
+    /// Every candidate of `node` with its score, every other node held
+    /// at `labels`, in candidate order.
+    pub fn candidate_scores(
+        &self,
+        inst: &Instance,
+        labels: &[u32],
+        node: usize,
+    ) -> Vec<(u32, f32)> {
+        let adj = adjacency(inst);
+        self.node_candidates(inst, &adj, labels, node)
+            .into_iter()
+            .map(|c| (c, self.node_score(inst, &adj, labels, node, c, false)))
+            .collect()
+    }
+
+    /// The best `k` of [`Reference::candidate_scores`], best first; ties
+    /// go to the smaller label id.
+    pub fn top_k(&self, inst: &Instance, labels: &[u32], node: usize, k: usize) -> Vec<(u32, f32)> {
+        let mut scored = self.candidate_scores(inst, labels, node);
+        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        scored.truncate(k);
+        scored
     }
 
     /// MAP inference by plain iterated conditional modes: blank the

@@ -718,16 +718,19 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     if let Some(model_path) = flag(&flags, "update") {
         let out = require_out()?;
         let add_dir = flag(&flags, "add").ok_or("--update requires --add NEW_DOCS_DIR")?;
-        for conflict in [
-            "shard",
-            "emit-partial",
-            "checkpoint-every",
-            "resume",
-            "synthetic",
-        ] {
-            if flag(&flags, conflict).is_some() {
-                return Err(format!("--update cannot be combined with --{conflict}"));
+        // The update keeps the base model's language, task, extraction
+        // limits and training knobs, so any other flag would be ignored.
+        const UPDATE_FLAGS: [&str; 5] = ["update", "add", "out", "trace-out", "timings"];
+        for (name, _) in TRAIN_FLAGS {
+            if !UPDATE_FLAGS.contains(name) && flag(&flags, name).is_some() {
+                return Err(format!("--update cannot be combined with --{name}"));
             }
+        }
+        if !positional.is_empty() {
+            return Err(
+                "--update cannot be combined with FILE arguments; new documents come from --add"
+                    .into(),
+            );
         }
         let base = load_model(model_path)?;
         let files = list_corpus(base.language(), add_dir)?;

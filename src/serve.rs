@@ -819,6 +819,49 @@ fn install_shutdown_handler() {
 #[cfg(not(unix))]
 fn install_shutdown_handler() {}
 
+/// Blocks until `listener` has a connection to accept, a signal arrives
+/// or `timeout` passes, whichever is first. The bound keeps the accept
+/// loop's shutdown and idle checks on their cadence.
+#[cfg(target_os = "linux")]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::os::unix::io::AsRawFd;
+    /// `struct pollfd` of `<poll.h>`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    extern "C" {
+        // Provided by libc, which std already links; declaring it here
+        // keeps the server dependency-free.
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one live, `repr(C)` `struct pollfd` that outlives the
+    // call, `nfds` is 1, and the descriptor stays open (the listener is
+    // borrowed).
+    let ready = unsafe { poll(&mut fd, 1, timeout_ms) };
+    if ready < 0 {
+        // A failed wait (a signal, say) naps instead, so the accept loop
+        // can never spin.
+        std::thread::sleep(timeout);
+    }
+}
+
+/// Other targets nap for the whole bound instead.
+#[cfg(not(target_os = "linux"))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 /// Whether the fault-injection endpoint (`POST /v1/_chaos/poison`) is
 /// armed. Off unless the process runs with `PIGEON_CHAOS=1`; the e2e
 /// poisoned-lock regression test uses it to panic a worker while it
@@ -2056,7 +2099,7 @@ impl BoundServer {
                         }
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
+                        wait_for_connection(&listener, Duration::from_millis(5));
                     }
                     Err(e) => {
                         eprintln!("pigeon serve: accept failed: {e}");

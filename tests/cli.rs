@@ -695,6 +695,77 @@ fn update_folds_new_documents_without_the_original_corpus() {
     );
 }
 
+/// An update keeps the base model's language, task, limits and training
+/// knobs, so every train flag it would ignore — and any positional FILE
+/// — is an error instead of a silent no-op, and no model is written.
+#[test]
+fn update_rejects_the_flags_it_ignores() {
+    let dir = tmp_dir("update-flags");
+    let base = dir.join("base.json");
+    let new_docs = dir.join("new");
+    for args in [
+        &["train", "--language", "js", "--synthetic", "20", "--out"][..],
+        &[
+            "generate",
+            "--language",
+            "js",
+            "--files",
+            "4",
+            "--seed",
+            "7",
+        ],
+    ] {
+        let target = if args[0] == "train" { &base } else { &new_docs };
+        let out = pigeon().args(args).arg(target).output().expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let query = dir.join("q.js");
+    std::fs::write(&query, "function f() { var d = 0; }").unwrap();
+    let checkpoints = dir.join("ck");
+    let ignored: [(&str, &std::ffi::OsStr); 9] = [
+        ("--language", "js".as_ref()),
+        ("--task", "methods".as_ref()),
+        ("--max-length", "4".as_ref()),
+        ("--max-width", "3".as_ref()),
+        ("--jobs", "4".as_ref()),
+        ("--keep-prob", "0.5".as_ref()),
+        ("--dataflow-contexts", "true".as_ref()),
+        ("--checkpoint-dir", checkpoints.as_os_str()),
+        ("", query.as_os_str()),
+    ];
+    for (name, value) in ignored {
+        let updated = dir.join("updated.json");
+        let mut update = pigeon();
+        update
+            .args(["train", "--update"])
+            .arg(&base)
+            .arg("--add")
+            .arg(&new_docs)
+            .arg("--out")
+            .arg(&updated);
+        if !name.is_empty() {
+            update.arg(name);
+        }
+        let out = update.arg(value).output().expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{name} {value:?} accepted: {err}"
+        );
+        let what = if name.is_empty() { "FILE" } else { name };
+        assert!(
+            err.contains(&format!("--update cannot be combined with {what}")),
+            "{err}"
+        );
+        assert!(!updated.exists(), "{name} {value:?} still wrote a model");
+    }
+}
+
 /// SIGINT during `pigeon train` must write a final checkpoint and exit
 /// cleanly; resuming completes to the same model as an uninterrupted
 /// run. Timing-tolerant: if training finishes before the signal lands,

@@ -65,15 +65,20 @@ fn spawn_server_env(
     extra: &[&str],
     envs: &[(&str, &str)],
 ) -> (Child, String, BufReader<ChildStdout>) {
-    let mut child = pigeon()
+    let mut serve = pigeon();
+    serve
         .args(["serve", "--model"])
         .arg(model)
         .args(["--port", "0"])
         .args(extra)
-        .envs(envs.iter().copied())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawns");
+        .envs(envs.iter().copied());
+    start_server(serve)
+}
+
+/// Spawns a prepared `pigeon serve` command and reads its startup line,
+/// as [`spawn_server`] returns them.
+fn start_server(mut serve: Command) -> (Child, String, BufReader<ChildStdout>) {
+    let mut child = serve.stdout(Stdio::piped()).spawn().expect("spawns");
     let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
     let mut line = String::new();
     reader.read_line(&mut line).expect("startup line");
@@ -384,6 +389,44 @@ fn serve_exits_cleanly_on_idle_timeout() {
     assert!(
         rest.contains("shut down after"),
         "missing shutdown summary: {rest:?}"
+    );
+}
+
+/// A client that reconnects right after its previous exchange — as
+/// `pigeon work` does for every lease poll and upload — is accepted as
+/// soon as it dials: 50 sequential `Connection: close` health checks
+/// against a model-less server take well under the accept loop's 5 ms
+/// bound each.
+#[test]
+fn serve_accepts_reconnecting_clients_without_a_nap() {
+    let dir = tmp_dir("reconnect");
+    let mut serve = pigeon();
+    serve
+        .args([
+            "serve",
+            "--port",
+            "0",
+            "--idle-timeout",
+            "60",
+            "--cache-dir",
+        ])
+        .arg(dir.join("cache"));
+    let (mut child, addr, _stdout) = start_server(serve);
+    let mut micros: Vec<u128> = (0..50)
+        .map(|_| {
+            let start = Instant::now();
+            let (status, _) = get(&addr, "/v1/health");
+            assert_eq!(status, 200);
+            start.elapsed().as_micros()
+        })
+        .collect();
+    let _ = child.kill();
+    let _ = child.wait();
+    micros.sort_unstable();
+    let median = micros[micros.len() / 2];
+    assert!(
+        median < 2_500,
+        "median Connection: close exchange took {median} µs (all: {micros:?})"
     );
 }
 
