@@ -8,7 +8,9 @@
 //! `PIGEON_BENCH_OUT`) with median/p95 per path, host metadata, and the
 //! dimensionless ratios the CI perf gate tracks (`perf_gate` compares
 //! ratios, which cancel host speed, at ±15%; absolute medians only
-//! under `PIGEON_BENCH_STRICT=1`).
+//! under `PIGEON_BENCH_STRICT=1`). Each ratio is the median of the
+//! per-iteration ratios: the two paths of one iteration ran back to
+//! back, so their quotient cancels what the host did at that moment.
 
 use pigeon::corpus::{generate, CorpusConfig, Language};
 use pigeon::crf::checkpoint::{decode_checkpoint, encode_checkpoint};
@@ -145,6 +147,12 @@ fn main() {
         update_t.push(time(|| base.update(&extra_refs).expect("updates")));
         retrain_t.push(time(|| train(&combined)));
     }
+    let ratio =
+        |num: &[f64], den: &[f64]| summarize(num.iter().zip(den).map(|(n, d)| n / d).collect()).0;
+    let [small_t, merge_t, resume_t, update_t, retrain_t] = &small_times;
+    let merge_ratio = ratio(merge_t, small_t);
+    let resume_ratio = ratio(resume_t, small_t);
+    let incremental_speedup = ratio(retrain_t, update_t);
     let [small_stats, merge_stats, resume_stats, update_stats, retrain_stats] =
         small_times.map(summarize);
 
@@ -160,9 +168,6 @@ fn main() {
     for (name, (median, p95)) in &rows {
         println!("{name:<20} {median:>14.1} {p95:>14.1}");
     }
-    let merge_ratio = merge_stats.0 / small_stats.0;
-    let resume_ratio = resume_stats.0 / small_stats.0;
-    let incremental_speedup = retrain_stats.0 / update_stats.0;
     println!(
         "\nshard_merge/train {merge_ratio:.2}  resume/train {resume_ratio:.2}  \
          incremental speedup {incremental_speedup:.2}×"

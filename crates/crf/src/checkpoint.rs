@@ -3,7 +3,8 @@
 //! A checkpoint serialises a [`TrainState`] — the exact loop state of
 //! [`crate::train_resumable`]: epoch and position, the epoch's shuffle
 //! order, the raw RNG state, the live bucket weights and the
-//! epoch-average accumulators, plus a fingerprint of the corpus and
+//! epoch-average accumulators, plus a fingerprint of the corpus — its
+//! sizes and a content hash of its instances — and of the
 //! hyper-parameters the run was started with (resume refuses a
 //! mismatch). Floats travel as raw IEEE bits, entries in canonical
 //! sorted order, so encoding is byte-stable and a resumed run replays
@@ -24,8 +25,11 @@ use crate::train::{TrainFingerprint, TrainState};
 use pigeon_telemetry as telemetry;
 use std::time::Instant;
 
-/// Number of `u64` scalars in the `ck-meta` section.
-const META_LEN: usize = 17;
+/// Number of `u64` scalars in the `ck-meta` section: the loop state,
+/// the fingerprint and, last, the corpus content hash. A checkpoint
+/// written before the layout carried the hash holds one scalar fewer; it
+/// still decodes, and resume refuses it.
+const META_LEN: usize = 18;
 
 /// Registers the checkpoint metric families (histograms + counter) on
 /// the current telemetry sink, so rendered metric families are stable
@@ -59,7 +63,7 @@ pub fn encode_checkpoint(state: &TrainState) -> Vec<u8> {
     let start = Instant::now();
     let _span = telemetry::span("checkpoint_save");
     let fp = &state.fingerprint;
-    let meta: [u64; META_LEN] = [
+    let mut meta = vec![
         state.epoch as u64,
         state.pos as u64,
         u64::from(state.shuffled),
@@ -78,6 +82,7 @@ pub fn encode_checkpoint(state: &TrainState) -> Vec<u8> {
         u64::from(fp.use_unary),
         fp.seed,
     ];
+    meta.extend(fp.content_hash);
 
     let mut w = Writer::new();
     w.section(SEC_CK_META, encode_u64s(&meta));
@@ -131,10 +136,13 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<TrainState, String> {
         ));
     }
 
-    let meta = decode_u64s(r.section(SEC_CK_META)?, "ck-meta")?;
-    let meta: [u64; META_LEN] = meta
-        .try_into()
-        .map_err(|_| format!("ck-meta must hold exactly {META_LEN} values"))?;
+    let mut meta = decode_u64s(r.section(SEC_CK_META)?, "ck-meta")?;
+    let content_hash = match meta.len() {
+        META_LEN => meta.pop(),
+        len if len == META_LEN - 1 => None,
+        _ => return Err(format!("ck-meta must hold exactly {META_LEN} values")),
+    };
+    let meta: [u64; META_LEN - 1] = meta.try_into().expect("length checked above");
     let [epoch, pos, shuffled, rng0, rng1, rng2, rng3, num_instances, num_labels, epochs, lr_bits, max_passes, max_candidates, global_candidates, suggestions_per_key, use_unary, seed] =
         meta;
     for (flag, what) in [(shuffled, "shuffled"), (use_unary, "use_unary")] {
@@ -254,6 +262,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<TrainState, String> {
             suggestions_per_key,
             use_unary: use_unary == 1,
             seed,
+            content_hash,
         },
     };
     telemetry::observe(
@@ -374,6 +383,30 @@ mod tests {
             TrainOutcome::Interrupted(_) => panic!("no interrupt installed"),
         };
         assert_eq!(baseline.to_json().unwrap(), resumed.to_json().unwrap());
+    }
+
+    #[test]
+    fn a_checkpoint_without_the_content_hash_decodes_but_never_resumes() {
+        let corpus = world(90, 13);
+        let mut state = mid_epoch_state(&corpus);
+        assert!(state.fingerprint.content_hash.is_some());
+        // The layout before the hash: one `ck-meta` scalar fewer.
+        state.fingerprint.content_hash = None;
+        let bytes = encode_checkpoint(&state);
+        let back = decode_checkpoint(&bytes).unwrap();
+        assert_eq!(back.fingerprint.content_hash, None);
+        assert_eq!(encode_checkpoint(&back), bytes);
+        let err = train_resumable(
+            &corpus,
+            7,
+            &CrfConfig::default(),
+            TrainControl {
+                resume: Some(back),
+                ..TrainControl::default()
+            },
+        )
+        .unwrap_err();
+        assert!(err.contains("no corpus content hash"), "{err}");
     }
 
     #[test]

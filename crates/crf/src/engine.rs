@@ -10,13 +10,15 @@
 //!   flat array with a per-path offset index (CSR). Because a path's keys
 //!   are sorted, the entries a pairwise factor can contribute when its
 //!   `lᵃ` end is fixed form one contiguous run of that path's slice, and
-//!   a unary path's slice is one run. Training uses the mutable sibling
-//!   [`BucketWeights`] (per-path sorted buckets) so subgradient updates
-//!   write back in O(bucket), then packs the epoch-averaged result once.
-//!   The training store also keeps a transposed `lᵇ << 32 | lᵃ` mirror of
-//!   its pairwise buckets, so a factor whose `lᵇ` end is fixed is one run
-//!   too; the packed model keeps no mirror and probes each candidate's
-//!   key there instead.
+//!   a unary path's slice is one run. Both weight stores also keep a
+//!   transposed `lᵇ << 32 | lᵃ` mirror of their pairwise entries, so a
+//!   factor whose `lᵇ` end is fixed is one run too. Training uses the
+//!   mutable sibling [`BucketWeights`] (per-path sorted buckets, mirror
+//!   written beside every update) so subgradient updates write back in
+//!   O(bucket), then packs the epoch-averaged result once. The packed
+//!   model builds its mirror ([`PairWeights`]) from the pairwise table on
+//!   its first inference, so loading, serialising and training never pay
+//!   for it, and a new table always starts without one.
 //! * **Packed candidates** — the `(path, other_label, side)` suggestion
 //!   table packs the same way, with suggestion lists in one flat label
 //!   pool and their co-occurrence counts in a parallel array. The binary
@@ -24,8 +26,9 @@
 //!   load.
 //! * **Workspace** — per-instance CSR adjacency, the candidate buffer,
 //!   the label-dedup stamps with each stamped label's candidate position,
-//!   and the per-candidate scores live in a [`Workspace`] reused across
-//!   `infer` calls; steady-state inference allocates nothing.
+//!   the per-candidate scores and the kept top-k rankings live in a
+//!   [`Workspace`] reused across `infer` calls; steady-state inference
+//!   allocates nothing.
 //! * **One scoring routine** — [`score_candidates`] scores all of a
 //!   node's candidates at once: each candidate starts at its prior, then
 //!   every factor is visited once, in adjacency order, and scatters the
@@ -37,15 +40,22 @@
 //!   adding `0.0`, which leaves every sum that is not `-0.0` unchanged —
 //!   none is, as each starts at a positive prior. So the scores are
 //!   bit-identical to looking every candidate up factor by factor. ICM's
-//!   argmax and the top-k ranking both call it.
-//! * **Delta-ICM** — after a node flips, only its factor-graph neighbours
-//!   can change their best response, so sweeps re-score just the nodes
-//!   marked dirty by a neighbour flip. The schedule still walks unknowns
-//!   in plain-ICM order and a clean node provably re-derives its current
-//!   label, so the assignment trajectory — and therefore the trained
-//!   model — is **bit-identical** to full sweeps (property-tested against
-//!   a hash-map reference in `tests/prop_crf.rs`, pinned in
-//!   `tests/golden_train.rs`).
+//!   argmax and the top-k ranking both use it.
+//! * **Delta-ICM** — a node's candidates and scores depend only on its
+//!   factor-graph neighbours' labels, so a node is re-scored only when a
+//!   neighbour's label changed after its last scoring: every label change
+//!   — an evidence-pass pick that moves a node off the blank as well as a
+//!   sweep's flip — marks the node's unknown neighbours dirty, and sweeps
+//!   skip clean nodes. The schedule still walks unknowns in plain-ICM
+//!   order and a clean node provably re-derives its current label, so the
+//!   assignment trajectory — and therefore the trained model — is
+//!   **bit-identical** to full sweeps (property-tested against a hash-map
+//!   reference in `tests/prop_crf.rs`, pinned in `tests/golden_train.rs`).
+//! * **Ranking without rescoring** — when [`CrfModel::predict_top_k`]
+//!   asks for `k` candidates, each ICM scoring keeps its best `k`; a node
+//!   ICM leaves clean is ranked from that kept list, which came from the
+//!   same inputs and so carries the same bits, and only the nodes ICM
+//!   left dirty (or known nodes) are scored again.
 //!
 //! Candidate sets depend on the *current* labels of a node's neighbours,
 //! so they cannot be frozen once per `infer` call without changing
@@ -56,7 +66,8 @@ use crate::instance::Instance;
 use crate::model::CrfModel;
 use pigeon_telemetry as telemetry;
 use std::cell::RefCell;
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Deref};
+use std::sync::OnceLock;
 
 thread_local! {
     /// Per-thread inference scratch, so `CrfModel::predict(&self)` keeps
@@ -78,9 +89,8 @@ pub(crate) fn pair_key(la: u32, lb: u32) -> u64 {
 pub(crate) trait WeightStore {
     /// Path `path`'s pairwise entries, keyed `lᵃ << 32 | lᵇ`.
     fn pair_slice(&self, path: u32) -> (&[u64], &[f32]);
-    /// The same entries keyed `lᵇ << 32 | lᵃ`, when the store keeps that
-    /// mirror.
-    fn pair_mirror_slice(&self, path: u32) -> Option<(&[u64], &[f32])>;
+    /// The same entries keyed `lᵇ << 32 | lᵃ`.
+    fn pair_mirror_slice(&self, path: u32) -> (&[u64], &[f32]);
     /// Path `path`'s unary entries, keyed by label.
     fn unary_slice(&self, path: u32) -> (&[u64], &[f32]);
 }
@@ -146,6 +156,64 @@ impl PackedWeights {
             let (s, e) = (self.offsets[p] as usize, self.offsets[p + 1] as usize);
             (s..e).map(move |i| (p as u32, self.keys[i], self.weights[i]))
         })
+    }
+
+    /// The same entries with the halves of every key swapped
+    /// (`lᵇ << 32 | lᵃ` for a pairwise table), re-sorted within each
+    /// path: the same offsets, as many keys and the same weight bits.
+    fn transposed(&self) -> PackedWeights {
+        let mut keys = Vec::with_capacity(self.keys.len());
+        let mut weights = Vec::with_capacity(self.weights.len());
+        let mut path_entries: Vec<(u64, f32)> = Vec::new();
+        for p in 0..self.offsets.len().saturating_sub(1) {
+            let (k, w) = self.slice(p as u32);
+            path_entries.clear();
+            path_entries.extend(k.iter().map(|k| k.rotate_left(32)).zip(w.iter().copied()));
+            // Keys are unique within a path, so the order is total.
+            path_entries.sort_unstable_by_key(|&(k, _)| k);
+            keys.extend(path_entries.iter().map(|&(k, _)| k));
+            weights.extend(path_entries.iter().map(|&(_, w)| w));
+        }
+        PackedWeights {
+            offsets: self.offsets.clone(),
+            keys,
+            weights,
+        }
+    }
+}
+
+/// The packed pairwise table with its transposed mirror, which is built
+/// from the table on the first inference and kept beside it. The table
+/// is set only through `From`, which starts without a mirror, so the
+/// mirror can never describe another table; loaders, serialisers and
+/// training, which never score against a packed model, never build it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PairWeights {
+    table: PackedWeights,
+    mirror: OnceLock<PackedWeights>,
+}
+
+impl PairWeights {
+    /// The table keyed `lᵇ << 32 | lᵃ`, built on first use.
+    pub(crate) fn mirror(&self) -> &PackedWeights {
+        self.mirror.get_or_init(|| self.table.transposed())
+    }
+}
+
+impl From<PackedWeights> for PairWeights {
+    fn from(table: PackedWeights) -> Self {
+        PairWeights {
+            table,
+            mirror: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for PairWeights {
+    type Target = PackedWeights;
+
+    fn deref(&self) -> &PackedWeights {
+        &self.table
     }
 }
 
@@ -354,11 +422,9 @@ impl WeightStore for CrfModel {
         self.pair.slice(path)
     }
 
-    /// The packed model keeps no mirror: loading and serving stay as
-    /// lean as the stored tables.
     #[inline]
-    fn pair_mirror_slice(&self, _path: u32) -> Option<(&[u64], &[f32])> {
-        None
+    fn pair_mirror_slice(&self, path: u32) -> (&[u64], &[f32]) {
+        self.pair.mirror().slice(path)
     }
 
     #[inline]
@@ -368,13 +434,14 @@ impl WeightStore for CrfModel {
 }
 
 /// Per-instance scratch reused across [`infer`] calls: CSR adjacency,
-/// the working label vector, dirty flags, the candidate buffer and the
-/// label-dedup stamps. One workspace serves any number of sequential
-/// inferences; nothing is reallocated once the high-water marks are
-/// reached.
+/// the working label vector, dirty flags, the candidate buffer, the
+/// label-dedup stamps and the kept top-k rankings. One workspace serves
+/// any number of sequential inferences; nothing is reallocated once the
+/// high-water marks are reached.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Workspace {
     labels: Vec<u32>,
+    /// The unknown nodes, ascending.
     unknowns: Vec<u32>,
     /// CSR over pairwise factors: node `i` touches factor indices
     /// `pair_adj[pair_off[i]..pair_off[i + 1]]`, in factor order.
@@ -384,6 +451,8 @@ pub(crate) struct Workspace {
     unary_adj: Vec<u32>,
     /// Scratch cursor reused by the CSR fill.
     cursor: Vec<u32>,
+    /// `dirty[u]` ⇔ a neighbour of unknown `u` changed its label after
+    /// `u`'s last scoring.
     dirty: Vec<bool>,
     cand: Vec<u32>,
     /// `seen[l] == stamp` ⇔ label `l` is already in `cand`.
@@ -393,6 +462,15 @@ pub(crate) struct Workspace {
     stamp: u32,
     /// The score of each candidate, parallel to `cand`.
     score: Vec<f32>,
+    /// How many ranked candidates each ICM scoring keeps (0: none).
+    keep: usize,
+    /// The ranking kept from each unknown's last ICM scoring, by position
+    /// in `unknowns`, best first: at most `keep` entries and never more
+    /// than that scoring's candidates, so a huge `keep` costs nothing up
+    /// front.
+    kept: Vec<Vec<(u32, f32)>>,
+    /// The ranking of the last [`Workspace::rank_scored`] call.
+    ranked: Vec<(u32, f32)>,
 }
 
 impl Workspace {
@@ -402,8 +480,9 @@ impl Workspace {
     }
 
     /// Rebuilds the per-instance state (adjacency, label vector, unknown
-    /// list) for `inst`, reusing buffers.
-    fn prepare(&mut self, inst: &Instance, num_label_slots: usize) {
+    /// list, kept rankings of `keep` entries each) for `inst`, reusing
+    /// buffers.
+    fn prepare(&mut self, inst: &Instance, num_label_slots: usize, keep: usize) {
         let n = inst.nodes.len();
         self.labels.clear();
         self.labels.extend(inst.nodes.iter().map(|nd| nd.label));
@@ -461,6 +540,11 @@ impl Workspace {
             self.seen.resize(num_label_slots, 0);
             self.pos.resize(num_label_slots, 0);
         }
+        // The evidence pass scores, and so overwrites, every kept list.
+        self.keep = keep;
+        let kept = if keep > 0 { self.unknowns.len() } else { 0 };
+        self.kept.truncate(kept);
+        self.kept.resize_with(kept, Vec::new);
     }
 
     /// Appends `l` to the candidates unless it is already there or the
@@ -473,6 +557,45 @@ impl Workspace {
             self.pos[l as usize] = self.cand.len() as u32;
             self.cand.push(l);
         }
+    }
+
+    /// Moves `node` to `label`. A change marks the node's unknown
+    /// neighbours dirty, since their candidates and scores read it, and
+    /// returns `true`.
+    fn relabel(&mut self, inst: &Instance, node: usize, label: u32) -> bool {
+        if self.labels[node] == label {
+            return false;
+        }
+        self.labels[node] = label;
+        for j in self.pair_off[node] as usize..self.pair_off[node + 1] as usize {
+            let pf = inst.pairwise[self.pair_adj[j] as usize];
+            let v = if pf.a == node { pf.b } else { pf.a };
+            if !inst.nodes[v].known {
+                self.dirty[v] = true;
+            }
+        }
+        true
+    }
+
+    /// Ranks the candidates just scored into `ranked`: the best `k`, best
+    /// first, ties to the smaller label. Candidates are distinct labels,
+    /// so the order is total and any selection gives these exact lists.
+    fn rank_scored(&mut self, k: usize) {
+        let order = |x: &(u32, f32), y: &(u32, f32)| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0));
+        self.ranked.clear();
+        self.ranked
+            .extend(self.cand.iter().copied().zip(self.score.iter().copied()));
+        if self.ranked.len() > k {
+            self.ranked.select_nth_unstable_by(k, order);
+            self.ranked.truncate(k);
+        }
+        self.ranked.sort_unstable_by(order);
+    }
+
+    /// Keeps `ranked` as the ranking of `unknowns[i]`.
+    fn keep_ranked(&mut self, i: usize) {
+        self.kept[i].clear();
+        self.kept[i].extend_from_slice(&self.ranked);
     }
 }
 
@@ -596,15 +719,15 @@ fn score_candidates<W: WeightStore>(
     };
     for &f in &pair_adj[pair_off[node] as usize..pair_off[node + 1] as usize] {
         let pf = inst.pairwise[f as usize];
-        let (keys, w) = weights.pair_slice(pf.path);
         if pf.a != node {
             // Node is the `b` end: the fixed `a` label selects a run.
+            let (keys, w) = weights.pair_slice(pf.path);
             scatter.add_run(keys, w, labels[pf.a]);
-        } else if let Some((keys, w)) = weights.pair_mirror_slice(pf.path) {
-            scatter.add_run(keys, w, labels[pf.b]);
         } else {
-            let lb = labels[pf.b];
-            scatter.probe(keys, w, |c| pair_key(c, lb));
+            // Node is the `a` end: the fixed `b` label selects a run of
+            // the mirror.
+            let (keys, w) = weights.pair_mirror_slice(pf.path);
+            scatter.add_run(keys, w, labels[pf.b]);
         }
     }
     for &f in &unary_adj[unary_off[node] as usize..unary_off[node + 1] as usize] {
@@ -622,28 +745,36 @@ fn score_candidates<W: WeightStore>(
     }
 }
 
-/// Best candidate for `node` against the current workspace labels; the
-/// first strict improvement wins ties.
-fn argmax<W: WeightStore>(
+/// The best response of `unknowns[i]` against the current workspace
+/// labels: its candidates are collected and scored, the first strict
+/// improvement wins ties, and with no candidate at all the most frequent
+/// training label stands. When the workspace keeps rankings, the
+/// scoring's ranking is kept for the node.
+fn best_response<W: WeightStore>(
     shared: &EngineShared,
     weights: &W,
     inst: &Instance,
     ws: &mut Workspace,
-    node: usize,
+    i: usize,
     loss_augment: bool,
 ) -> u32 {
-    if ws.cand.is_empty() {
-        // No evidence at all: the most frequent training label.
-        return shared.global_candidates.first().copied().unwrap_or(0);
-    }
-    score_candidates(shared, weights, inst, ws, node, loss_augment);
-    let mut best = ws.labels[node];
-    let mut best_score = f32::NEG_INFINITY;
-    for (&c, &s) in ws.cand.iter().zip(&ws.score) {
-        if s > best_score {
-            best_score = s;
-            best = c;
+    let node = ws.unknowns[i] as usize;
+    collect_candidates(shared, inst, ws, node);
+    let mut best = shared.global_candidates.first().copied().unwrap_or(0);
+    if !ws.cand.is_empty() {
+        score_candidates(shared, weights, inst, ws, node, loss_augment);
+        let mut best_score = f32::NEG_INFINITY;
+        best = ws.labels[node];
+        for (&c, &s) in ws.cand.iter().zip(&ws.score) {
+            if s > best_score {
+                best_score = s;
+                best = c;
+            }
         }
+    }
+    if ws.keep > 0 {
+        ws.rank_scored(ws.keep);
+        ws.keep_ranked(i);
     }
     best
 }
@@ -651,15 +782,18 @@ fn argmax<W: WeightStore>(
 /// MAP inference by iterated conditional modes over the candidate sets:
 /// blank every unknown, initialise each to its best candidate given the
 /// evidence, then sweep until a fixpoint (or the sweep limit), re-scoring
-/// only nodes whose neighbours flipped.
-pub(crate) fn infer<W: WeightStore>(
+/// only nodes whose neighbours changed since their last scoring. The
+/// assignment stays in `ws.labels`; with `keep > 0` every scoring keeps
+/// its best `keep` candidates for [`CrfModel::predict_top_k`].
+fn icm<W: WeightStore>(
     shared: &EngineShared,
     weights: &W,
     inst: &Instance,
     loss_augment: bool,
     ws: &mut Workspace,
-) -> Vec<u32> {
-    ws.prepare(inst, shared.num_label_slots);
+    keep: usize,
+) {
+    ws.prepare(inst, shared.num_label_slots, keep);
 
     // Blank out the unknowns: their stored labels are gold (or a caller
     // sentinel) and must never influence inference.
@@ -667,20 +801,21 @@ pub(crate) fn infer<W: WeightStore>(
     for i in 0..ws.unknowns.len() {
         ws.labels[ws.unknowns[i] as usize] = blank;
     }
-    // Evidence pass, in node order (later unknowns see earlier picks).
+    // Evidence pass, in node order (later unknowns see earlier picks). A
+    // pick that moves a node off the blank marks its unknown neighbours
+    // dirty, as a sweep's flip does: an earlier neighbour was scored
+    // against the blank and must be scored again, a later one clears its
+    // mark when its own pick is scored.
     for i in 0..ws.unknowns.len() {
         let u = ws.unknowns[i] as usize;
-        collect_candidates(shared, inst, ws, u);
-        ws.labels[u] = argmax(shared, weights, inst, ws, u, loss_augment);
+        ws.dirty[u] = false;
+        let best = best_response(shared, weights, inst, ws, i, loss_augment);
+        ws.relabel(inst, u, best);
     }
-    // Delta-ICM sweeps: every unknown starts dirty (a full first sweep);
-    // afterwards only neighbours of a flipped node can change their best
-    // response, so clean nodes are skipped — provably without changing
-    // the trajectory, because a node's score depends only on its
-    // neighbours' labels.
-    for i in 0..ws.unknowns.len() {
-        ws.dirty[ws.unknowns[i] as usize] = true;
-    }
+    // Delta-ICM sweeps: only a node whose neighbourhood changed after its
+    // last scoring can change its best response, so clean nodes are
+    // skipped — provably without changing the trajectory, because a
+    // node's candidates and scores depend only on its neighbours' labels.
     // ICM work counters accumulate locally and post once per call: this
     // is the training/serving hot loop, and one atomic add per call (not
     // per node) keeps the instrumentation overhead unmeasurable.
@@ -697,19 +832,10 @@ pub(crate) fn infer<W: WeightStore>(
             }
             ws.dirty[u] = false;
             rescores += 1;
-            collect_candidates(shared, inst, ws, u);
-            let best = argmax(shared, weights, inst, ws, u, loss_augment);
-            if best != ws.labels[u] {
-                ws.labels[u] = best;
+            let best = best_response(shared, weights, inst, ws, i, loss_augment);
+            if ws.relabel(inst, u, best) {
                 changed = true;
                 flips += 1;
-                for j in ws.pair_off[u] as usize..ws.pair_off[u + 1] as usize {
-                    let pf = inst.pairwise[ws.pair_adj[j] as usize];
-                    let v = if pf.a == u { pf.b } else { pf.a };
-                    if !inst.nodes[v].known {
-                        ws.dirty[v] = true;
-                    }
-                }
             }
         }
         if !changed {
@@ -721,6 +847,18 @@ pub(crate) fn infer<W: WeightStore>(
         telemetry::count("pigeon_icm_rescores_total", rescores);
         telemetry::count("pigeon_icm_flips_total", flips);
     }
+}
+
+/// MAP inference (see [`icm`]): the full label vector, known nodes at
+/// their labels.
+pub(crate) fn infer<W: WeightStore>(
+    shared: &EngineShared,
+    weights: &W,
+    inst: &Instance,
+    loss_augment: bool,
+    ws: &mut Workspace,
+) -> Vec<u32> {
+    icm(shared, weights, inst, loss_augment, ws, 0);
     ws.labels.clone()
 }
 
@@ -759,8 +897,9 @@ impl CrfModel {
     /// assignment: the label vector [`CrfModel::predict`] returns, and
     /// one best-first list per requested node, in `nodes` order. A
     /// program pays for one inference however many of its nodes are
-    /// ranked; ICM is deterministic, so each list is what a separate
-    /// inference per node would rank.
+    /// ranked, and an unknown that ICM left clean is ranked from its last
+    /// ICM scoring instead of being scored again; ICM is deterministic,
+    /// so each list is what a separate inference per node would rank.
     ///
     /// # Panics
     ///
@@ -773,18 +912,22 @@ impl CrfModel {
     ) -> (Vec<u32>, Vec<Vec<(u32, f32)>>) {
         TLS_WORKSPACE.with(|ws| {
             let ws = &mut *ws.borrow_mut();
-            let labels = infer(&self.shared, self, inst, false, ws);
+            icm(&self.shared, self, inst, false, ws, k);
             let ranked = nodes
                 .iter()
                 .map(|&node| self.rank_candidates(inst, ws, node, k))
                 .collect();
-            (labels, ranked)
+            (ws.labels.clone(), ranked)
         })
     }
 
     /// The best `k` of `node`'s candidates, scored against the workspace
-    /// labels (the MAP assignment after [`infer`]), best first; ties go
-    /// to the smaller label id.
+    /// labels (the MAP assignment [`icm`] left, keeping `k` per scoring),
+    /// best first; ties go to the smaller label id. A clean unknown's
+    /// ranking is the one its last scoring kept: no neighbour has changed
+    /// since, so a new scoring would read the same inputs and produce the
+    /// same bits. A dirty unknown is scored once more and its ranking
+    /// kept; a known node is scored afresh.
     fn rank_candidates(
         &self,
         inst: &Instance,
@@ -792,16 +935,22 @@ impl CrfModel {
         node: usize,
         k: usize,
     ) -> Vec<(u32, f32)> {
+        let unknown = match ws.unknowns.binary_search(&(node as u32)) {
+            Ok(i) if k > 0 => Some(i),
+            _ => None,
+        };
+        if let Some(i) = unknown {
+            if !ws.dirty[node] {
+                return ws.kept[i].clone();
+            }
+        }
         collect_candidates(&self.shared, inst, ws, node);
         score_candidates(&self.shared, self, inst, ws, node, false);
-        let mut scored: Vec<(u32, f32)> = ws
-            .cand
-            .iter()
-            .copied()
-            .zip(ws.score.iter().copied())
-            .collect();
-        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        scored.truncate(k);
-        scored
+        ws.rank_scored(k);
+        if let Some(i) = unknown {
+            ws.keep_ranked(i);
+            ws.dirty[node] = false;
+        }
+        ws.ranked.clone()
     }
 }

@@ -1,7 +1,7 @@
 //! The model: packed weights, candidate tables, validation and read
 //! accessors.
 
-use crate::engine::{pair_key, EngineShared, PackedCandidates, PackedWeights};
+use crate::engine::{pair_key, EngineShared, PackedCandidates, PackedWeights, PairWeights};
 use crate::instance::Instance;
 
 /// One borrowed candidate-table entry:
@@ -72,8 +72,9 @@ impl std::fmt::Display for ModelIssue {
 /// binary artifact; inference runs on it directly.
 #[derive(Debug, Clone, Default)]
 pub struct CrfModel {
-    /// Pairwise weights, keyed `label_a << 32 | label_b` per path.
-    pub(crate) pair: PackedWeights,
+    /// Pairwise weights, keyed `label_a << 32 | label_b` per path, with
+    /// the transposed mirror inference builds on first use.
+    pub(crate) pair: PairWeights,
     /// Unary weights, keyed by label per path.
     pub(crate) unary: PackedWeights,
     /// Candidate index, label statistics and inference caps.
@@ -92,7 +93,7 @@ impl CrfModel {
         max_passes: usize,
     ) -> CrfModel {
         CrfModel {
-            pair,
+            pair: pair.into(),
             unary,
             shared: EngineShared::new(
                 cands,
@@ -392,6 +393,26 @@ mod tests {
     }
 
     #[test]
+    fn a_huge_top_k_ranks_every_candidate_and_allocates_nothing_for_it() {
+        // A model header may carry any `u32` top-k; ranking must keep no
+        // more than the candidates it scored, whatever `k` asks for.
+        let m = toy_model(&[], &[(5, 3, 1.5)]);
+        let mut inst = Instance::new(vec![Node::unknown(1), Node::unknown(2), Node::known(2)]);
+        inst.add_pair(0, 2, 0);
+        inst.add_pair(1, 0, 0);
+        inst.add_unary(1, 5);
+        let (labels, huge) = m.predict_top_k(&inst, &[0, 1, 2], usize::MAX);
+        let (same, all) = m.predict_top_k(&inst, &[0, 1, 2], 5);
+        assert_eq!(labels, same);
+        let bits = |lists: &[Vec<(u32, f32)>]| -> Vec<Vec<(u32, u32)>> {
+            let bits = |l: &Vec<(u32, f32)>| l.iter().map(|&(c, s)| (c, s.to_bits())).collect();
+            lists.iter().map(bits).collect()
+        };
+        assert_eq!(bits(&huge), bits(&all));
+        assert!(all.iter().all(|l| l.len() == 5), "{all:?}");
+    }
+
+    #[test]
     fn long_weight_runs_score_like_short_ones() {
         // Path 3 and unary path 6 hold a weight for every candidate
         // label 0..5; the long model adds entries for labels no node can
@@ -417,6 +438,64 @@ mod tests {
         };
         assert_eq!(bits(&short).len(), 5);
         assert_eq!(bits(&short), bits(&long));
+    }
+
+    /// The packed mirror holds exactly the pairwise entries with their
+    /// label halves swapped and the same weight bits, in the same path
+    /// slots, however the model was made: finished by training, loaded
+    /// from JSON, or loaded from a `.pgnc` at each quantisation.
+    #[test]
+    fn the_packed_mirror_is_the_transposed_pairwise_table() {
+        use crate::artifact::{read_artifact, write_artifact, ArtifactMeta, Quant};
+        let instances: Vec<Instance> = (0..120u32)
+            .map(|i| {
+                let mut inst = Instance::new(vec![
+                    Node::unknown(i % 5),
+                    Node::unknown((i / 5) % 5),
+                    Node::known(5 + i % 2),
+                ]);
+                inst.add_pair(0, 1, i % 7);
+                inst.add_pair(2, 0, 7 + i % 3);
+                inst.add_pair(1, 2, 10 + i % 4);
+                inst.add_unary(1, i % 6);
+                inst
+            })
+            .collect();
+        let trained = crate::train(&instances, 7, &crate::CrfConfig::default());
+        let labels: Vec<String> = (0..7).map(|i| format!("l{i}")).collect();
+        let features: Vec<String> = (0..14).map(|i| format!("f{i}")).collect();
+        let meta = ArtifactMeta {
+            language: "JavaScript".into(),
+            target: "variable".into(),
+            abstraction: "full".into(),
+            max_length: 4,
+            max_width: 3,
+            semi_paths: false,
+            top_k: 8,
+            dataflow_contexts: false,
+        };
+        let mut models = vec![CrfModel::from_json(&trained.to_json().unwrap(), 14, 7).unwrap()];
+        for quant in [Quant::F32, Quant::F16, Quant::I8] {
+            let bytes = write_artifact(&meta, &labels, &features, &trained, quant).unwrap();
+            models.push(read_artifact(&bytes).unwrap().model);
+        }
+        models.push(trained);
+        for model in &models {
+            let mut expected: Vec<(u32, u64, u32)> = model
+                .pair
+                .iter_entries()
+                .map(|(p, k, w)| (p, k.rotate_left(32), w.to_bits()))
+                .collect();
+            expected.sort_unstable();
+            let mirror = model.pair.mirror();
+            let entries: Vec<(u32, u64, u32)> = mirror
+                .iter_entries()
+                .map(|(p, k, w)| (p, k, w.to_bits()))
+                .collect();
+            assert!(entries.len() > 20, "{} entries", entries.len());
+            assert_eq!(entries, expected);
+            assert_eq!(mirror.offsets, model.pair.offsets);
+        }
     }
 
     #[test]

@@ -47,11 +47,12 @@ use crate::engine::{
 };
 use crate::instance::Instance;
 use crate::model::CrfModel;
-use pigeon_core::parallel_map_indexed;
+use pigeon_core::{parallel_map_indexed, Fnv64};
 use pigeon_telemetry as telemetry;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 
 /// Training hyper-parameters.
@@ -229,8 +230,9 @@ impl TrainState {
 }
 
 /// The training inputs a checkpoint is only valid for. Everything that
-/// shapes the update trajectory is included; `jobs` is not (the model is
-/// invariant to it).
+/// shapes the update trajectory is included — the instances themselves
+/// through a content hash — and `jobs` is not (the model is invariant to
+/// it).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrainFingerprint {
     pub(crate) num_instances: u64,
@@ -243,12 +245,19 @@ pub(crate) struct TrainFingerprint {
     pub(crate) suggestions_per_key: u64,
     pub(crate) use_unary: bool,
     pub(crate) seed: u64,
+    /// FNV-64 of the instances (see [`content_hash`]); `None` only in a
+    /// checkpoint written before the layout carried it, which resume
+    /// refuses.
+    pub(crate) content_hash: Option<u64>,
 }
 
 impl TrainFingerprint {
-    fn new(num_instances: usize, num_labels: u32, cfg: &CrfConfig) -> Self {
+    /// The fingerprint of a run over `instances`. Hashing reads every
+    /// instance, so the loop builds it only when a snapshot or a resume
+    /// needs it.
+    fn new(instances: &[Instance], num_labels: u32, cfg: &CrfConfig) -> Self {
         TrainFingerprint {
-            num_instances: num_instances as u64,
+            num_instances: instances.len() as u64,
             num_labels,
             epochs: cfg.epochs as u64,
             learning_rate: cfg.learning_rate,
@@ -258,8 +267,35 @@ impl TrainFingerprint {
             suggestions_per_key: cfg.suggestions_per_key as u64,
             use_unary: cfg.use_unary,
             seed: cfg.seed,
+            content_hash: Some(content_hash(instances)),
         }
     }
+}
+
+/// FNV-64 of `instances` in slice order, which is the order SGD's
+/// shuffles index: every node's label and known flag and every factor's
+/// ends and path, each list length-prefixed. Two corpora that differ in
+/// any document, or in the order of two documents, hash apart.
+fn content_hash(instances: &[Instance]) -> u64 {
+    let mut h = Fnv64::new();
+    for inst in instances {
+        h.write_u64(inst.nodes.len() as u64);
+        for node in &inst.nodes {
+            h.write_u64((u64::from(node.label) << 1) | u64::from(node.known));
+        }
+        h.write_u64(inst.pairwise.len() as u64);
+        for f in &inst.pairwise {
+            h.write_u64(f.a as u64);
+            h.write_u64(f.b as u64);
+            h.write_u64(u64::from(f.path));
+        }
+        h.write_u64(inst.unary.len() as u64);
+        for f in &inst.unary {
+            h.write_u64(f.node as u64);
+            h.write_u64(u64::from(f.path));
+        }
+    }
+    h.finish()
 }
 
 /// Hooks into the SGD loop: resume from a snapshot, snapshot every N
@@ -422,8 +458,8 @@ impl WeightStore for TrainWeights {
     }
 
     #[inline]
-    fn pair_mirror_slice(&self, path: u32) -> Option<(&[u64], &[f32])> {
-        Some(self.pair_mirror.slice(path))
+    fn pair_mirror_slice(&self, path: u32) -> (&[u64], &[f32]) {
+        self.pair_mirror.slice(path)
     }
 
     #[inline]
@@ -601,7 +637,7 @@ fn finalize_weights(model: &mut CrfModel, sums: &Sums, epochs: usize) {
     let (pair, unary) = (average(&sums.0), average(&sums.1));
     let weight_paths = pair.last().into_iter().chain(unary.last()).map(|e| e.0);
     let num_paths = path_span(weight_paths).max(model.shared.cands.num_paths());
-    model.pair = PackedWeights::from_sorted(&pair, num_paths);
+    model.pair = PackedWeights::from_sorted(&pair, num_paths).into();
     model.unary = PackedWeights::from_sorted(&unary, num_paths);
 }
 
@@ -698,7 +734,11 @@ fn sgd(
     cfg: &CrfConfig,
     mut control: TrainControl<'_>,
 ) -> Result<TrainOutcome, String> {
-    let fingerprint = TrainFingerprint::new(instances.len(), num_labels, cfg);
+    // Built on the first snapshot or resume: a run without hooks never
+    // hashes its corpus.
+    let fingerprint = OnceCell::new();
+    let fingerprint =
+        || fingerprint.get_or_init(|| TrainFingerprint::new(instances, num_labels, cfg));
 
     // The candidate index, prior and caps stay fixed; weights live in
     // mutable indexed buckets until the final pack.
@@ -712,7 +752,15 @@ fn sgd(
     let mut start_pos = 0usize;
     let mut resume_shuffled = false;
     if let Some(state) = control.resume.take() {
-        if state.fingerprint != fingerprint {
+        if state.fingerprint.content_hash.is_none() {
+            return Err(
+                "checkpoint carries no corpus content hash (an older layout), so \
+                        resume cannot tell whether the corpus is the same; train again \
+                        without resuming"
+                    .to_owned(),
+            );
+        }
+        if state.fingerprint != *fingerprint() {
             return Err("checkpoint does not match this corpus/config \
                         (different instances, labels, or hyper-parameters)"
                 .to_owned());
@@ -759,7 +807,7 @@ fn sgd(
                         &rng,
                         &weights,
                         &sums,
-                        &fingerprint,
+                        fingerprint(),
                     );
                     return Ok(TrainOutcome::Interrupted(Box::new(state)));
                 }
@@ -787,7 +835,7 @@ fn sgd(
                     &rng,
                     &weights,
                     &sums,
-                    &fingerprint,
+                    fingerprint(),
                 );
                 sink(&state);
             }
@@ -1132,6 +1180,46 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("checkpoint"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn resume_rejects_the_same_corpus_reordered() {
+        let world = toy_world(60, 10, 4, 52);
+        let cfg = CrfConfig::default();
+        let calls = std::cell::Cell::new(0usize);
+        let stop = move || {
+            calls.set(calls.get() + 1);
+            calls.get() > 150
+        };
+        let control = TrainControl {
+            interrupt: Some(&stop),
+            ..TrainControl::default()
+        };
+        let state = match train_resumable(&world, 7, &cfg, control).unwrap() {
+            TrainOutcome::Interrupted(state) => state,
+            TrainOutcome::Completed(_) => panic!("interrupt never fired"),
+        };
+        // Same size, same labels, same hyper-parameters: only the order
+        // of two instances differs.
+        let mut swapped = world.clone();
+        let j = (1..swapped.len())
+            .find(|&j| swapped[j].nodes != swapped[0].nodes)
+            .expect("two different instances");
+        swapped.swap(0, j);
+        let resume = |instances: &[Instance]| {
+            let control = TrainControl {
+                resume: Some((*state).clone()),
+                ..TrainControl::default()
+            };
+            train_resumable(instances, 7, &cfg, control)
+        };
+        let err = resume(&swapped).unwrap_err();
+        assert!(err.contains("does not match this corpus"), "{err}");
+        let resumed = match resume(&world).unwrap() {
+            TrainOutcome::Completed(model) => model.to_json().unwrap(),
+            TrainOutcome::Interrupted(_) => panic!("no interrupt installed"),
+        };
+        assert_eq!(resumed, train(&world, 7, &cfg).to_json().unwrap());
     }
 
     /// The primary pairwise entries with their label halves swapped, as

@@ -161,6 +161,37 @@ proptest! {
         }
     }
 
+    /// Ranking reuses each clean unknown's last ICM scoring and scores
+    /// the rest again; the lists must still be the reference's, score
+    /// bits included, when ICM stops at a low sweep limit with nodes left
+    /// dirty (no sweep, or one) and when the requested nodes include known
+    /// nodes and repeats.
+    #[test]
+    fn top_k_reuse_equals_the_reference(
+        specs in prop::collection::vec(instance_strategy(), 1..12),
+        passes in 0usize..3,
+    ) {
+        let instances: Vec<Instance> = specs.iter().map(build).collect();
+        let model = train(&instances, NUM_LABELS, &CrfConfig {
+            epochs: 2,
+            max_passes: passes,
+            ..CrfConfig::default()
+        });
+        let reference = Reference::new(&model);
+        for inst in &instances {
+            // Every node, known ones included, then every node again.
+            let n = inst.nodes.len();
+            let nodes: Vec<usize> = (0..n).chain((0..n).rev()).collect();
+            let (labels, ranked) = model.predict_top_k(inst, &nodes, 3);
+            let map = reference.infer(inst, false);
+            prop_assert_eq!(&labels, &map);
+            for (&node, list) in nodes.iter().zip(&ranked) {
+                let expected = reference.top_k(inst, &map, node, 3);
+                prop_assert_eq!(bits(list), bits(&expected), "node {}", node);
+            }
+        }
+    }
+
     /// Delta-ICM (the packed sweeps that re-score only neighbours of a
     /// flipped node) never returns an assignment scoring below the
     /// all-global-head initialisation: skipping clean nodes must not

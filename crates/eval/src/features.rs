@@ -18,8 +18,10 @@
 //!   the paper's Fig. 3 pair indistinguishable.
 
 use pigeon_ast::{Ast, Kind, NodeId};
-use pigeon_core::{leaf_pair_contexts, Abstraction, ExtractionConfig};
+use pigeon_core::{leaf_pair_contexts, Abstraction, AstPath, ExtractionConfig, PathContext};
 use pigeon_corpus::Language;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
 
 /// A relation between two leaves, rendered as an opaque feature string.
 /// Rendered strings keep every representation in one vocabulary type.
@@ -91,6 +93,25 @@ impl Representation {
             Representation::Relations => "relations (UnuglifyJS-style)".to_owned(),
         }
     }
+}
+
+/// `render(key)` for each of `keys`, in order, formatting every distinct
+/// key once: a repeat gets a clone of its first rendering. A document's
+/// contexts repeat a few distinct paths many times over (the extractor
+/// hands every repeat the same interned path), and formatting those
+/// repeats was most of the cost of extraction.
+pub fn render_once<K: Hash + Eq>(
+    keys: impl IntoIterator<Item = K>,
+    render: impl Fn(&K) -> String,
+) -> impl Iterator<Item = String> {
+    let mut rendered: HashMap<K, String> = HashMap::new();
+    keys.into_iter().map(move |key| match rendered.entry(key) {
+        Entry::Occupied(e) => e.get().clone(),
+        Entry::Vacant(e) => {
+            let feature = render(e.key());
+            e.insert(feature).clone()
+        }
+    })
 }
 
 /// Statement-level node kinds per language, used by
@@ -166,14 +187,11 @@ pub fn extract_edge_features(
         Representation::AstPaths(Abstraction::NoPath) => {
             extract_edge_features(language, ast, Representation::NoPaths, cfg)
         }
-        Representation::AstPaths(abstraction) => leaf_pair_contexts(ast, cfg)
-            .into_iter()
-            .map(|c| EdgeFeature {
-                a: c.start_node,
-                b: c.end_node,
-                feature: abstraction.apply(&c.path).to_string(),
+        Representation::AstPaths(abstraction) => {
+            path_features(&leaf_pair_contexts(ast, cfg), |path| {
+                abstraction.apply(path).to_string()
             })
-            .collect(),
+        }
         Representation::NoPaths => leaf_pair_contexts(ast, cfg)
             .into_iter()
             .flat_map(|c| {
@@ -211,7 +229,7 @@ pub fn extract_edge_features(
         }
         Representation::Relations => {
             let stmts = statement_kinds(language);
-            leaf_pair_contexts(ast, cfg)
+            let contexts: Vec<_> = leaf_pair_contexts(ast, cfg)
                 .into_iter()
                 .filter(|c| {
                     // Interior nodes only: a path that climbs through a
@@ -222,14 +240,28 @@ pub fn extract_edge_features(
                         .iter()
                         .all(|k| !stmts.contains(k))
                 })
-                .map(|c| EdgeFeature {
-                    a: c.start_node,
-                    b: c.end_node,
-                    feature: c.path.to_string(),
-                })
-                .collect()
+                .collect();
+            path_features(&contexts, AstPath::to_string)
         }
     }
+}
+
+/// One feature per context, its path rendered by `render` once per
+/// distinct path.
+fn path_features(
+    contexts: &[PathContext],
+    render: impl Fn(&AstPath) -> String,
+) -> Vec<EdgeFeature> {
+    let features = render_once(contexts.iter().map(|c| &c.path), |path| render(path));
+    contexts
+        .iter()
+        .zip(features)
+        .map(|(c, feature)| EdgeFeature {
+            a: c.start_node,
+            b: c.end_node,
+            feature,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -342,6 +374,53 @@ mod tests {
         );
         assert_ne!(full[0].feature, fl[0].feature);
         assert_eq!(fl[0].feature, "SymbolRef True");
+    }
+
+    /// Rendering each distinct path once changes no feature: for every
+    /// abstraction in every language, the features are exactly the
+    /// per-context renderings, in context order.
+    #[test]
+    fn rendering_each_path_once_equals_rendering_every_context() {
+        use pigeon_corpus::{generate, CorpusConfig};
+        for language in Language::ALL {
+            let corpus = generate(language, &CorpusConfig::default().with_files(3));
+            for doc in &corpus.docs {
+                let ast = language.parse(&doc.source).unwrap();
+                let contexts = leaf_pair_contexts(&ast, &cfg());
+                let mut distinct: Vec<_> = contexts.iter().map(|c| &c.path).collect();
+                distinct.sort_by_key(|p| p.to_string());
+                distinct.dedup();
+                assert!(distinct.len() < contexts.len(), "no path repeats");
+                for abstraction in Abstraction::ALL {
+                    let rep = Representation::AstPaths(abstraction);
+                    let features: Vec<(NodeId, NodeId, String)> =
+                        extract_edge_features(language, &ast, rep, &cfg())
+                            .into_iter()
+                            .map(|e| (e.a, e.b, e.feature))
+                            .collect();
+                    let expected: Vec<(NodeId, NodeId, String)> = match abstraction {
+                        Abstraction::NoPath => contexts
+                            .iter()
+                            .flat_map(|c| {
+                                let rel = "rel".to_owned();
+                                [
+                                    (c.start_node, c.end_node, rel.clone()),
+                                    (c.end_node, c.start_node, rel),
+                                ]
+                            })
+                            .collect(),
+                        _ => contexts
+                            .iter()
+                            .map(|c| {
+                                let feature = abstraction.apply(&c.path).to_string();
+                                (c.start_node, c.end_node, feature)
+                            })
+                            .collect(),
+                    };
+                    assert_eq!(features, expected, "{} {abstraction}", language.name());
+                }
+            }
+        }
     }
 
     #[test]

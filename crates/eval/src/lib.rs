@@ -41,7 +41,8 @@ mod w2v;
 pub use breakdown::{role_breakdown, RoleScore};
 pub use elements::{classify_elements, find_initializer, Element, ElementClass};
 pub use features::{
-    extract_edge_features, extract_node_features, EdgeFeature, NodeFeature, Representation,
+    extract_edge_features, extract_node_features, render_once, EdgeFeature, NodeFeature,
+    Representation,
 };
 pub use graph::{
     add_semi_paths, add_semi_paths_lookup, build_name_graph, build_name_graph_lookup,

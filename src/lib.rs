@@ -920,12 +920,18 @@ pub fn dataflow_edge_features(
     abstraction: Abstraction,
 ) -> Vec<pigeon_eval::EdgeFeature> {
     let edges = pigeon_analysis::flow_edges(language, ast);
-    pigeon_core::flow_contexts(ast, &edges, extraction)
-        .into_iter()
-        .map(|(kind, c)| pigeon_eval::EdgeFeature {
+    let contexts = pigeon_core::flow_contexts(ast, &edges, extraction);
+    let features = pigeon_eval::render_once(
+        contexts.iter().map(|(kind, c)| (kind.tag(), &c.path)),
+        |(tag, path)| format!("{tag}:{}", abstraction.apply(path)),
+    );
+    contexts
+        .iter()
+        .zip(features)
+        .map(|((_, c), feature)| pigeon_eval::EdgeFeature {
             a: c.start_node,
             b: c.end_node,
-            feature: format!("{}:{}", kind.tag(), abstraction.apply(&c.path)),
+            feature,
         })
         .collect()
 }

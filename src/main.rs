@@ -852,11 +852,18 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     }
     let mut on_checkpoint = |state: &pigeon::crf::TrainState| save(state, &mut save_error);
     let interrupt = || TRAIN_INTERRUPT.load(Ordering::SeqCst);
+    // Without a directory to save to, no hook is installed, so the run
+    // never snapshots and never fingerprints its corpus.
+    let hooked = save_dir.is_some();
     let control = TrainControl {
         resume,
         checkpoint_every,
-        on_checkpoint: Some(&mut on_checkpoint),
-        interrupt: Some(&interrupt),
+        on_checkpoint: if hooked {
+            Some(&mut on_checkpoint)
+        } else {
+            None
+        },
+        interrupt: if hooked { Some(&interrupt) } else { None },
     };
     let run = Pigeon::train_namer_resumable(language, target, &refs, &config, control)
         .map_err(|e| e.to_string())?;

@@ -78,8 +78,8 @@
 //! under `catch_unwind`: a panicking handler answers `500` with a
 //! contract-conforming error body and the worker lives on. Every lock in
 //! the serving path recovers from poisoning (`PoisonError::into_inner`)
-//! — one panic while holding the latency reservoir or the worker-pool
-//! receiver must degrade that one request, never the server. The accept
+//! — one panic while holding the latency reservoir or the connection
+//! hand-off must degrade that one request, never the server. The accept
 //! loop exits cleanly on SIGINT/SIGTERM or after `--idle-timeout`
 //! seconds without a request, joining all workers and the batcher before
 //! returning.
@@ -1867,7 +1867,102 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
     }
 }
 
-fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
+/// Hands accepted connections to the connection workers, the most
+/// recently idled worker first. A worker that has just served keeps its
+/// malloc arena, thread-local inference workspace and stack warm; the
+/// longest-parked one, which a shared queue would wake, may never have
+/// predicted, and warming it grows the process by another arena and
+/// another set of workspace buffers sized to the largest request it
+/// serves. Idle workers wait on a stack, each on its own slot; a
+/// connection that finds every worker busy waits in a FIFO backlog for
+/// the next worker to go idle.
+struct Handoff<T> {
+    state: Mutex<HandoffState<T>>,
+    /// One per worker: signalled when its slot fills or the hand-off
+    /// closes.
+    wake: Vec<Condvar>,
+}
+
+struct HandoffState<T> {
+    /// Idle workers, the most recently idled last.
+    idle: Vec<usize>,
+    /// The connection handed to each worker and not yet taken.
+    slots: Vec<Option<T>>,
+    /// Connections accepted while every worker was busy, oldest first.
+    backlog: VecDeque<T>,
+    closed: bool,
+}
+
+impl<T> Handoff<T> {
+    fn new(workers: usize) -> Self {
+        Handoff {
+            state: Mutex::new(HandoffState {
+                idle: Vec::with_capacity(workers),
+                slots: (0..workers).map(|_| None).collect(),
+                backlog: VecDeque::new(),
+                closed: false,
+            }),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
+        }
+    }
+
+    /// Gives `conn` to the most recently idled worker, or queues it when
+    /// every worker is busy.
+    fn hand(&self, conn: T) {
+        let mut state = lock_unpoisoned(&self.state);
+        match state.idle.pop() {
+            Some(w) => {
+                state.slots[w] = Some(conn);
+                self.wake[w].notify_one();
+            }
+            None => state.backlog.push_back(conn),
+        }
+    }
+
+    /// Marks worker `w` idle: it takes the oldest queued connection if
+    /// one waits, and otherwise goes on top of the idle stack.
+    fn idle(&self, w: usize) {
+        let mut state = lock_unpoisoned(&self.state);
+        match state.backlog.pop_front() {
+            Some(conn) => state.slots[w] = Some(conn),
+            None => state.idle.push(w),
+        }
+    }
+
+    /// Worker `w`'s next connection, waiting for one after
+    /// [`Handoff::idle`]; `None` once the hand-off is closed and nothing
+    /// is left for `w`.
+    fn next(&self, w: usize) -> Option<T> {
+        let mut state = lock_unpoisoned(&self.state);
+        loop {
+            if let Some(conn) = state.slots[w].take() {
+                return Some(conn);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.wake[w]
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Stops the hand-off: workers still serve what they were handed or
+    /// what waits in the backlog, then [`Handoff::next`] ends them.
+    fn close(&self) {
+        lock_unpoisoned(&self.state).closed = true;
+        for wake in &self.wake {
+            wake.notify_all();
+        }
+    }
+}
+
+/// Serves one connection until it closes. `idle` runs exactly once: just
+/// before the last response of a connection the server is closing — so
+/// the worker is back on the idle stack before the peer can read that
+/// response and reconnect — or, when the peer closes first, at the end.
+fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig, idle: impl FnOnce()) {
+    let mut idle = Some(idle);
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
     ctx.stats.connections.inc();
     let mut reader = BufReader::new(&stream);
@@ -1921,6 +2016,11 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
             }
         };
         ctx.stats.record_http(endpoint, status);
+        if close_after {
+            if let Some(idle) = idle.take() {
+                idle();
+            }
+        }
         let head = render_head(
             status,
             reason,
@@ -1941,6 +2041,9 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, cfg: &ServeConfig) {
         if close_after {
             break;
         }
+    }
+    if let Some(idle) = idle.take() {
+        idle();
     }
 }
 
@@ -2028,8 +2131,7 @@ impl BoundServer {
             infer_jobs,
             coord,
         };
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
+        let handoff = Handoff::new(workers);
 
         let cache_note = match &cfg.cache_dir {
             Some(dir) => format!(", cache-dir {dir}"),
@@ -2056,18 +2158,13 @@ impl BoundServer {
         std::thread::scope(|scope| {
             let ctx = &ctx;
             let batcher = scope.spawn(move || run_batcher(ctx, cfg));
+            let handoff = &handoff;
             let worker_handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let rx = Arc::clone(&rx);
-                    scope.spawn(move || loop {
-                        // Holding the lock only for the recv keeps workers
-                        // draining the queue independently; recovering from
-                        // poisoning keeps the pool alive even if a sibling
-                        // panicked while holding it.
-                        let stream = lock_unpoisoned(&rx).recv();
-                        match stream {
-                            Ok(stream) => handle_connection(stream, ctx, cfg),
-                            Err(_) => break, // accept loop hung up: shutdown
+                .map(|w| {
+                    scope.spawn(move || {
+                        handoff.idle(w);
+                        while let Some(stream) = handoff.next(w) {
+                            handle_connection(stream, ctx, cfg, || handoff.idle(w));
                         }
                     })
                 })
@@ -2094,9 +2191,7 @@ impl BoundServer {
                         // segment for the peer's delayed ACK (~40 ms) on
                         // every keep-alive round trip.
                         let _ = stream.set_nodelay(true);
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
+                        handoff.hand(stream);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         wait_for_connection(&listener, Duration::from_millis(5));
@@ -2107,12 +2202,13 @@ impl BoundServer {
                     }
                 }
             }
-            // Dropping the sender ends every connection worker's recv loop;
-            // join them first (their in-flight predicts still need the
-            // batcher), then close the queue so the batcher drains and
-            // exits. The scope would join everything anyway — the explicit
-            // order is what guarantees no request is dropped mid-shutdown.
-            drop(tx);
+            // Closing the hand-off ends every connection worker once it has
+            // served what it was handed; join them first (their in-flight
+            // predicts still need the batcher), then close the queue so the
+            // batcher drains and exits. The scope would join everything
+            // anyway — the explicit order is what guarantees no request is
+            // dropped mid-shutdown.
+            handoff.close();
             for handle in worker_handles {
                 let _ = handle.join();
             }
@@ -2134,6 +2230,43 @@ impl BoundServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Connections go to the most recently idled worker, a worker that
+    /// idles before its last response gets the peer's reconnect, and
+    /// connections that find every worker busy wait in arrival order.
+    #[test]
+    fn connections_go_to_the_most_recently_idled_worker() {
+        let handoff = Handoff::new(3);
+        for w in 0..3 {
+            handoff.idle(w);
+        }
+        handoff.hand("a");
+        assert_eq!(handoff.next(2), Some("a"));
+        handoff.hand("b");
+        assert_eq!(handoff.next(1), Some("b"));
+        // Worker 2 closes its connection: it idles before answering, so
+        // the peer's reconnect lands on it, not on the parked worker 0.
+        handoff.idle(2);
+        handoff.hand("a again");
+        assert_eq!(handoff.next(2), Some("a again"));
+        // Worker 0 takes the next; then every worker is busy.
+        handoff.hand("c");
+        assert_eq!(handoff.next(0), Some("c"));
+        handoff.hand("d");
+        handoff.hand("e");
+        handoff.idle(1);
+        handoff.idle(0);
+        assert_eq!(handoff.next(1), Some("d"));
+        assert_eq!(handoff.next(0), Some("e"));
+        // Closing ends a worker only once nothing is left for it.
+        handoff.idle(0);
+        handoff.hand("f");
+        handoff.close();
+        assert_eq!(handoff.next(0), Some("f"));
+        handoff.idle(0);
+        assert_eq!(handoff.next(0), None);
+        assert_eq!(handoff.next(1), None);
+    }
 
     #[test]
     fn reservoir_percentiles_are_exact_below_capacity() {

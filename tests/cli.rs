@@ -842,3 +842,114 @@ fn sigint_writes_a_final_checkpoint_and_resume_completes() {
         "kill-and-resume must reproduce the uninterrupted model"
     );
 }
+
+/// A checkpoint is valid for one corpus, not for any corpus of its size:
+/// 600 files interrupted by SIGINT after the epoch-3 snapshot (of 8),
+/// resumed with the first two files swapped, exit 1 and write nothing;
+/// resumed with the files in order, they reproduce the uninterrupted
+/// model byte for byte.
+#[cfg(unix)]
+#[test]
+fn resume_refuses_a_checkpoint_of_a_different_corpus() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = tmp_dir("resume-corpus");
+    let corpus = dir.join("corpus");
+    let out = pigeon()
+        .args(["generate", "--language", "js", "--files", "600"])
+        .arg(&corpus)
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&corpus)
+        .expect("corpus dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 600);
+    let train = |files: &[std::path::PathBuf], flags: &[&std::ffi::OsStr]| {
+        let mut cmd = pigeon();
+        cmd.args(["train", "--language", "js"])
+            .args(flags)
+            .args(files);
+        cmd
+    };
+
+    let baseline = dir.join("baseline.json");
+    let out = train(&files, &["--out".as_ref(), baseline.as_os_str()])
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+
+    let model = dir.join("model.json");
+    let ckdir = dir.join("ck");
+    let checkpoint = ckdir.join("checkpoint.pgnc");
+    let child = train(
+        &files,
+        &[
+            "--checkpoint-every".as_ref(),
+            "3".as_ref(),
+            "--checkpoint-dir".as_ref(),
+            ckdir.as_os_str(),
+            "--out".as_ref(),
+            model.as_os_str(),
+        ],
+    )
+    .stdout(Stdio::piped())
+    .stderr(Stdio::null())
+    .spawn()
+    .expect("spawns");
+    // The epoch-3 snapshot appears when epoch 3 of 8 begins; interrupt
+    // then, five epochs before the run could finish.
+    let started = Instant::now();
+    while !checkpoint.exists() {
+        assert!(
+            started.elapsed() < Duration::from_secs(300),
+            "no epoch-3 checkpoint"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let _ = Command::new("kill")
+        .args(["-INT", &child.id().to_string()])
+        .status();
+    let out = child.wait_with_output().expect("waits");
+    assert!(out.status.success(), "interrupted train must exit cleanly");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("interrupted at epoch"), "{stdout}");
+    assert!(!model.exists());
+
+    let resume = |files: &[std::path::PathBuf]| {
+        train(
+            files,
+            &[
+                "--resume".as_ref(),
+                ckdir.as_os_str(),
+                "--out".as_ref(),
+                model.as_os_str(),
+            ],
+        )
+        .output()
+        .expect("runs")
+    };
+    let mut swapped = files.clone();
+    swapped.swap(0, 1);
+    let out = resume(&swapped);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "swapped corpus resumed: {err}");
+    assert!(err.contains("checkpoint does not match"), "{err}");
+    assert!(!model.exists(), "a refused resume wrote a model");
+
+    let out = resume(&files);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        std::fs::read(&baseline).unwrap(),
+        std::fs::read(&model).unwrap(),
+        "resuming the same corpus must reproduce the uninterrupted model"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

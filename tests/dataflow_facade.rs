@@ -197,3 +197,38 @@ fn knob_on_training_is_jobs_invariant() {
         );
     }
 }
+
+/// Data-flow features format each distinct `(edge kind, path)` once per
+/// document; for every abstraction in every language they must equal
+/// rendering every context, in context order.
+#[test]
+fn dataflow_rendering_equals_rendering_every_context() {
+    let extraction = ExtractionConfig::with_limits(4, 3);
+    for language in Language::ALL {
+        for source in sources(language, 3) {
+            let ast = language.parse(&source).expect("parses");
+            let edges = pigeon::analysis::flow_edges(language, &ast);
+            let contexts = pigeon::core::flow_contexts(&ast, &edges, &extraction);
+            assert!(
+                !contexts.is_empty(),
+                "{}: no flow contexts",
+                language.name()
+            );
+            for abstraction in Abstraction::ALL {
+                let features: Vec<_> =
+                    dataflow_edge_features(language, &ast, &extraction, abstraction)
+                        .into_iter()
+                        .map(|f| (f.a, f.b, f.feature))
+                        .collect();
+                let expected: Vec<_> = contexts
+                    .iter()
+                    .map(|(kind, c)| {
+                        let feature = format!("{}:{}", kind.tag(), abstraction.apply(&c.path));
+                        (c.start_node, c.end_node, feature)
+                    })
+                    .collect();
+                assert_eq!(features, expected, "{} {abstraction}", language.name());
+            }
+        }
+    }
+}

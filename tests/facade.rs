@@ -174,6 +174,86 @@ fn predictions_are_byte_identical_to_the_pinned_golden() {
 /// FNV-1a/64 of [`render_predictions`] for the golden program above.
 const GOLDEN_PREDICT_FNV64: u64 = 17032038171425160053;
 
+/// A data-flow namer (`lw:`/`lu:` contexts on) and one generated
+/// whole file of 32 functions: the shape of a whole-file deobfuscation
+/// request, where ICM sweeps and top-k ranking cover dozens of
+/// interacting unknowns at once.
+fn dataflow_namer_and_whole_file() -> (Pigeon, String) {
+    let corpus = generate(
+        Language::JavaScript,
+        &CorpusConfig::default().with_files(80),
+    );
+    let sources: Vec<&str> = corpus.docs.iter().map(|d| d.source.as_str()).collect();
+    let config = PigeonConfig::builder()
+        .dataflow_contexts(true)
+        .build()
+        .expect("valid config");
+    let namer = Pigeon::train_variable_namer(Language::JavaScript, &sources, &config)
+        .expect("training corpus parses");
+    let file = generate(
+        Language::JavaScript,
+        &CorpusConfig {
+            files: 1,
+            min_functions: 32,
+            max_functions: 32,
+            seed: 0x00F1_1E5E,
+            ..CorpusConfig::default()
+        },
+    )
+    .docs
+    .pop()
+    .expect("one document")
+    .source;
+    (namer, file)
+}
+
+/// The rendered predictions of `namer` on `file`, checked to cover a
+/// whole file's worth of unknowns.
+fn whole_file_predictions(namer: &Pigeon, file: &str) -> String {
+    let predictions = namer.predict(file).expect("whole file parses");
+    assert!(predictions.len() >= 60, "{} unknowns", predictions.len());
+    render_predictions(&predictions)
+}
+
+/// Pins whole-file prediction of a data-flow model, from memory and
+/// after a JSON round trip: names, candidate order and score bits.
+#[test]
+fn whole_file_dataflow_predictions_are_pinned() {
+    let (namer, file) = dataflow_namer_and_whole_file();
+    let rendered = whole_file_predictions(&namer, &file);
+    assert_eq!(
+        pigeon::core::fnv64(rendered.as_bytes()),
+        GOLDEN_DATAFLOW_FILE_FNV64,
+        "rendered predictions drifted:\n{rendered}"
+    );
+    let json = namer.to_json().expect("serialises");
+    let restored = Pigeon::load(json.as_bytes()).expect("loads");
+    assert_eq!(whole_file_predictions(&restored, &file), rendered);
+}
+
+/// Pins whole-file prediction of the same data-flow model compiled to
+/// an i8 `.pgnc`, whose dequantised weights differ from the JSON ones.
+#[test]
+fn whole_file_i8_artifact_predictions_are_pinned() {
+    let (namer, file) = dataflow_namer_and_whole_file();
+    let artifact = namer
+        .to_artifact(pigeon::crf::artifact::Quant::I8)
+        .expect("compiles");
+    let loaded = Pigeon::load(&artifact).expect("loads");
+    let rendered = whole_file_predictions(&loaded, &file);
+    assert_eq!(
+        pigeon::core::fnv64(rendered.as_bytes()),
+        GOLDEN_DATAFLOW_FILE_I8_FNV64,
+        "rendered predictions drifted:\n{rendered}"
+    );
+}
+
+/// FNV-1a/64 of the data-flow whole-file predictions above.
+const GOLDEN_DATAFLOW_FILE_FNV64: u64 = 11900580151761774767;
+
+/// FNV-1a/64 of the i8 `.pgnc` whole-file predictions above.
+const GOLDEN_DATAFLOW_FILE_I8_FNV64: u64 = 11517705175785571624;
+
 #[test]
 fn facade_surfaces_parse_errors() {
     let namer = trained_namer(Language::JavaScript, 40);
