@@ -196,12 +196,8 @@ pub fn code_catalog() -> Vec<(&'static str, &'static str)> {
             "model-vocab-coverage",
             "weight ids outside the shipped vocabularies",
         ),
-        ("partial-load", "partial statistics file failed to decode"),
-        (
-            "partial-stats",
-            "stored count maps disagree with the partial's instances",
-        ),
-        ("partial-info", "partial statistics file summary"),
+        ("partial-load", "training partial failed to decode"),
+        ("partial-info", "training partial summary"),
         ("checkpoint-load", "SGD checkpoint failed to decode"),
         ("checkpoint-info", "SGD checkpoint summary"),
     ];

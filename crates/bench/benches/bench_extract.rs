@@ -1,10 +1,14 @@
 //! Extraction hot path: AST path-contexts with the data-flow knob off
 //! vs on, plus the component costs (parse, AST paths, CFG + fixed
-//! point, flow path-contexts).
+//! point, flow path-contexts). Every path is timed once per iteration,
+//! back to back, with the two sides of each ratio adjacent.
 //!
 //! Writes `BENCH_EXTRACT.json` at the repo root (override the path
 //! with `PIGEON_BENCH_OUT`) with median/p95 per path and the
-//! dimensionless overhead ratios CI gates at ±15%.
+//! dimensionless overhead ratios CI gates at ±15%. Each ratio is the
+//! median of the per-iteration ratios: the two paths of one iteration
+//! ran back to back, so their quotient cancels what the host did at
+//! that moment.
 
 use pigeon::ast::Ast;
 use pigeon::core::{Abstraction, ExtractionConfig};
@@ -15,16 +19,15 @@ use std::time::Instant;
 
 const ITERATIONS: usize = 20;
 
-/// Times one whole-corpus pass of `f` over [`ITERATIONS`] runs and
-/// returns `(median, p95)` in microseconds.
-fn measure<T>(mut f: impl FnMut() -> T) -> (f64, f64) {
-    let mut micros: Vec<f64> = (0..ITERATIONS)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
+/// Runs `f` once and returns its wall time in microseconds.
+fn time<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64() * 1e6
+}
+
+/// `(median, p95)` of a set of timings.
+fn summarize(mut micros: Vec<f64>) -> (f64, f64) {
     micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     let p95 = micros[((micros.len() - 1) * 95) / 100];
     (micros[micros.len() / 2], p95)
@@ -43,90 +46,70 @@ fn main() {
         .iter()
         .map(|s| language.parse(s).expect("generated corpus parses"))
         .collect();
-
-    let mut rows: Vec<(&str, f64, f64)> = Vec::new();
-    let mut run = |name: &'static str, median_p95: (f64, f64)| {
-        rows.push((name, median_p95.0, median_p95.1));
+    let ast_paths = |ast: &Ast| extract_edge_features(language, ast, rep, &extraction).len();
+    let flow_contexts = |ast: &Ast| {
+        pigeon::dataflow_edge_features(language, ast, &extraction, Abstraction::Full).len()
     };
 
-    // Component costs over pre-parsed trees.
-    run(
-        "parse",
-        measure(|| {
+    // Component costs over pre-parsed trees, then end to end: what one
+    // training worker does per file, knob off vs on. Each ratio's two
+    // paths are neighbours in this list.
+    let paths: [(&str, &dyn Fn() -> usize); 6] = [
+        ("parse", &|| {
             for s in &sources {
                 std::hint::black_box(language.parse(s).expect("parses"));
             }
+            sources.len()
         }),
-    );
-    run(
-        "ast_paths",
-        measure(|| {
-            asts.iter()
-                .map(|ast| extract_edge_features(language, ast, rep, &extraction).len())
-                .sum::<usize>()
-        }),
-    );
-    run(
-        "dataflow_edges",
-        measure(|| {
+        ("dataflow_edges", &|| {
             asts.iter()
                 .map(|ast| pigeon::analysis::flow_edges(language, ast).len())
-                .sum::<usize>()
+                .sum()
         }),
-    );
-    run(
-        "dataflow_contexts",
-        measure(|| {
-            asts.iter()
-                .map(|ast| {
-                    pigeon::dataflow_edge_features(language, ast, &extraction, Abstraction::Full)
-                        .len()
-                })
-                .sum::<usize>()
+        ("ast_paths", &|| asts.iter().map(ast_paths).sum()),
+        ("dataflow_contexts", &|| {
+            asts.iter().map(flow_contexts).sum()
         }),
-    );
-
-    // End to end: what one training worker does per file, knob off vs on.
-    run(
-        "extract_off",
-        measure(|| {
+        ("extract_off", &|| {
+            sources
+                .iter()
+                .map(|s| ast_paths(&language.parse(s).expect("parses")))
+                .sum()
+        }),
+        ("extract_on", &|| {
             sources
                 .iter()
                 .map(|s| {
                     let ast = language.parse(s).expect("parses");
-                    extract_edge_features(language, &ast, rep, &extraction).len()
+                    ast_paths(&ast) + flow_contexts(&ast)
                 })
-                .sum::<usize>()
+                .sum()
         }),
-    );
-    run(
-        "extract_on",
-        measure(|| {
-            sources
-                .iter()
-                .map(|s| {
-                    let ast = language.parse(s).expect("parses");
-                    extract_edge_features(language, &ast, rep, &extraction).len()
-                        + pigeon::dataflow_edge_features(
-                            language,
-                            &ast,
-                            &extraction,
-                            Abstraction::Full,
-                        )
-                        .len()
-                })
-                .sum::<usize>()
-        }),
-    );
-
-    let median_of = |name: &str| {
-        rows.iter()
-            .find(|(n, _, _)| *n == name)
-            .map(|(_, median, _)| *median)
-            .expect("path measured above")
+    ];
+    let mut times: [Vec<f64>; 6] = Default::default();
+    for _ in 0..ITERATIONS {
+        for ((_, path), t) in paths.iter().zip(&mut times) {
+            t.push(time(path));
+        }
+    }
+    let timings = |name: &str| {
+        let i = paths.iter().position(|(n, _)| *n == name);
+        &times[i.expect("path measured above")]
     };
-    let on_vs_off = median_of("extract_on") / median_of("extract_off");
-    let dataflow_vs_ast_paths = median_of("dataflow_contexts") / median_of("ast_paths");
+    let ratio = |num: &str, den: &str| {
+        let per_iteration = timings(num).iter().zip(timings(den)).map(|(n, d)| n / d);
+        summarize(per_iteration.collect()).0
+    };
+    let on_vs_off = ratio("extract_on", "extract_off");
+    let dataflow_vs_ast_paths = ratio("dataflow_contexts", "ast_paths");
+    let rows: Vec<(&str, f64, f64)> = paths
+        .iter()
+        .zip(&times)
+        .map(|((name, _), t)| {
+            let (median, p95) = summarize(t.clone());
+            (*name, median, p95)
+        })
+        .collect();
 
     println!(
         "{:<20} {:>14} {:>14}",

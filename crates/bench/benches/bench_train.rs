@@ -1,5 +1,5 @@
 //! Training-path performance: full CRF training at two corpus sizes,
-//! the shard-merge path (`pigeon merge` over partial statistics files),
+//! the shard-merge path (`pigeon merge` over training partials),
 //! checkpoint resume, and incremental updates vs full retraining. The
 //! small-corpus paths the ratios compare are timed interleaved, one of
 //! each per iteration.

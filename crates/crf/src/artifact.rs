@@ -122,18 +122,22 @@ pub const SEC_CK_PAIR_SUM: u32 = 44;
 /// Epoch-average unary sums: `u32 path,label` + `u64 f64-bits` each.
 pub const SEC_CK_UNARY_SUM: u32 = 45;
 
-// Partial-statistics sections (containers of kind [`KIND_PARTIAL`];
+// Training-partial sections (containers of kind [`KIND_PARTIAL`];
 // see `pigeon_eval::partial`).
 /// Shard metadata: extraction config fingerprint + shard coordinates.
 pub const SEC_PT_META: u32 = 60;
-/// Per-document records: local vocabularies, instance, statistics.
-pub const SEC_PT_DOCS: u32 = 61;
+/// Per-document records of the retired layout, which also carried each
+/// document's statistics; recognised only so a decoder can refuse such a
+/// file by name.
+pub const SEC_PT_DOCS_V1: u32 = 61;
+/// Per-document records: global index, local vocabularies, instance.
+pub const SEC_PT_DOCS: u32 = 62;
 
 // Container kinds, recorded at header bytes 24..28 (formerly reserved,
 // so every pre-kind artifact reads as a model).
 /// A compiled model artifact ([`read_artifact`]).
 pub const KIND_MODEL: u32 = 0;
-/// A partial training-statistics file (`pigeon train --emit-partial`).
+/// A training partial (`pigeon train --emit-partial`).
 pub const KIND_PARTIAL: u32 = 1;
 /// An SGD checkpoint (`pigeon train --checkpoint-dir`).
 pub const KIND_CHECKPOINT: u32 = 2;
@@ -187,6 +191,7 @@ pub fn section_name(id: u32) -> &'static str {
         SEC_CK_PAIR_SUM => "ck-pair-sum",
         SEC_CK_UNARY_SUM => "ck-unary-sum",
         SEC_PT_META => "pt-meta",
+        SEC_PT_DOCS_V1 => "pt-docs-v1",
         SEC_PT_DOCS => "pt-docs",
         _ => "unknown",
     }

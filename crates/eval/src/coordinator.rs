@@ -11,16 +11,18 @@
 //! binary's serve layer, which keeps this logic unit-testable without
 //! sockets and this crate free of a JSON dependency.
 //!
-//! Cache keys are content addresses: FNV-1a over the training-config
-//! fingerprint, the shard coordinates, and a fingerprint of the shard's
-//! source bytes. Two runs over the same corpus with the same knobs
-//! derive the same keys, so a shard that is already in the cache is
-//! never re-extracted or re-uploaded; touching one file changes only
-//! that shard's key.
+//! Cache keys are content addresses: FNV-1a over the partial layout,
+//! the training-config fingerprint, the shard coordinates, and a
+//! fingerprint of the shard's source bytes. Two runs over the same
+//! corpus with the same knobs derive the same keys, so a shard that is
+//! already in the cache is never re-extracted or re-uploaded; touching
+//! one file changes only that shard's key, and a build that writes
+//! another layout never finds the files of this one.
 //!
 //! [`shard_range`]: crate::partial::shard_range
 
 use pigeon_core::Fnv64;
+use pigeon_crf::artifact::SEC_PT_DOCS;
 
 /// Attempts after which the lease backoff stops doubling (base × 2⁴).
 const BACKOFF_CAP: u32 = 4;
@@ -57,13 +59,15 @@ pub fn corpus_shard_fingerprint<'a>(files: impl IntoIterator<Item = (&'a str, &'
     hash.finish()
 }
 
-/// Derives a shard's content-address: FNV-1a of the config
+/// Derives a shard's content-address: FNV-1a of the partial layout
+/// (the id of the section partials keep their documents in), the config
 /// fingerprint, the shard coordinates, and the corpus-shard
 /// fingerprint, rendered as 16 lowercase hex digits. This is the
 /// partial's name in the cache directory and its id in
 /// `/v1/partials/<key>`.
 pub fn cache_key(config_fp: u64, shard_index: u32, shard_count: u32, corpus_fp: u64) -> String {
     let mut hash = Fnv64::new();
+    hash.write(&SEC_PT_DOCS.to_le_bytes());
     hash.write_u64(config_fp);
     hash.write(&shard_index.to_le_bytes());
     hash.write(&shard_count.to_le_bytes());

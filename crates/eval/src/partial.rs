@@ -1,31 +1,33 @@
-//! Partial training-statistics files (`.pgnc`, container kind
-//! `partial`), their deterministic merge, and the one vocabulary
-//! [`replay`] behind every trainer.
+//! Training partials (`.pgnc`, container kind `partial`), their
+//! deterministic merge, and the one vocabulary [`replay`] behind every
+//! trainer.
 //!
-//! Training extracts each document on its own: its **local
-//! vocabularies** (label and feature strings in first-intern order) and
-//! its CRF instance in doc-local ids. [`replay`] interns those tables in
-//! global document order, which reproduces one shared interner exactly:
-//! in training mode the graph builder's intern sequence depends only on
-//! the document itself. Single-process training replays its documents in
-//! memory; a shard worker stores them in a partial, and
-//! [`merge_partials`] replays every shard's. Statistics come from the
-//! replayed instances and candidate truncation runs only after the full
-//! replay, so `pigeon merge` is byte-identical to single-process
-//! `pigeon train` for any shard count.
+//! Training extracts each document on its own into a [`DocPartial`]:
+//! its **local vocabularies** (label and feature strings in
+//! first-intern order) and its CRF instance in doc-local ids. [`replay`]
+//! interns those tables in global document order, which reproduces one
+//! shared interner exactly: in training mode the graph builder's intern
+//! sequence depends only on the document itself. Single-process training
+//! replays its documents in memory; a shard worker stores them in a
+//! partial, and [`merge_partials`] replays every shard's in shard order.
+//! Statistics come from the replayed instances and candidate truncation
+//! runs only after the full replay, so `pigeon merge` is byte-identical
+//! to single-process `pigeon train` for any shard count.
 //!
 //! The file reuses the `.pgnc` container of [`pigeon_crf::artifact`]
 //! (magic, versioned checksummed section table, kind tag
 //! [`artifact::KIND_PARTIAL`]); decoding trusts nothing and never
-//! panics on truncated or bit-flipped input.
+//! panics on truncated or bit-flipped input. A partial holds exactly
+//! its shard's documents, so one relabelled to another shard is refused
+//! when it is decoded, not when it is merged.
 
 use pigeon_crf::artifact::{
-    self, decode_strings, decode_u32s, decode_u64s, encode_strings, encode_u32s, encode_u64s,
-    kind_name, ArtifactMeta, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_META,
+    self, decode_strings, decode_u64s, encode_strings, encode_u32s, encode_u64s, kind_name,
+    section_name, ArtifactMeta, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_DOCS_V1,
+    SEC_PT_META,
 };
 use pigeon_crf::{CrfConfig, Instance, Node, PairFactor, RawStatistics, UnaryFactor};
 use pigeon_telemetry as telemetry;
-use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::graph::Vocabs;
@@ -37,9 +39,7 @@ use crate::graph::Vocabs;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialMeta {
     /// The predictor settings every model file and artifact persists
-    /// too; the merged model inherits them. `dataflow_contexts` is
-    /// encoded as a 17th numeric field **only when set**, so partials
-    /// written with the knob off stay byte-identical to pre-knob files.
+    /// too; the merged model inherits them.
     pub header: ArtifactMeta,
     /// Path-context keep probability (per-document derived seeds make
     /// this reproducible across any sharding).
@@ -55,13 +55,11 @@ pub struct PartialMeta {
     pub total_docs: u32,
 }
 
-/// One document's contribution to training: its local vocabularies (in
-/// first-intern order — the replay key), its instance in doc-local
-/// ids, and its statistics in the doc-local label space. The
-/// statistics are redundant with the instance: merge ignores them and
-/// collects its statistics from the replayed instances, so a stored
-/// count cannot skew a model. They stay in the file, decoded and
-/// validated, for `pigeon audit` to cross-check ([`verify_doc_stats`]).
+/// One training document, the record every trainer's per-document
+/// stage produces and [`replay`] consumes: its position in the corpus,
+/// its local vocabularies in first-intern order (the replay key), and
+/// its instance in those local ids. A partial stores exactly these
+/// records; the merge derives everything else from them.
 #[derive(Debug, Clone)]
 pub struct DocPartial {
     /// Position of this document in the full corpus.
@@ -72,8 +70,6 @@ pub struct DocPartial {
     pub features: Vec<String>,
     /// The document's CRF instance, ids into the local vocabularies.
     pub instance: Instance,
-    /// `RawStatistics` of `[instance]` over the local label space.
-    pub stats: RawStatistics,
 }
 
 /// A decoded partial file: shard metadata plus its documents.
@@ -81,7 +77,8 @@ pub struct DocPartial {
 pub struct TrainPartial {
     /// Configuration fingerprint and shard coordinates.
     pub meta: PartialMeta,
-    /// This shard's documents, in global-index order.
+    /// This shard's documents: exactly `shard_range(total_docs,
+    /// shard_index, shard_count)`, in order.
     pub docs: Vec<DocPartial>,
 }
 
@@ -104,7 +101,7 @@ pub struct MergedTraining {
 pub fn register_metrics() {
     telemetry::describe(
         "pigeon_shard_merge_micros",
-        "Time to merge partial statistics files into training inputs, microseconds",
+        "Time to merge training partials into training inputs, microseconds",
     );
     telemetry::histogram("pigeon_shard_merge_micros", &[], telemetry::PHASE_BOUNDS);
 }
@@ -132,13 +129,10 @@ pub fn is_partial(bytes: &[u8]) -> bool {
     artifact::container_kind(bytes) == Some(KIND_PARTIAL)
 }
 
-/// Number of `u64` numeric fields trailing the meta string table in the
-/// original layout; one more (data-flow contexts) is appended only when
-/// that flag is set.
-const META_NUMS: usize = 16;
+/// Number of `u64` numeric fields trailing the meta string table.
+const META_NUMS: usize = 17;
 
-/// Serialises a partial. Byte-stable: documents are written in order
-/// and suggestion maps in sorted key order.
+/// Serialises a partial. Byte-stable: documents are written in order.
 pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
     let m = &partial.meta;
     let h = &m.header;
@@ -147,7 +141,7 @@ pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
         h.target.as_str(),
         h.abstraction.as_str(),
     ]);
-    let mut nums = vec![
+    let nums: [u64; META_NUMS] = [
         u64::from(h.max_length),
         u64::from(h.max_width),
         u64::from(h.semi_paths),
@@ -164,10 +158,8 @@ pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
         u64::from(m.shard_index),
         u64::from(m.shard_count),
         u64::from(m.total_docs),
+        u64::from(h.dataflow_contexts),
     ];
-    if h.dataflow_contexts {
-        nums.push(1);
-    }
     meta.extend_from_slice(&encode_u64s(&nums));
 
     let mut docs = encode_u32s(&[partial.docs.len() as u32]);
@@ -192,23 +184,6 @@ pub fn encode_partial(partial: &TrainPartial) -> Vec<u8> {
             docs.extend_from_slice(&(uf.node as u32).to_le_bytes());
             docs.extend_from_slice(&uf.path.to_le_bytes());
         }
-        docs.extend_from_slice(&(doc.stats.counts.len() as u32).to_le_bytes());
-        docs.extend_from_slice(&encode_u32s(&doc.stats.counts));
-        let mut suggestions: Vec<(u32, u32, u8, u32, u32)> = doc
-            .stats
-            .suggestions
-            .iter()
-            .flat_map(|(&(path, other, side), by_label)| {
-                by_label
-                    .iter()
-                    .map(move |(&label, &count)| (path, other, side, label, count))
-            })
-            .collect();
-        suggestions.sort_unstable();
-        docs.extend_from_slice(&(suggestions.len() as u32).to_le_bytes());
-        for (path, other, side, label, count) in suggestions {
-            docs.extend_from_slice(&encode_u32s(&[path, other, u32::from(side), label, count]));
-        }
     }
 
     let mut w = Writer::new();
@@ -223,18 +198,13 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        if self.rest.len() < n {
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
+        if self.rest.len() < 4 {
             return Err(format!("pt-docs is truncated reading {what}"));
         }
-        let (head, tail) = self.rest.split_at(n);
+        let (head, tail) = self.rest.split_at(4);
         self.rest = tail;
-        Ok(head)
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let c = self.take(4, what)?;
-        Ok(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        Ok(u32::from_le_bytes([head[0], head[1], head[2], head[3]]))
     }
 
     /// A `u32` count bounded so a corrupted value cannot drive a
@@ -262,16 +232,25 @@ impl<'a> Cursor<'a> {
 /// # Errors
 ///
 /// A message naming the first problem found — container level
-/// (magic/version/bounds/checksums), wrong kind, malformed section, or
-/// inconsistent content (ids out of range, duplicate vocabulary
-/// entries, self-loop factors). Never panics on arbitrary input.
+/// (magic/version/bounds/checksums), wrong kind, a partial in the layout
+/// of an older build, malformed section, inconsistent content (ids out
+/// of range, duplicate vocabulary entries, self-loop factors), or
+/// documents other than exactly the shard's own. Never panics on
+/// arbitrary input.
 pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
     let r = Reader::parse(bytes)?;
     if r.kind() != KIND_PARTIAL {
         return Err(format!(
-            "container holds a {} (kind {}), not a partial statistics file",
+            "container holds a {} (kind {}), not a training partial",
             kind_name(r.kind()),
             r.kind()
+        ));
+    }
+    if r.section(SEC_PT_DOCS_V1).is_ok() {
+        return Err(format!(
+            "partial was written by an older build: its documents are in the retired \
+             `{}` layout; rebuild the shard with this build",
+            section_name(SEC_PT_DOCS_V1)
         ));
     }
 
@@ -279,19 +258,14 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
     let [language, target, abstraction]: [String; 3] = meta_strings
         .try_into()
         .map_err(|_| "pt-meta must hold exactly 3 strings".to_string())?;
-    let mut nums = decode_u64s(meta_rest, "pt-meta")?;
-    let dataflow_contexts = match nums.len() {
-        META_NUMS => 0,
-        n if n == META_NUMS + 1 => nums.pop().expect("length checked"),
-        n => {
-            return Err(format!(
-                "pt-meta must hold {META_NUMS} or {} numeric fields, got {n}",
-                META_NUMS + 1
-            ))
-        }
-    };
-    let nums: [u64; META_NUMS] = nums.try_into().expect("length checked above");
-    let [max_length, max_width, semi_paths, top_k, keep_prob_bits, epochs, lr_bits, max_passes, max_candidates, global_candidates, suggestions_per_key, use_unary, seed, shard_index, shard_count, total_docs] =
+    let nums = decode_u64s(meta_rest, "pt-meta")?;
+    let nums: [u64; META_NUMS] = nums.try_into().map_err(|n: Vec<u64>| {
+        format!(
+            "pt-meta must hold {META_NUMS} numeric fields, got {}",
+            n.len()
+        )
+    })?;
+    let [max_length, max_width, semi_paths, top_k, keep_prob_bits, epochs, lr_bits, max_passes, max_candidates, global_candidates, suggestions_per_key, use_unary, seed, shard_index, shard_count, total_docs, dataflow_contexts] =
         nums;
     let as_u32 = |v: u64, what: &str| {
         u32::try_from(v).map_err(|_| format!("pt-meta {what} {v} overflows u32"))
@@ -314,14 +288,6 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
     );
     if !learning_rate.is_finite() {
         return Err("pt-meta learning rate is not finite".into());
-    }
-    let shard_index = as_u32(shard_index, "shard_index")?;
-    let shard_count = as_u32(shard_count, "shard_count")?;
-    let total_docs = as_u32(total_docs, "total_docs")?;
-    if shard_count == 0 || shard_index >= shard_count {
-        return Err(format!(
-            "pt-meta shard index {shard_index} out of range {shard_count}"
-        ));
     }
     let meta = PartialMeta {
         header: ArtifactMeta {
@@ -346,9 +312,9 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
             seed,
             jobs: 0,
         },
-        shard_index,
-        shard_count,
-        total_docs,
+        shard_index: as_u32(shard_index, "shard_index")?,
+        shard_count: as_u32(shard_count, "shard_count")?,
+        total_docs: as_u32(total_docs, "total_docs")?,
     };
 
     let mut cur = Cursor {
@@ -358,11 +324,6 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
     let mut docs = Vec::with_capacity(n_docs);
     for _ in 0..n_docs {
         let global_index = cur.u32("global index")?;
-        if global_index >= total_docs {
-            return Err(format!(
-                "pt-docs document index {global_index} out of range {total_docs}"
-            ));
-        }
         let labels = cur.strings("pt-docs labels")?;
         let features = cur.strings("pt-docs features")?;
         for (what, table) in [("label", &labels), ("feature", &features)] {
@@ -420,41 +381,6 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
             unary.push(UnaryFactor { node, path });
         }
 
-        let n_counts = cur.count(4, "label counts")?;
-        if n_counts as u32 != n_labels {
-            return Err(format!(
-                "pt-docs document {global_index} has {n_counts} counts for {n_labels} labels"
-            ));
-        }
-        let counts = decode_u32s(cur.take(n_counts * 4, "label counts")?, "pt-docs counts")?;
-        let n_sugg = cur.count(20, "suggestions")?;
-        let mut suggestions: HashMap<(u32, u32, u8), HashMap<u32, u32>> = HashMap::new();
-        let mut prev: Option<(u32, u32, u8, u32)> = None;
-        for _ in 0..n_sugg {
-            let path = cur.u32("suggestion path")?;
-            let other = cur.u32("suggestion other-label")?;
-            let side = cur.u32("suggestion side")?;
-            let label = cur.u32("suggestion label")?;
-            let count = cur.u32("suggestion count")?;
-            if path >= n_features || other >= n_labels || label >= n_labels || side > 1 {
-                return Err(format!(
-                    "pt-docs suggestion (path {path}, other {other}, side {side}, \
-                     label {label}) is out of range"
-                ));
-            }
-            let side = side as u8;
-            if let Some(p) = prev {
-                if p >= (path, other, side, label) {
-                    return Err("pt-docs suggestions are not strictly sorted".into());
-                }
-            }
-            prev = Some((path, other, side, label));
-            suggestions
-                .entry((path, other, side))
-                .or_default()
-                .insert(label, count);
-        }
-
         docs.push(DocPartial {
             global_index,
             labels,
@@ -464,37 +390,43 @@ pub fn decode_partial(bytes: &[u8]) -> Result<TrainPartial, String> {
                 pairwise,
                 unary,
             },
-            stats: RawStatistics {
-                counts,
-                suggestions,
-            },
         });
     }
     if !cur.rest.is_empty() {
         return Err("pt-docs has trailing bytes".into());
     }
-    Ok(TrainPartial { meta, docs })
+    let partial = TrainPartial { meta, docs };
+    check_shard_documents(&partial)?;
+    Ok(partial)
 }
 
-/// Cross-checks a document's stored statistics against its instance —
-/// the count-map sanity lint `pigeon audit` runs on partials.
-///
-/// # Errors
-///
-/// A message naming the first mismatch.
-pub fn verify_doc_stats(doc: &DocPartial) -> Result<(), String> {
-    let expected =
-        RawStatistics::collect(std::slice::from_ref(&doc.instance), doc.labels.len() as u32);
-    if expected.counts != doc.stats.counts {
+/// The range rule: a partial holds exactly the documents of its shard,
+/// `shard_range(total_docs, shard_index, shard_count)`, in corpus order
+/// (an empty range holds none). The stored global indices are the only
+/// link between a partial's documents and the shard it claims, so
+/// [`decode_partial`] and [`merge_partials`] both run this check.
+fn check_shard_documents(partial: &TrainPartial) -> Result<(), String> {
+    let m = &partial.meta;
+    if m.shard_count == 0 || m.shard_index >= m.shard_count {
         return Err(format!(
-            "document {}: stored label counts do not match its instance",
-            doc.global_index
+            "shard index {} out of range {}",
+            m.shard_index, m.shard_count
         ));
     }
-    if expected.suggestions != doc.stats.suggestions {
+    let range = shard_range(
+        m.total_docs as usize,
+        m.shard_index as usize,
+        m.shard_count as usize,
+    );
+    if !partial
+        .docs
+        .iter()
+        .map(|d| d.global_index as usize)
+        .eq(range.clone())
+    {
         return Err(format!(
-            "document {}: stored suggestion counts do not match its instance",
-            doc.global_index
+            "shard {}/{} must hold documents {}..{} of {} in order",
+            m.shard_index, m.shard_count, range.start, range.end, m.total_docs
         ));
     }
     Ok(())
@@ -544,15 +476,16 @@ pub fn knob_mismatch(a: &PartialMeta, b: &PartialMeta) -> Option<(&'static str, 
 }
 
 /// Merges decoded partials back into single-process training inputs:
-/// validates configuration equality and shard coverage, [`replay`]s the
-/// documents in global order, and collects statistics from the replayed
-/// instances (the counts stored in the partials are not read).
+/// validates configuration equality, shard coverage and each partial's
+/// range, [`replay`]s the shards in index order (which is global
+/// document order, whatever order the partials came in), and collects
+/// statistics from the replayed instances.
 ///
 /// # Errors
 ///
 /// Partials built under different configurations (the message names
-/// the differing knob), an incomplete or overlapping shard set, or
-/// document indices that do not cover `0..total_docs` exactly once.
+/// the differing knob), an incomplete or overlapping shard set, or a
+/// partial whose documents are not exactly its shard's range.
 pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, String> {
     let start = Instant::now();
     register_metrics();
@@ -583,49 +516,28 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
         }
     }
 
-    // Shard coverage: exactly the set {0, …, shard_count-1}.
+    // Shard coverage: exactly the set {0, …, shard_count-1}, each
+    // holding its own range — so the shards in index order hold every
+    // document once, in corpus order.
     let shard_count = first.meta.shard_count as usize;
-    let mut seen_shards = vec![false; shard_count];
+    let mut by_shard: Vec<Option<&TrainPartial>> = vec![None; shard_count];
     for p in partials {
+        check_shard_documents(p)?;
         let i = p.meta.shard_index as usize;
-        if std::mem::replace(&mut seen_shards[i], true) {
+        if by_shard[i].replace(p).is_some() {
             return Err(format!("shard {i} appears twice in the merge set"));
         }
     }
-    if let Some(missing) = seen_shards.iter().position(|&s| !s) {
+    if let Some(missing) = by_shard.iter().position(Option::is_none) {
         return Err(format!(
             "shard {missing} of {shard_count} is missing from the merge set"
-        ));
-    }
-
-    // Document coverage: exactly 0..total_docs, each once.
-    let total = first.meta.total_docs as usize;
-    let mut by_index: Vec<Option<&DocPartial>> = vec![None; total];
-    for p in partials {
-        for doc in &p.docs {
-            let slot = &mut by_index[doc.global_index as usize];
-            if slot.is_some() {
-                return Err(format!(
-                    "document {} appears in more than one partial",
-                    doc.global_index
-                ));
-            }
-            *slot = Some(doc);
-        }
-    }
-    if let Some(missing) = by_index.iter().position(Option::is_none) {
-        return Err(format!(
-            "document {missing} of {total} is missing from the merge set"
         ));
     }
 
     let mut vocabs = Vocabs::new();
     let instances = replay(
         &mut vocabs,
-        by_index.into_iter().map(|d| {
-            let doc = d.expect("coverage checked");
-            (&doc.labels[..], &doc.features[..], &doc.instance)
-        }),
+        by_shard.into_iter().flatten().flat_map(|p| &p.docs),
     );
     let stats = RawStatistics::collect(&instances, vocabs.labels.len() as u32);
 
@@ -644,17 +556,17 @@ pub fn merge_partials(partials: &[TrainPartial]) -> Result<MergedTraining, Strin
 
 /// The one vocabulary replay behind every trainer: interns each
 /// document's local `(labels, features)` tables, in order, into `vocabs`
-/// and returns its `instance` remapped into the shared ids. An
+/// and returns its instance remapped into the shared ids. An
 /// incremental update replays into the base model's vocabularies.
 pub fn replay<'a>(
     vocabs: &mut Vocabs,
-    docs: impl IntoIterator<Item = (&'a [String], &'a [String], &'a Instance)>,
+    docs: impl IntoIterator<Item = &'a DocPartial>,
 ) -> Vec<Instance> {
     let _span = telemetry::span("replay");
     docs.into_iter()
-        .map(|(labels, features, instance)| {
-            let (label_map, feature_map) = vocabs.intern_tables(labels, features);
-            instance.remap(&label_map, &feature_map)
+        .map(|doc| {
+            let (label_map, feature_map) = vocabs.intern_tables(&doc.labels, &doc.features);
+            doc.instance.remap(&label_map, &feature_map)
         })
         .collect()
 }
@@ -694,13 +606,11 @@ mod tests {
         let mut instance = Instance::new(vec![Node::unknown(0), Node::known(1)]);
         instance.add_pair(0, 1, 0);
         instance.add_unary(0, 1);
-        let stats = RawStatistics::collect(std::slice::from_ref(&instance), 2);
         DocPartial {
             global_index,
             labels: vec![format!("var{global_index}"), "known".into()],
             features: vec!["p0".into(), "p1".into()],
             instance,
-            stats,
         }
     }
 
@@ -717,13 +627,10 @@ mod tests {
         assert_eq!(back.docs.len(), 2);
         assert_eq!(back.docs[0].labels, partial.docs[0].labels);
         assert_eq!(encode_partial(&back), bytes);
-        for doc in &back.docs {
-            verify_doc_stats(doc).unwrap();
-        }
     }
 
     #[test]
-    fn dataflow_flag_roundtrips_and_knob_off_layout_is_unchanged() {
+    fn dataflow_flag_roundtrips_in_the_fixed_meta() {
         let on = TrainPartial {
             meta: PartialMeta {
                 header: ArtifactMeta {
@@ -739,14 +646,14 @@ mod tests {
         assert!(back.meta.header.dataflow_contexts);
         assert_eq!(encode_partial(&back), bytes);
 
-        // With the knob off the extra field is absent entirely, so the
-        // encoding matches what pre-knob writers produced.
+        // The meta always holds all 17 numbers: the knob is a value,
+        // not a layout.
         let off = TrainPartial {
             meta: sample_meta(),
             docs: vec![sample_doc(0), sample_doc(1)],
         };
         let off_bytes = encode_partial(&off);
-        assert!(off_bytes.len() < bytes.len());
+        assert_eq!(off_bytes.len(), bytes.len());
         assert!(
             !decode_partial(&off_bytes)
                 .unwrap()
@@ -850,13 +757,32 @@ mod tests {
     }
 
     #[test]
-    fn merge_rejects_document_gaps() {
-        let partial = TrainPartial {
-            meta: sample_meta(),
-            docs: vec![sample_doc(0), sample_doc(0)],
+    fn partials_hold_exactly_their_shards_documents() {
+        let shard = |index: u32, docs: Vec<DocPartial>| TrainPartial {
+            meta: PartialMeta {
+                shard_index: index,
+                shard_count: 2,
+                ..sample_meta()
+            },
+            docs,
         };
-        let err = merge_partials(&[partial]).unwrap_err();
-        assert!(err.contains("more than one"), "{err}");
+        // A repeated, missing, foreign (shard 0's document relabelled as
+        // shard 1's) or reordered document breaks the range rule, on
+        // decode and on merge alike.
+        for bad in [
+            shard(0, vec![sample_doc(0), sample_doc(0)]),
+            shard(0, vec![]),
+            shard(1, vec![sample_doc(0)]),
+            TrainPartial {
+                meta: sample_meta(),
+                docs: vec![sample_doc(1), sample_doc(0)],
+            },
+        ] {
+            let err = decode_partial(&encode_partial(&bad)).unwrap_err();
+            assert!(err.contains("must hold documents"), "{err}");
+            let err = merge_partials(&[bad]).unwrap_err();
+            assert!(err.contains("must hold documents"), "{err}");
+        }
     }
 
     #[test]

@@ -63,9 +63,7 @@ pub mod serve;
 use pigeon_core::{derive_seed, downsample, Abstraction, ExtractionConfig, DOWNSAMPLE_SEED};
 use pigeon_corpus::Language;
 use pigeon_crf::artifact::ArtifactMeta;
-use pigeon_crf::{
-    CrfConfig, CrfModel, Instance, RawStatistics, TrainControl, TrainOutcome, TrainState,
-};
+use pigeon_crf::{CrfConfig, CrfModel, RawStatistics, TrainControl, TrainOutcome, TrainState};
 use pigeon_eval::partial::{replay, DocPartial, PartialMeta, TrainPartial};
 use pigeon_eval::{
     build_name_graph, build_name_graph_lookup, extract_edge_features, parallel_map_indexed,
@@ -456,9 +454,7 @@ impl Pigeon {
         let mut vocabs = Vocabs::new();
         let instances = replay(
             &mut vocabs,
-            extract_documents(language, target, sources, 0, config)?
-                .iter()
-                .map(|(labels, features, instance)| (&labels[..], &features[..], instance)),
+            &extract_documents(language, target, sources, 0, config)?,
         );
         let outcome = pigeon_crf::train_resumable(
             &instances,
@@ -479,11 +475,11 @@ impl Pigeon {
         })
     }
 
-    /// Runs extraction and statistics collection over one deterministic
+    /// Runs the per-document stage over one deterministic
     /// 1/`shard_count` slice of `sources` (the **full** corpus list;
     /// slicing is internal so every shard agrees on global document
-    /// indices), returning a partial statistics file — a `.pgnc`
-    /// container of kind `partial` for `pigeon merge`.
+    /// indices), returning a training partial — a `.pgnc` container of
+    /// kind `partial` holding the slice's documents, for `pigeon merge`.
     ///
     /// # Errors
     ///
@@ -510,17 +506,7 @@ impl Pigeon {
             &sources[range.clone()],
             range.start,
             config,
-        )?
-        .into_iter()
-        .zip(range.start as u32..)
-        .map(|((labels, features, instance), global_index)| DocPartial {
-            global_index,
-            stats: RawStatistics::collect(std::slice::from_ref(&instance), labels.len() as u32),
-            labels,
-            features,
-            instance,
-        })
-        .collect();
+        )?;
         let meta = training_partial_meta(
             language,
             target,
@@ -535,17 +521,20 @@ impl Pigeon {
         }))
     }
 
-    /// Merges partial statistics files written by
-    /// [`Pigeon::build_training_partial`] and finishes training — the
-    /// engine behind `pigeon merge`. The documents are replayed as
-    /// single-process training replays them, and statistics come from
-    /// the replayed instances, so the result is byte-identical to
-    /// single-process training on the full corpus for any shard count.
+    /// Merges training partials written by
+    /// [`Pigeon::build_training_partial`], given in any order, and
+    /// finishes training — the engine behind `pigeon merge`. The
+    /// documents are replayed as single-process training replays them,
+    /// and statistics come from the replayed instances, so the result is
+    /// byte-identical to single-process training on the full corpus for
+    /// any shard count.
     ///
     /// # Errors
     ///
-    /// Malformed partials ([`ErrorKind::ModelFormat`]), partials built
-    /// under different configurations or with missing/duplicate shards
+    /// Malformed partials, partials written by an older build, and
+    /// partials holding documents other than their shard's own
+    /// ([`ErrorKind::ModelFormat`]); partials built under different
+    /// configurations or with missing/duplicate shards
     /// ([`ErrorKind::Config`] — the message names the differing knob).
     pub fn from_partials(parts: &[Vec<u8>]) -> Result<Pigeon, PigeonError> {
         let _span = telemetry::span("merge_train");
@@ -602,9 +591,7 @@ impl Pigeon {
         let mut vocabs = self.vocabs.clone();
         let instances = replay(
             &mut vocabs,
-            extract_documents(self.language, self.target, new_sources, 0, &self.config)?
-                .iter()
-                .map(|(labels, features, instance)| (&labels[..], &features[..], instance)),
+            &extract_documents(self.language, self.target, new_sources, 0, &self.config)?,
         );
         let num_labels = vocabs.labels.len() as u32;
         let model = pigeon_crf::train_incremental(
@@ -1002,15 +989,11 @@ pub fn resolve_header(
     Ok((language, target, config))
 }
 
-/// One training document out of [`extract_documents`]: its local label
-/// and feature tables in first-intern order, and its instance in those
-/// local ids.
-type Document = (Vec<String>, Vec<String>, Instance);
-
 /// The one per-document stage. Each document is parsed, extracted (plus
 /// data-flow contexts when on), downsampled with a seed derived from its
 /// **global** index `index_base + i`, and graph-built into its own
-/// [`Vocabs`], all in one pass over the worker pool. Nothing is shared
+/// [`Vocabs`], all in one pass over the worker pool, giving one
+/// [`DocPartial`] record per document. Nothing is shared
 /// between documents, so the result is identical for any `jobs`, and a
 /// contiguous slice of the corpus yields exactly the documents the full
 /// run does — the property shard workers rely on. Errors name the first
@@ -1021,7 +1004,7 @@ fn extract_documents(
     sources: &[&str],
     index_base: usize,
     config: &PigeonConfig,
-) -> Result<Vec<Document>, PigeonError> {
+) -> Result<Vec<DocPartial>, PigeonError> {
     let rep = Representation::AstPaths(config.abstraction);
     let _phase = telemetry::span("parse_extract");
     parallel_map_indexed(sources, config.jobs, |i, source| {
@@ -1041,7 +1024,12 @@ fn extract_documents(
         let mut vocabs = Vocabs::new();
         let graph = build_name_graph(language, &ast, target, &features, &mut vocabs, true);
         let (labels, features) = vocabs.tables();
-        Ok::<_, String>((labels, features, graph.instance))
+        Ok::<_, String>(DocPartial {
+            global_index: (index_base + i) as u32,
+            labels,
+            features,
+            instance: graph.instance,
+        })
     })
     .into_iter()
     .enumerate()

@@ -21,7 +21,7 @@ use pigeon::crf::artifact::{container_kind, is_artifact, Quant, KIND_CHECKPOINT,
 use pigeon::crf::checkpoint::{decode_checkpoint, encode_checkpoint};
 use pigeon::crf::TrainControl;
 use pigeon::distrib::{language_ext, list_corpus, run_worker, WorkerOptions};
-use pigeon::eval::partial::{decode_partial, verify_doc_stats};
+use pigeon::eval::partial::decode_partial;
 use pigeon::eval::{run_name_experiment, ElementClass, NameExperiment};
 use pigeon::serve::{bind, ServeConfig};
 use pigeon::{Pigeon, PigeonConfig, TrainRun};
@@ -134,13 +134,14 @@ DEFAULTS:
                 output is byte-identical to builds without the flag.
 
 DISTRIBUTED & INCREMENTAL TRAINING:
-  --shard I/N       run extraction + statistics over the I-th of N
-                    deterministic corpus slices only (0-based), writing
-                    a partial statistics file with --emit-partial; give
-                    every worker the SAME corpus (same FILEs or the same
-                    --synthetic N). `pigeon merge` combines the partials
-                    and finishes training, byte-identical to one
-                    single-process `pigeon train` for any shard count.
+  --shard I/N       run extraction over the I-th of N deterministic
+                    corpus slices only (0-based), writing the slice's
+                    documents to a training partial with --emit-partial;
+                    give every worker the SAME corpus (same FILEs or the
+                    same --synthetic N). `pigeon merge` combines the
+                    partials, in any order, and finishes training,
+                    byte-identical to one single-process `pigeon train`
+                    for any shard count.
   --checkpoint-every N  snapshot SGD state to --checkpoint-dir every N
                     epochs; Ctrl-C also writes a final checkpoint before
                     exiting. Resume with --resume DIR against the same
@@ -197,10 +198,10 @@ AUDIT:
   per-function control-flow graphs with fixed-point reaching-definition
   and liveness analyses; findings are deterministic and byte-identical
   for any --jobs value. `--list-codes true` prints the full code
-  catalog (text or --format json) and exits. --model also accepts partial statistics files
+  catalog (text or --format json) and exits. --model also accepts training partials
   and SGD checkpoints (kind sniffed from the container): partials get a
-  full decode plus a count-map cross-check against their stored
-  instances (partial-*), checkpoints a full state validation
+  full decode, including the check that they hold exactly their shard's
+  documents (partial-*), checkpoints a full state validation
   (checkpoint-*).
   --format      text (default) or json (schema pigeon-audit/1)
   --deny        fail when any diagnostic is at or above this severity
@@ -667,7 +668,7 @@ const TRAIN_FLAGS: &[FlagSpec] = &[
     ),
     (
         "emit-partial",
-        "where the shard's partial statistics go (OUT.pgnc)",
+        "where the shard's training partial goes (OUT.pgnc)",
     ),
     (
         "checkpoint-every",
@@ -787,7 +788,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         std::fs::write(emit, &bytes).map_err(|e| format!("{emit}: {e}"))?;
         observability.finish()?;
         println!(
-            "shard {index}/{count}: partial statistics for {} of {} files saved to {emit} \
+            "shard {index}/{count}: training partial for {} of {} files saved to {emit} \
              ({} bytes); combine with `pigeon merge`",
             pigeon::eval::shard_range(refs.len(), index, count).len(),
             refs.len(),
@@ -1459,9 +1460,8 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, String> {
         report.units_audited += 1;
         let bytes = read_bytes(path)?;
         if container_kind(&bytes) == Some(KIND_PARTIAL) {
-            // Partial statistics file: full container + content decode,
-            // then cross-check each document's stored count maps
-            // against its instance.
+            // Training partial: full container + content decode, which
+            // also holds the documents to exactly the shard's range.
             match decode_partial(&bytes) {
                 Err(e) => report.diagnostics.push(pigeon::analysis::Diagnostic::new(
                     "partial-load",
@@ -1469,30 +1469,18 @@ fn cmd_audit(args: &[String]) -> Result<ExitCode, String> {
                     path,
                     e,
                 )),
-                Ok(partial) => {
-                    for doc in &partial.docs {
-                        if let Err(e) = verify_doc_stats(doc) {
-                            report.diagnostics.push(pigeon::analysis::Diagnostic::new(
-                                "partial-stats",
-                                Severity::Error,
-                                path,
-                                e,
-                            ));
-                        }
-                    }
-                    report.diagnostics.push(pigeon::analysis::Diagnostic::new(
-                        "partial-info",
-                        Severity::Info,
-                        path,
-                        format!(
-                            "shard {}/{} with {} of {} documents; statistics cross-check ran",
-                            partial.meta.shard_index,
-                            partial.meta.shard_count,
-                            partial.docs.len(),
-                            partial.meta.total_docs
-                        ),
-                    ));
-                }
+                Ok(partial) => report.diagnostics.push(pigeon::analysis::Diagnostic::new(
+                    "partial-info",
+                    Severity::Info,
+                    path,
+                    format!(
+                        "valid shard {}/{} with {} of {} documents",
+                        partial.meta.shard_index,
+                        partial.meta.shard_count,
+                        partial.docs.len(),
+                        partial.meta.total_docs
+                    ),
+                )),
             }
         } else if container_kind(&bytes) == Some(KIND_CHECKPOINT) {
             // SGD checkpoint: the decoder validates the container, the

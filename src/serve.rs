@@ -1229,9 +1229,10 @@ fn json_knob<T>(
 }
 
 /// Derives every shard's content address for a job: FNV-1a of the
-/// config fingerprint (over the same knob table `merge_partials`
-/// compares), the shard coordinates, and the shard's file names +
-/// bytes. Touching one corpus file moves exactly that shard's key.
+/// partial layout, the config fingerprint (over the same knob table
+/// `merge_partials` compares), the shard coordinates, and the shard's
+/// file names + bytes. Touching one corpus file moves exactly that
+/// shard's key.
 fn derive_shard_keys(
     expected: &PartialMeta,
     files: &[(String, String)],
@@ -1388,9 +1389,11 @@ fn finish_job(ctx: &ServerCtx, coord: &CoordState, job: &mut CoordJob) {
 }
 
 /// `POST /v1/partials`: ingest one `.pgnc` partial. The body is decoded
-/// and fully validated (checksums, count-map structure) before any disk
-/// write; its meta is matched against the jobs' expected configuration
-/// — a knob mismatch is a coded 400 naming the knob. Valid partials
+/// and fully validated (checksums, layout, and that it holds exactly
+/// its shard's documents) before any disk write, so a mislabelled or
+/// old-layout partial is a 400 that is never cached. Its meta is
+/// matched against the jobs' expected configuration — a knob mismatch
+/// is a coded 400 naming the knob. Valid partials
 /// land in the content-addressed cache (atomic write), advance their
 /// shard, and trigger the finishing merge when they complete coverage.
 fn ingest_partial(ctx: &ServerCtx, req: &Request) -> Result<Payload, HttpError> {
@@ -1729,13 +1732,15 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
             // directly against the active model instead of being split
             // through the admission queue.
             let entry = ctx.models.active().ok_or_else(no_model_error)?;
+            // Every entry is checked before the first prediction, so a
+            // rejected batch predicts and counts nothing.
+            let sources: Vec<&str> = sources
+                .iter()
+                .map(serde_json::Value::as_str)
+                .collect::<Option<_>>()
+                .ok_or_else(|| HttpError::bad_request("`sources` must hold strings".to_owned()))?;
             let mut results = Vec::with_capacity(sources.len());
             for source in sources {
-                let Some(source) = source.as_str() else {
-                    return Err(HttpError::bad_request(
-                        "`sources` must hold strings".to_owned(),
-                    ));
-                };
                 // Per-source failures are reported in place so one bad
                 // program does not void the rest of the batch; they carry
                 // the same stable `code` as top-level error bodies.

@@ -518,6 +518,18 @@ fn merge_rejects_partials_from_different_configs() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("max_length"), "must name the knob: {err}");
+
+    // A partial written by an older build is refused by name.
+    let out = pigeon()
+        .args(["merge", "--out"])
+        .arg(dir.join("never.json"))
+        .arg(older_layout_partial())
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("older build"), "{err}");
+    assert!(!dir.join("never.json").exists());
 }
 
 #[test]
@@ -607,20 +619,36 @@ fn audit_lints_partials_and_rejects_corrupt_ones() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("shard 0/2"), "{text}");
 
-    // A flipped byte must be denied (exit 2), not crash.
+    // A flipped byte, or a partial in the layout of an older build,
+    // must be denied (exit 2), not crash.
     let mut bytes = std::fs::read(&part).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
     let bad = dir.join("bad.part");
     std::fs::write(&bad, &bytes).unwrap();
-    let out = pigeon()
-        .args(["audit", "--model"])
-        .arg(&bad)
-        .output()
-        .expect("runs");
-    assert_eq!(out.status.code(), Some(2), "corrupt partial must be denied");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("partial-load"), "{text}");
+    for bad in [bad, older_layout_partial()] {
+        let out = pigeon()
+            .args(["audit", "--model"])
+            .arg(&bad)
+            .output()
+            .expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{} must be denied",
+            bad.display()
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("partial-load"), "{text}");
+    }
+}
+
+/// A one-shard partial of `--synthetic 4` written by the build before
+/// partials dropped their per-document statistics (docs section
+/// `pt-docs-v1`).
+fn older_layout_partial() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/older-layout-shard-0-of-1.part")
 }
 
 #[test]

@@ -433,9 +433,10 @@ fn coordinator_restart_resumes_from_cache_and_reextracts_only_changed_shards() {
 }
 
 /// Negative upload paths: a partial with mismatched knobs is a coded
-/// 400 naming the knob; a truncated upload is a coded 400 that leaves
-/// no cache entry behind; an upload with no matching job is a coded
-/// 409; predict without a model is a coded 409.
+/// 400 naming the knob; a truncated upload, or a partial relabelled to
+/// another shard, is a coded 400 that leaves no cache entry behind; an
+/// upload with no matching job is a coded 409; predict without a model
+/// is a coded 409.
 #[test]
 fn bad_uploads_are_rejected_with_stable_codes() {
     let dir = tmp_dir("reject");
@@ -499,12 +500,17 @@ fn bad_uploads_are_rejected_with_stable_codes() {
         "the error must name the disagreeing knob: {body}"
     );
 
-    // A truncated partial: the checksummed decode fails with the
+    // A truncated partial, or shard 0's partial relabelled as shard 1
+    // (the job's own geometry and knobs): the decode fails with the
     // format's stable code and nothing lands in the cache.
-    let truncated = &orphan[..orphan.len() / 2];
-    let (status, body) = post_bytes(&addr, "/v1/partials", truncated);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("\"code\":\"model-format\""), "{body}");
+    let mut relabelled = pigeon::eval::partial::decode_partial(&orphan).expect("decodes");
+    relabelled.meta.shard_index = 1;
+    let relabelled = pigeon::eval::partial::encode_partial(&relabelled);
+    for bad in [&orphan[..orphan.len() / 2], &relabelled[..]] {
+        let (status, body) = post_bytes(&addr, "/v1/partials", bad);
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("\"code\":\"model-format\""), "{body}");
+    }
     // An empty body is rejected up front.
     let (status, body) = post_bytes(&addr, "/v1/partials", b"");
     assert_eq!(status, 400, "{body}");
@@ -519,7 +525,45 @@ fn bad_uploads_are_rejected_with_stable_codes() {
         cached.is_empty(),
         "rejected uploads must leave no cache entry: {cached:?}"
     );
-    assert!(metric_u64(&addr, "pigeon_partials_rejected_total") >= 4);
+    assert!(metric_u64(&addr, "pigeon_partials_rejected_total") >= 5);
+
+    coord.kill().expect("kills");
+    let _ = coord.wait();
+}
+
+/// Cache keys include the partial layout: a file stored under the key
+/// the build before the layout change derived for this job (the
+/// default knobs over the 6-file generated corpus, one shard) is not a
+/// hit. The job starts with nothing cached and finishes with the
+/// single-process model instead of failing its merge on the old file.
+#[test]
+fn a_cache_entry_under_an_older_layouts_key_is_not_a_hit() {
+    const OLDER_LAYOUT_KEY: &str = "8252ad98bb7d80e3";
+    let dir = tmp_dir("older-key");
+    let corpus_dir = dir.join("corpus");
+    let files = generate_corpus(&corpus_dir, 6);
+    let reference = dir.join("reference.json");
+    train_reference(&files, &reference);
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let older = read(
+        &Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/older-layout-shard-0-of-1.part"),
+    );
+    std::fs::write(cache.join(format!("{OLDER_LAYOUT_KEY}.pgnc")), older).unwrap();
+
+    let (mut coord, addr, _stdout) = spawn_coordinator(&cache, &["--idle-timeout", "120"]);
+    let out = dir.join("model.json");
+    let (status, body) = post(&addr, "/v1/train-jobs", &job_request(&corpus_dir, &out, 1));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(json_u64(&body, "cached"), Some(0), "{body}");
+    let mut worker = spawn_worker(&addr, "fresh", &[]);
+    let id = json_u64(&body, "id").expect("job id");
+    let status_body = await_job_done(&addr, id, Duration::from_secs(120));
+    let exit = worker.wait().expect("worker exits");
+    assert!(exit.success(), "worker exit: {exit:?}");
+    assert!(!status_body.contains(OLDER_LAYOUT_KEY), "{status_body}");
+    assert_eq!(read(&out), read(&reference), "model differs");
 
     coord.kill().expect("kills");
     let _ = coord.wait();

@@ -498,6 +498,27 @@ fn serve_answers_hostile_bodies_and_keeps_serving() {
     assert!(body.contains("\"code\":\"bad-request\""), "{body}");
     assert_eq!(get(&addr, "/v1/health").0, 200);
 
+    // A batch with a non-string entry is rejected before anything in
+    // it is predicted: the per-version and global counters stay put.
+    let counters = |addr: &str| {
+        let (_, model) = get(addr, "/v1/models/1");
+        let (_, metrics) = get(addr, "/v1/metrics");
+        (
+            stat_u64(&model, "predict_requests"),
+            stat_u64(&model, "predictions"),
+            metric_u64(&metrics, "pigeon_predictions_total"),
+        )
+    };
+    let before = counters(&addr);
+    let (status, body) = post(
+        &addr,
+        "/v1/predict_batch",
+        r#"{"sources": ["function f(a){var b = a; return b;}", 7]}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("\"code\":\"bad-request\""), "{body}");
+    assert_eq!(counters(&addr), before);
+
     let long_string = format!(r#"{{"source": "var s = '{}';"}}"#, "x".repeat(900_000));
     let (status, body) = post(&addr, "/v1/predict", &long_string);
     assert_eq!(status, 200, "{body}");

@@ -48,7 +48,8 @@ fn shard_count_invariance_is_byte_identical() {
         .unwrap()
         .to_json()
         .unwrap();
-    for count in [1usize, 2, 4, 7] {
+    // 40 documents in chunks of 4 leave shards 10–12 of 13 empty.
+    for count in [1usize, 2, 4, 7, 13] {
         let merged = shard_and_merge(&refs, count, &config).to_json().unwrap();
         assert_eq!(
             merged, baseline,
@@ -370,13 +371,13 @@ fn facade_trainers_match_pinned_hashes() {
     assert_eq!(got, want);
 }
 
-/// A partial's stored statistics are redundant with its instances, and
-/// the merge takes its counts from the replayed instances: raising one
-/// stored suggestion count changes nothing in the merged model, while
-/// the audit cross-check still flags the forged document.
+/// A partial holds exactly its shard's documents: the honest partials
+/// merge to one model in any order, while a shard-0 partial relabelled
+/// as shard 1 and a partial in the layout of an older build (which also
+/// stored per-document statistics) are `model-format` errors.
 #[test]
-fn stored_partial_counts_cannot_skew_a_merge() {
-    use pigeon::eval::partial::{decode_partial, encode_partial, verify_doc_stats};
+fn forged_and_older_partials_are_refused() {
+    use pigeon::eval::partial::{decode_partial, encode_partial};
 
     let sources = corpus_sources(16, 0x51AD_000C);
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
@@ -394,27 +395,22 @@ fn stored_partial_counts_cannot_skew_a_merge() {
             .unwrap()
         })
         .collect();
-    let honest = Pigeon::from_partials(&parts).unwrap().to_json().unwrap();
+    let merge = |parts: &[Vec<u8>]| Pigeon::from_partials(parts).map(|m| m.to_json().unwrap());
+    let honest = merge(&parts).unwrap();
+    assert!(merge(&[parts[1].clone(), parts[0].clone()]).unwrap() == honest);
 
-    let mut forged = decode_partial(&parts[1]).unwrap();
-    let doc = forged
-        .docs
-        .iter_mut()
-        .find(|d| !d.stats.suggestions.is_empty())
-        .expect("a document with suggestion counts");
-    let key = *doc.stats.suggestions.keys().min().unwrap();
-    let by_label = doc.stats.suggestions.get_mut(&key).unwrap();
-    let label = *by_label.keys().min().unwrap();
-    *by_label.get_mut(&label).unwrap() += 1000;
-    let err = verify_doc_stats(doc).unwrap_err();
-    assert!(err.contains("suggestion counts"), "{err}");
+    let mut relabelled = decode_partial(&parts[0]).unwrap();
+    relabelled.meta.shard_index = 1;
+    let err = merge(&[parts[0].clone(), encode_partial(&relabelled)]).unwrap_err();
+    assert_eq!(err.code(), "model-format", "{err}");
+    assert!(err.message().contains("must hold documents"), "{err}");
 
-    let merged = Pigeon::from_partials(&[parts[0].clone(), encode_partial(&forged)])
-        .unwrap()
-        .to_json()
-        .unwrap();
-    assert!(
-        merged == honest,
-        "a forged stored count changed the merged model"
-    );
+    let older = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/older-layout-shard-0-of-1.part"
+    ))
+    .unwrap();
+    let err = merge(&[older]).unwrap_err();
+    assert_eq!(err.code(), "model-format", "{err}");
+    assert!(err.message().contains("older build"), "{err}");
 }
