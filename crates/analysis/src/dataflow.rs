@@ -650,9 +650,10 @@ struct Hit {
     message: String,
 }
 
-/// Runs the engine over every function of one tree, producing lint hits
-/// and typed flow edges in one pass.
-fn analyze(language: Language, ast: &Ast) -> (Vec<Hit>, Vec<FlowEdge>) {
+/// Runs the engine over every function of one tree, producing typed
+/// flow edges and, when `lint` is set, lint hits in the same pass.
+/// Without `lint` no liveness is solved and no hit is built.
+fn analyze(language: Language, ast: &Ast, lint: bool) -> (Vec<Hit>, Vec<FlowEdge>) {
     let t0 = Instant::now();
     let tree = ScopeTree::build(language, ast);
     let resolution = resolve(language, ast);
@@ -713,7 +714,7 @@ fn analyze(language: Language, ast: &Ast) -> (Vec<Hit>, Vec<FlowEdge>) {
             })
             .collect();
         let func = collect(language, ast, &tree, &groups, &extras, cfg);
-        solve_function(&func, &mut hits, &mut edges);
+        solve_function(&func, lint.then_some(&mut hits), &mut edges);
     }
     edges.sort_unstable();
     edges.dedup();
@@ -726,12 +727,13 @@ fn analyze(language: Language, ast: &Ast) -> (Vec<Hit>, Vec<FlowEdge>) {
 }
 
 /// Solves one function's fixed points and walks every reachable node
-/// once more, simulating the streams against the entry facts to report
-/// per-occurrence findings and emit flow edges.
-fn solve_function(func: &Func<'_>, hits: &mut Vec<Hit>, edges: &mut Vec<FlowEdge>) {
+/// once more, simulating the streams against the entry facts to emit
+/// flow edges and, given `hits`, report per-occurrence findings. Only
+/// the findings need liveness, so it is solved only for them.
+fn solve_function(func: &Func<'_>, mut hits: Option<&mut Vec<Hit>>, edges: &mut Vec<FlowEdge>) {
     let out_defs = func.reaching_defs();
     let out_reads = func.reaching_reads();
-    let live_out = func.live_out();
+    let live_out = hits.as_ref().map(|_| func.live_out());
     let reachable = func.cfg.reachable();
     let nd = func.nvars + func.def_leaf.len();
     let mut bottoms = Bits::new(nd);
@@ -766,7 +768,10 @@ fn solve_function(func: &Func<'_>, hits: &mut Vec<Hit>, edges: &mut Vec<FlowEdge
                             }
                         }
                     }
-                    if !func.captured[v] && defs.get(v) && !any_real {
+                    if let Some(hits) = hits
+                        .as_deref_mut()
+                        .filter(|_| !func.captured[v] && defs.get(v) && !any_real)
+                    {
                         hits.push(Hit {
                             leaf,
                             code: "use-before-def",
@@ -808,8 +813,10 @@ fn solve_function(func: &Func<'_>, hits: &mut Vec<Hit>, edges: &mut Vec<FlowEdge
                             }
                         }
                     }
-                    if !func.captured[v] && kind.is_store() && func.read_count[v] > 0 {
-                        check_dead_store(func, n, pos, leaf, var, def_id, &live_out, hits);
+                    if let (Some(hits), Some(live_out)) = (hits.as_deref_mut(), &live_out) {
+                        if !func.captured[v] && kind.is_store() && func.read_count[v] > 0 {
+                            check_dead_store(func, n, pos, leaf, var, def_id, live_out, hits);
+                        }
                     }
                     if kind != DefKind::Decl {
                         defs.subtract(&func.var_defs[v]);
@@ -823,6 +830,9 @@ fn solve_function(func: &Func<'_>, hits: &mut Vec<Hit>, edges: &mut Vec<FlowEdge
     // Group-level finding: declared but never read, in any scope.
     // Parameters and catch bindings are part of a signature the author
     // may not control; they are exempt, as linters conventionally do.
+    let Some(hits) = hits else {
+        return;
+    };
     for v in 0..func.nvars {
         if func.read_count[v] == 0 && !func.binding_exempt[v] {
             hits.push(Hit {
@@ -902,7 +912,7 @@ fn check_dead_store(
 /// jobs-invariant; diagnostics are ordered by leaf preorder index, then
 /// code.
 pub fn lint(language: Language, unit: &str, ast: &Ast) -> Vec<Diagnostic> {
-    let (mut hits, _) = analyze(language, ast);
+    let (mut hits, _) = analyze(language, ast, true);
     hits.sort_by(|a, b| (a.leaf.index(), a.code).cmp(&(b.leaf.index(), b.code)));
     hits.into_iter()
         .map(|h| {
@@ -918,7 +928,7 @@ pub fn lint(language: Language, unit: &str, ast: &Ast) -> Vec<Diagnostic> {
 /// and `LastUse` edges to each read that may precede it. Sorted by
 /// (kind, from, to) and deduplicated; self-edges are dropped.
 pub fn flow_edges(language: Language, ast: &Ast) -> Vec<FlowEdge> {
-    analyze(language, ast).1
+    analyze(language, ast, false).1
 }
 
 #[cfg(test)]

@@ -9,51 +9,123 @@
 //! The interner is append-only and never frees strings; this mirrors the
 //! lifetime of a vocabulary in a learning pipeline, where every observed
 //! kind or value may later be needed to render a prediction.
+//!
+//! Reads take no lock. Id `i`'s string sits in a segmented table whose
+//! segments are allocated once and never move, each slot a `OnceLock`
+//! that is set before its id leaves the interner, so `as_str` is two
+//! acquire loads and an index. Interning goes through a per-thread cache
+//! of 4 096 ids in two-way buckets (16 KiB of zeroed thread-local storage
+//! per thread, never grown): a string this thread interned before, and
+//! still cached, is found without the global mutex. Only a miss takes the
+//! mutex and the global map, and a new string is written there once.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-/// The process-wide interner shared by [`Kind`] and [`Symbol`].
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// Ids in the first table segment, as a power of two; segment `k` holds
+/// `1 << (FIRST_SEGMENT_BITS + k)` ids.
+const FIRST_SEGMENT_BITS: u32 = 6;
+
+/// Segments enough for every `u32` id.
+const SEGMENTS: usize = (33 - FIRST_SEGMENT_BITS) as usize;
+
+/// One id's string, set once before the id is handed out.
+type Slot = OnceLock<&'static str>;
+
+/// The id → string table. Segments double in size, so the table never
+/// moves a slot once allocated and a reader needs no lock.
+static STRINGS: [OnceLock<Box<[Slot]>>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
+
+/// The string → id map, consulted under its mutex on a per-thread cache
+/// miss. Its length is the next id.
+fn ids() -> &'static Mutex<HashMap<&'static str, u32>> {
+    static IDS: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+    IDS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-impl Interner {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        // Leaking is deliberate: interned strings live for the process.
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = self.strings.len() as u32;
-        self.strings.push(leaked);
-        self.map.insert(leaked, id);
-        id
-    }
+/// Per-thread cache entries, each holding `id + 1` (`0` is empty), in
+/// buckets of two picked by string hash. A power of two.
+const CACHE_SLOTS: usize = 1 << 12;
 
-    fn resolve(&self, id: u32) -> &'static str {
-        self.strings[id as usize]
-    }
+thread_local! {
+    /// This thread's interning cache. Zero-initialised, so a fresh
+    /// thread (the pools spawn them per call) starts it for free.
+    static CACHE: [Cell<u32>; CACHE_SLOTS] = const { [const { Cell::new(0) }; CACHE_SLOTS] };
+
+    /// How often this thread took the global mutex.
+    static SLOW_PATH: Cell<u64> = const { Cell::new(0) };
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+/// `(segment, offset)` of `id` in [`STRINGS`].
+fn locate(id: u32) -> (usize, usize) {
+    let n = u64::from(id) + (1 << FIRST_SEGMENT_BITS);
+    let segment = n.ilog2() - FIRST_SEGMENT_BITS;
+    let offset = n - (1 << (segment + FIRST_SEGMENT_BITS));
+    (segment as usize, offset as usize)
+}
+
+/// The first of the two cache slots `s` may sit in, by FNV-1a over its
+/// bytes.
+fn cache_bucket(s: &str) -> usize {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in s.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h ^ (h >> 32)) as usize & (CACHE_SLOTS - 2)
 }
 
 fn intern(s: &str) -> u32 {
-    interner().lock().expect("interner poisoned").intern(s)
+    let bucket = cache_bucket(s);
+    CACHE.with(|cache| {
+        let (newer, older) = (&cache[bucket], &cache[bucket + 1]);
+        for way in [newer, older] {
+            let cached = way.get();
+            if cached != 0 && resolve(cached - 1) == s {
+                return cached - 1;
+            }
+        }
+        let id = intern_global(s);
+        older.set(newer.get());
+        newer.set(id + 1);
+        id
+    })
+}
+
+/// Looks `s` up in the global map, adding it when new.
+fn intern_global(s: &str) -> u32 {
+    SLOW_PATH.with(|n| n.set(n.get() + 1));
+    let mut ids = ids().lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&id) = ids.get(s) {
+        return id;
+    }
+    // `u32::MAX` stays unused so every id fits the cache's `id + 1`.
+    let id = u32::try_from(ids.len())
+        .ok()
+        .filter(|&id| id < u32::MAX)
+        .expect("symbol interner full");
+    // Leaking is deliberate: interned strings live for the process.
+    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+    let (segment, offset) = locate(id);
+    let slots = STRINGS[segment].get_or_init(|| {
+        (0..1usize << (segment as u32 + FIRST_SEGMENT_BITS))
+            .map(|_| OnceLock::new())
+            .collect()
+    });
+    // The slot is set before the id is published (in the map, under the
+    // lock, or returned), so anyone holding the id reads it set.
+    slots[offset].set(leaked).expect("a new id's slot is empty");
+    ids.insert(leaked, id);
+    id
 }
 
 fn resolve(id: u32) -> &'static str {
-    interner().lock().expect("interner poisoned").resolve(id)
+    let (segment, offset) = locate(id);
+    STRINGS[segment]
+        .get()
+        .and_then(|slots| slots[offset].get())
+        .expect("ids come only from the interner")
 }
 
 /// An interned grammar symbol naming the syntactic category of an AST node.
@@ -201,5 +273,103 @@ mod tests {
             let s = h.join().unwrap();
             assert!(s.starts_with("ThreadKind"));
         }
+    }
+
+    /// The global-mutex acquisitions this thread has made.
+    fn slow_path_count() -> u64 {
+        SLOW_PATH.with(Cell::get)
+    }
+
+    #[test]
+    fn threads_interning_overlapping_sets_agree_on_ids() {
+        let words: Vec<String> = (0..300).map(|i| format!("overlap-{i}")).collect();
+        let start = std::sync::Barrier::new(8);
+        let interned: Vec<(String, u32)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|t| {
+                    let (words, start) = (&words, &start);
+                    scope.spawn(move || {
+                        // Overlapping windows, half of them walked
+                        // backwards, all starting at once.
+                        let mut mine: Vec<&String> = words[t * 25..t * 25 + 125].iter().collect();
+                        if t % 2 == 1 {
+                            mine.reverse();
+                        }
+                        start.wait();
+                        mine.into_iter()
+                            .map(|w| {
+                                let symbol = Symbol::new(w);
+                                assert_eq!(symbol.as_str(), w);
+                                assert_eq!(Kind::new(w).index(), symbol.index());
+                                (w.clone(), symbol.index())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("interning thread"))
+                .collect()
+        });
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        for (word, id) in interned {
+            assert_eq!(*ids.entry(word.clone()).or_insert(id), id, "{word}");
+        }
+        assert_eq!(ids.len(), 300);
+        let distinct: std::collections::HashSet<u32> = ids.values().copied().collect();
+        assert_eq!(distinct.len(), ids.len(), "distinct strings share an id");
+        for (word, &id) in &ids {
+            assert_eq!(Symbol::new(word).index(), id);
+            assert_eq!(Symbol::new(word).as_str(), word);
+        }
+    }
+
+    #[test]
+    fn reads_and_repeated_interns_on_one_thread_take_no_lock() {
+        // One word per cache bucket, so none can evict another.
+        let mut buckets = std::collections::HashSet::new();
+        let words: Vec<String> = (0..)
+            .map(|i| format!("lock-free-{i}"))
+            .filter(|w| buckets.insert(cache_bucket(w)))
+            .take(500)
+            .collect();
+        let before = slow_path_count();
+        let symbols: Vec<Symbol> = words.iter().map(|w| Symbol::new(w)).collect();
+        assert_eq!(
+            slow_path_count(),
+            before + 500,
+            "each new string takes the lock once"
+        );
+        let before = slow_path_count();
+        for (word, &symbol) in words.iter().zip(&symbols) {
+            assert_eq!(symbol.as_str(), word);
+            assert_eq!(Symbol::new(word), symbol);
+            assert_eq!(Kind::new(word).as_str(), word);
+        }
+        assert_eq!(slow_path_count(), before);
+
+        // A string another thread interned is read without a lock, and
+        // costs this thread one lookup in the global map, then none.
+        let elsewhere = std::thread::spawn(|| Symbol::new("interned-elsewhere"))
+            .join()
+            .expect("interning thread");
+        assert_eq!(elsewhere.as_str(), "interned-elsewhere");
+        assert_eq!(slow_path_count(), before);
+        assert_eq!(Symbol::new("interned-elsewhere"), elsewhere);
+        assert_eq!(Symbol::new("interned-elsewhere"), elsewhere);
+        assert_eq!(slow_path_count(), before + 1);
+    }
+
+    #[test]
+    fn ids_map_onto_doubling_segments() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(63), (0, 63));
+        assert_eq!(locate(64), (1, 0));
+        assert_eq!(locate(191), (1, 127));
+        assert_eq!(locate(192), (2, 0));
+        let (segment, offset) = locate(u32::MAX);
+        assert_eq!(segment, SEGMENTS - 1);
+        assert!(offset < 1 << (segment as u32 + FIRST_SEGMENT_BITS));
     }
 }

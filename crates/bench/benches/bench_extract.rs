@@ -1,14 +1,16 @@
 //! Extraction hot path: AST path-contexts with the data-flow knob off
 //! vs on, plus the component costs (parse, AST paths, CFG + fixed
 //! point, flow path-contexts). Every path is timed once per iteration,
-//! back to back, with the two sides of each ratio adjacent.
+//! back to back, with the two sides of each ratio adjacent; the
+//! end-to-end pair (`extract_off`, `extract_on`) is timed file by
+//! file, off then on, and summed over the corpus.
 //!
 //! Writes `BENCH_EXTRACT.json` at the repo root (override the path
 //! with `PIGEON_BENCH_OUT`) with median/p95 per path and the
 //! dimensionless overhead ratios CI gates at ±15%. Each ratio is the
 //! median of the per-iteration ratios: the two paths of one iteration
-//! ran back to back, so their quotient cancels what the host did at
-//! that moment.
+//! ran back to back (the end-to-end pair a file at a time), so their
+//! quotient cancels what the host did at that moment.
 
 use pigeon::ast::Ast;
 use pigeon::core::{Abstraction, ExtractionConfig};
@@ -51,10 +53,9 @@ fn main() {
         pigeon::dataflow_edge_features(language, ast, &extraction, Abstraction::Full).len()
     };
 
-    // Component costs over pre-parsed trees, then end to end: what one
-    // training worker does per file, knob off vs on. Each ratio's two
-    // paths are neighbours in this list.
-    let paths: [(&str, &dyn Fn() -> usize); 6] = [
+    // Component costs over pre-parsed trees, each timed over the whole
+    // corpus. Each ratio's two paths are neighbours in this list.
+    let components: [(&str, &dyn Fn() -> usize); 4] = [
         ("parse", &|| {
             for s in &sources {
                 std::hint::black_box(language.parse(s).expect("parses"));
@@ -70,30 +71,35 @@ fn main() {
         ("dataflow_contexts", &|| {
             asts.iter().map(flow_contexts).sum()
         }),
-        ("extract_off", &|| {
-            sources
-                .iter()
-                .map(|s| ast_paths(&language.parse(s).expect("parses")))
-                .sum()
-        }),
-        ("extract_on", &|| {
-            sources
-                .iter()
-                .map(|s| {
-                    let ast = language.parse(s).expect("parses");
-                    ast_paths(&ast) + flow_contexts(&ast)
-                })
-                .sum()
-        }),
     ];
+    // End to end: what one training worker does per file, knob off vs
+    // on. The two run back to back on each file, so a host slowdown
+    // lasting longer than one file hits both sides alike.
+    let extract_off = |s: &str| ast_paths(&language.parse(s).expect("parses"));
+    let extract_on = |s: &str| {
+        let ast = language.parse(s).expect("parses");
+        ast_paths(&ast) + flow_contexts(&ast)
+    };
+    let names: Vec<&str> = components
+        .iter()
+        .map(|(name, _)| *name)
+        .chain(["extract_off", "extract_on"])
+        .collect();
     let mut times: [Vec<f64>; 6] = Default::default();
     for _ in 0..ITERATIONS {
-        for ((_, path), t) in paths.iter().zip(&mut times) {
+        for ((_, path), t) in components.iter().zip(&mut times) {
             t.push(time(path));
         }
+        let (mut off, mut on) = (0.0, 0.0);
+        for s in &sources {
+            off += time(|| extract_off(s));
+            on += time(|| extract_on(s));
+        }
+        times[4].push(off);
+        times[5].push(on);
     }
     let timings = |name: &str| {
-        let i = paths.iter().position(|(n, _)| *n == name);
+        let i = names.iter().position(|n| *n == name);
         &times[i.expect("path measured above")]
     };
     let ratio = |num: &str, den: &str| {
@@ -102,10 +108,10 @@ fn main() {
     };
     let on_vs_off = ratio("extract_on", "extract_off");
     let dataflow_vs_ast_paths = ratio("dataflow_contexts", "ast_paths");
-    let rows: Vec<(&str, f64, f64)> = paths
+    let rows: Vec<(&str, f64, f64)> = names
         .iter()
         .zip(&times)
-        .map(|((name, _), t)| {
+        .map(|(name, t)| {
             let (median, p95) = summarize(t.clone());
             (*name, median, p95)
         })

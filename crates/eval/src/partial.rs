@@ -16,15 +16,14 @@
 //!
 //! The file reuses the `.pgnc` container of [`pigeon_crf::artifact`]
 //! (magic, versioned checksummed section table, kind tag
-//! [`artifact::KIND_PARTIAL`]); decoding trusts nothing and never
+//! [`KIND_PARTIAL`]); decoding trusts nothing and never
 //! panics on truncated or bit-flipped input. A partial holds exactly
 //! its shard's documents, so one relabelled to another shard is refused
 //! when it is decoded, not when it is merged.
 
 use pigeon_crf::artifact::{
-    self, decode_strings, decode_u64s, encode_strings, encode_u32s, encode_u64s, kind_name,
-    section_name, ArtifactMeta, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_DOCS_V1,
-    SEC_PT_META,
+    decode_strings, decode_u64s, encode_strings, encode_u32s, encode_u64s, kind_name, section_name,
+    ArtifactMeta, Quant, Reader, Writer, KIND_PARTIAL, SEC_PT_DOCS, SEC_PT_DOCS_V1, SEC_PT_META,
 };
 use pigeon_crf::{CrfConfig, Instance, Node, PairFactor, RawStatistics, UnaryFactor};
 use pigeon_telemetry as telemetry;
@@ -121,12 +120,6 @@ pub fn shard_range(total: usize, index: usize, count: usize) -> std::ops::Range<
     let start = (index * chunk).min(total);
     let end = (start + chunk).min(total);
     start..end
-}
-
-/// `true` when `bytes` is a `.pgnc` container of partial kind (the
-/// dispatch sniff; full validation is [`decode_partial`]).
-pub fn is_partial(bytes: &[u8]) -> bool {
-    artifact::container_kind(bytes) == Some(KIND_PARTIAL)
 }
 
 /// Number of `u64` numeric fields trailing the meta string table.
@@ -621,7 +614,10 @@ mod tests {
             docs: vec![sample_doc(0), sample_doc(1)],
         };
         let bytes = encode_partial(&partial);
-        assert!(is_partial(&bytes));
+        assert_eq!(
+            pigeon_crf::artifact::container_kind(&bytes),
+            Some(KIND_PARTIAL)
+        );
         let back = decode_partial(&bytes).unwrap();
         assert_eq!(back.meta, partial.meta);
         assert_eq!(back.docs.len(), 2);

@@ -10,6 +10,7 @@
 //! is just more vendored code to maintain); the two structs in this
 //! workspace that previously derived the traits implement them by hand.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -159,6 +160,13 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Builds the [`Value`] tree for `self`.
     fn to_value(&self) -> Value;
+
+    /// The [`Value`] tree for `self`, borrowed when `self` already is
+    /// one. The printer reads through this, so printing a `Value` (or a
+    /// reference to one) never copies the tree.
+    fn borrow_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Conversion out of the JSON data model.
@@ -169,11 +177,25 @@ pub trait Deserialize: Sized {
     ///
     /// Returns [`Error`] when the tree does not have the expected shape.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// Reads `Self` out of a tree the caller is done with. A `Value`
+    /// takes the tree itself, so parsing into one never copies it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Deserialize::from_value`].
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Self::from_value(&value)
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn borrow_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -181,11 +203,19 @@ impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
     }
+
+    fn from_owned(value: Value) -> Result<Self, Error> {
+        Ok(value)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn borrow_value(&self) -> Cow<'_, Value> {
+        (**self).borrow_value()
     }
 }
 

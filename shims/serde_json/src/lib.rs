@@ -4,6 +4,11 @@
 //! Output mirrors real `serde_json` compact form: no whitespace,
 //! object keys in `BTreeMap` (sorted) order, floats printed with Rust's
 //! shortest round-trip formatting, non-finite floats as `null`.
+//!
+//! Beyond the real crate's API, the printer's string escaper
+//! ([`write_string`]) and number writer ([`write_number`]) are public,
+//! so code that renders a fixed-shape document straight into a buffer
+//! prints exactly the bytes [`to_string`] would.
 
 pub use serde::{Error, Map, Number, Value};
 
@@ -25,13 +30,19 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
 
 /// Serialises `value` to a compact JSON string.
 ///
+/// The string comes back sized to its length. The escaper copies whole
+/// runs, so the buffer's growth depends on where long strings fall and
+/// could otherwise leave a kept document, such as a model file, holding
+/// nearly its own size again in spare capacity.
+///
 /// # Errors
 ///
 /// Never fails for tree-shaped data; the `Result` mirrors the real
 /// `serde_json` signature so call sites propagate errors identically.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value());
+    write_value(&mut out, &value.borrow_value());
+    out.shrink_to_fit();
     Ok(out)
 }
 
@@ -52,7 +63,7 @@ pub fn from_str<T: Deserialize>(json: &str) -> Result<T, Error> {
     if parser.pos != parser.text.len() {
         return Err(parser.error("trailing characters"));
     }
-    T::from_value(&value)
+    T::from_owned(value)
 }
 
 /// Builds a [`Value`] with JSON-like syntax: `json!({"k": v, ...})`,
@@ -104,7 +115,10 @@ fn write_value(out: &mut String, value: &Value) {
     }
 }
 
-fn write_number(out: &mut String, n: Number) {
+/// Appends `n` as [`to_string`] prints it: integers in decimal, finite
+/// floats in Rust's shortest round-trip form, non-finite floats as
+/// `null`.
+pub fn write_number(out: &mut String, n: Number) {
     use std::fmt::Write;
     match n {
         Number::PosInt(v) => {
@@ -122,24 +136,37 @@ fn write_number(out: &mut String, n: Number) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, escaped as [`to_string`] does:
+/// `"` and `\\`, the short escapes for `\n`, `\t`, `\r`, backspace and
+/// form feed, `\u00XX` for other control characters, and everything
+/// else verbatim.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Every character that needs an escape is ASCII, so the plain runs
+    // between them end on character boundaries and copy as slices.
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        if escape.is_empty() {
+            use std::fmt::Write;
+            let _ = write!(out, "\\u{:04x}", b);
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -498,6 +525,71 @@ mod tests {
     fn control_characters_in_strings_are_rejected() {
         let err = from_str::<String>("\"a\u{1}b\"").unwrap_err();
         assert!(err.to_string().contains("control character"), "{err}");
+    }
+
+    #[test]
+    fn printing_borrows_the_value_it_prints() {
+        let v: Value = from_str(r#"{"a":[1,"x\u0001\"y"],"b":{"c":-2.5}}"#).unwrap();
+        let r = &v;
+        for borrowed in [v.borrow_value(), r.borrow_value(), (&r).borrow_value()] {
+            assert!(
+                matches!(borrowed, std::borrow::Cow::Borrowed(b) if std::ptr::eq(b, &v)),
+                "a Value prints through a borrow, not a copy"
+            );
+        }
+        assert!(matches!(
+            "text".borrow_value(),
+            std::borrow::Cow::Owned(Value::String(_))
+        ));
+        let expected = r#"{"a":[1,"x\u0001\"y"],"b":{"c":-2.5}}"#;
+        assert_eq!(to_string(&v).unwrap(), expected);
+        assert_eq!(to_string(&r).unwrap(), expected);
+    }
+
+    #[test]
+    fn printed_documents_carry_no_spare_capacity() {
+        // A long run early grows the buffer to an odd size, which later
+        // doublings would carry to nearly twice the document.
+        let mut items = vec![Value::String("p".repeat(300))];
+        items.extend((0..5_000).map(|i| Value::String(format!("\"{i}\""))));
+        let printed = to_string(&Value::Array(items)).unwrap();
+        assert_eq!(printed.capacity(), printed.len());
+        assert!(printed.starts_with(&format!("[\"{}\",\"\\\"0\\\"\"", "p".repeat(300))));
+    }
+
+    #[test]
+    fn string_escapes_match_a_character_by_character_escaper() {
+        let reference = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "a\\b",
+            "\u{0}\u{1f}\u{7f}",
+            "é😀\n\t\r\u{8}\u{c}x",
+            "\u{2028}\"é\"",
+        ] {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            assert_eq!(out, reference(s), "{s:?}");
+        }
     }
 
     #[test]

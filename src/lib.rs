@@ -67,7 +67,7 @@ use pigeon_crf::{CrfConfig, CrfModel, RawStatistics, TrainControl, TrainOutcome,
 use pigeon_eval::partial::{replay, DocPartial, PartialMeta, TrainPartial};
 use pigeon_eval::{
     build_name_graph, build_name_graph_lookup, extract_edge_features, parallel_map_indexed,
-    shard_range, ElementClass, Representation, Vocabs,
+    shard_range, DocGraph, ElementClass, Representation, Vocabs,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -777,6 +777,43 @@ impl Pigeon {
     ///
     /// Returns [`PigeonError`] when `source` fails to parse.
     pub fn predict(&self, source: &str) -> Result<Vec<Prediction>, PigeonError> {
+        let inference = self.infer(source)?;
+        let out = inference
+            .rows(&self.vocabs)
+            .map(|(current, predicted, candidates)| Prediction {
+                current_name: current.to_owned(),
+                predicted_name: predicted.to_owned(),
+                candidates: candidates
+                    .map(|(name, score)| (name.to_owned(), score))
+                    .collect(),
+            })
+            .collect();
+        Ok(out)
+    }
+
+    /// Predicts names for `source` like [`Pigeon::predict`] and appends
+    /// them to `out` as the JSON array the `/v1` predict routes answer
+    /// (see [`render_predictions`]), straight from the inference result:
+    /// no [`Prediction`] strings and no JSON tree. Returns how many
+    /// predictions it wrote; on an error `out` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PigeonError`] when `source` fails to parse.
+    pub(crate) fn predict_json(
+        &self,
+        source: &str,
+        out: &mut String,
+    ) -> Result<usize, PigeonError> {
+        let inference = self.infer(source)?;
+        render_predictions(out, inference.rows(&self.vocabs));
+        Ok(inference.graph.unknown_nodes.len())
+    }
+
+    /// The one inference routine behind [`Pigeon::predict`] and
+    /// [`Pigeon::predict_json`]: parse, extract, build the lookup-only
+    /// graph, then one joint ICM inference plus ranking.
+    fn infer(&self, source: &str) -> Result<Inference, PigeonError> {
         let _span = telemetry::span("predict");
         let ast = self.language.parse(source).map_err(PigeonError::parse)?;
         let rep = Representation::AstPaths(self.config.abstraction);
@@ -804,20 +841,11 @@ impl Pigeon {
             self.model
                 .predict_top_k(&graph.instance, &graph.unknown_nodes, self.config.top_k)
         };
-        let out = graph
-            .unknown_nodes
-            .iter()
-            .zip(ranked)
-            .map(|(&node, top)| Prediction {
-                current_name: graph.node_names[node].clone(),
-                predicted_name: self.vocabs.label_name(labels[node]).to_owned(),
-                candidates: top
-                    .into_iter()
-                    .map(|(l, s)| (self.vocabs.label_name(l).to_owned(), s))
-                    .collect(),
-            })
-            .collect();
-        Ok(out)
+        Ok(Inference {
+            graph,
+            labels,
+            ranked,
+        })
     }
 
     /// Predicts names for many programs at once, fanning the per-program
@@ -825,10 +853,8 @@ impl Pigeon {
     /// worker threads; `1` is fully serial, `0` uses all available
     /// cores.
     ///
-    /// Accepts any slice of string-likes (`&[&str]`, `&[String]`, …) so
-    /// callers that own their sources — like the serving layer's
-    /// admission queue, which coalesces concurrent requests into
-    /// micro-batches of owned bodies — need no intermediate re-borrow.
+    /// Accepts any slice of string-likes (`&[&str]`, `&[String]`, …), so
+    /// callers that own their sources need no intermediate re-borrow.
     ///
     /// Results come back in `sources` order and each entry is exactly
     /// what [`Pigeon::predict`] returns for that source — prediction is
@@ -840,6 +866,77 @@ impl Pigeon {
     ) -> Vec<Result<Vec<Prediction>, PigeonError>> {
         parallel_map_indexed(sources, jobs, |_, source| self.predict(source.as_ref()))
     }
+}
+
+/// One program's inference result: its name graph, ICM's joint
+/// labelling and each unknown's ranked `(label, score)` list.
+struct Inference {
+    graph: DocGraph,
+    labels: Vec<u32>,
+    ranked: Vec<Vec<(u32, f32)>>,
+}
+
+impl Inference {
+    /// Each unknown in first-occurrence order as `(current name,
+    /// predicted name, ranked candidates)`, every string borrowed from
+    /// the graph or the model's label vocabulary.
+    fn rows<'a>(
+        &'a self,
+        vocabs: &'a Vocabs,
+    ) -> impl Iterator<Item = (&'a str, &'a str, impl Iterator<Item = (&'a str, f32)> + 'a)> + 'a
+    {
+        self.graph
+            .unknown_nodes
+            .iter()
+            .zip(&self.ranked)
+            .map(move |(&node, top)| {
+                (
+                    self.graph.node_names[node].as_str(),
+                    vocabs.label_name(self.labels[node]),
+                    top.iter()
+                        .map(move |&(label, score)| (vocabs.label_name(label), score)),
+                )
+            })
+    }
+}
+
+/// Appends one program's predictions to `out` as the JSON array both
+/// `/v1` predict routes answer: one object per row, keys in the order
+/// `candidates`, `current_name`, `predicted_name`, each candidate a
+/// `[name, score]` pair. Strings go through the JSON printer's own
+/// escaper and each score through its number writer as
+/// `f64::from(score)` (`null` when not finite), so the bytes equal what
+/// `serde_json::to_string` prints for the same predictions as a JSON
+/// tree.
+pub(crate) fn render_predictions<'a, C>(
+    out: &mut String,
+    rows: impl IntoIterator<Item = (&'a str, &'a str, C)>,
+) where
+    C: IntoIterator<Item = (&'a str, f32)>,
+{
+    out.push('[');
+    for (i, (current, predicted, candidates)) in rows.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"candidates\":[");
+        for (j, (name, score)) in candidates.into_iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            serde_json::write_string(out, name);
+            out.push(',');
+            serde_json::write_number(out, serde_json::Number::Float(f64::from(score)));
+            out.push(']');
+        }
+        out.push_str("],\"current_name\":");
+        serde_json::write_string(out, current);
+        out.push_str(",\"predicted_name\":");
+        serde_json::write_string(out, predicted);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// The outcome of a checkpointed training run
@@ -1037,4 +1134,146 @@ fn extract_documents(
         doc.map_err(|e| PigeonError::parse(format!("training source {}: {e}", index_base + i)))
     })
     .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::{open_predict_body, push_batch_entry, with_api};
+    use proptest::prelude::*;
+
+    /// Characters the JSON escaper treats specially, plus non-ASCII.
+    const TRICKY: [char; 16] = [
+        '"', '\\', '/', '\n', '\t', '\r', '\u{08}', '\u{0C}', '\u{0}', '\u{1F}', '\u{7F}', 'é',
+        '😀', '\u{2028}', '\u{FFFF}', 'a',
+    ];
+
+    /// Names mixing [`TRICKY`] with arbitrary scalar values.
+    fn name() -> impl Strategy<Value = String> {
+        prop::collection::vec((0..TRICKY.len() + 4, any::<u32>()), 0..8).prop_map(|chars| {
+            chars
+                .into_iter()
+                .map(|(pick, bits)| {
+                    TRICKY
+                        .get(pick)
+                        .copied()
+                        .unwrap_or_else(|| char::from_u32(bits % 0x11_0000).unwrap_or('\u{FFFD}'))
+                })
+                .collect()
+        })
+    }
+
+    /// Scores: the edge cases of `f32`, then arbitrary bit patterns.
+    fn score() -> impl Strategy<Value = f32> {
+        const EDGES: [f32; 10] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            1.0e-45,
+            -3.0e-40,
+        ];
+        (0..EDGES.len() * 2, any::<u32>())
+            .prop_map(|(pick, bits)| EDGES.get(pick).copied().unwrap_or(f32::from_bits(bits)))
+    }
+
+    type Row = (String, String, Vec<(String, f32)>);
+
+    fn rows() -> impl Strategy<Value = Vec<Row>> {
+        prop::collection::vec(
+            (
+                name(),
+                name(),
+                prop::collection::vec((name(), score()), 0..5),
+            ),
+            0..5,
+        )
+    }
+
+    /// One program's predictions as the JSON tree the predict routes
+    /// answered before they rendered straight from the inference result.
+    fn rows_as_tree(rows: &[Row]) -> serde_json::Value {
+        serde_json::Value::Array(
+            rows.iter()
+                .map(|(current, predicted, candidates)| {
+                    serde_json::json!({
+                        "current_name": current,
+                        "predicted_name": predicted,
+                        "candidates": serde_json::Value::Array(
+                            candidates
+                                .iter()
+                                .map(|(name, score)| serde_json::json!([name, score]))
+                                .collect(),
+                        ),
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    fn render(out: &mut String, rows: &[Row]) -> usize {
+        render_predictions(
+            out,
+            rows.iter().map(|(current, predicted, candidates)| {
+                (
+                    current.as_str(),
+                    predicted.as_str(),
+                    candidates
+                        .iter()
+                        .map(|(name, score)| (name.as_str(), *score)),
+                )
+            }),
+        );
+        rows.len()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Both predict routes' bodies equal what the JSON printer makes
+        /// of the same response as a tree, for any names and scores.
+        #[test]
+        fn rendered_bodies_equal_the_printed_json_tree(
+            version in any::<u64>(),
+            programs in prop::collection::vec((rows(), any::<bool>(), name()), 0..4),
+        ) {
+            let (first, _, _) = programs.first().cloned().unwrap_or_default();
+            let mut single = open_predict_body(version, "predictions");
+            render(&mut single, &first);
+            single.push('}');
+            let tree = with_api(serde_json::json!({
+                "model_version": version,
+                "predictions": rows_as_tree(&first),
+            }));
+            prop_assert_eq!(&single, &serde_json::to_string(&tree).unwrap());
+
+            let mut batch = open_predict_body(version, "results");
+            batch.push('[');
+            let mut results = Vec::new();
+            for (i, (rows, fails, message)) in programs.iter().enumerate() {
+                if i > 0 {
+                    batch.push(',');
+                }
+                if *fails {
+                    let e = PigeonError::parse(message.clone());
+                    results.push(serde_json::json!({ "code": e.code(), "error": e.to_string() }));
+                    prop_assert_eq!(push_batch_entry(&mut batch, |_| Err(e)), None);
+                } else {
+                    results.push(serde_json::json!({ "predictions": rows_as_tree(rows) }));
+                    let n = push_batch_entry(&mut batch, |out| Ok(render(out, rows)));
+                    prop_assert_eq!(n, Some(rows.len()));
+                }
+            }
+            batch.push_str("]}");
+            let tree = with_api(serde_json::json!({
+                "model_version": version,
+                "results": serde_json::Value::Array(results),
+            }));
+            prop_assert_eq!(&batch, &serde_json::to_string(&tree).unwrap());
+        }
+    }
 }

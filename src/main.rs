@@ -245,7 +245,7 @@ SERVE (v1 API; every JSON response carries \"api\": \"pigeon/1\"):
   --idle-timeout  0 = serve until SIGINT/SIGTERM
   --keep-alive  true; false closes after every response
   --max-conn-requests  1000 requests served per connection before close
-  --batch-max   16, largest micro-batch handed to predict_batch
+  --batch-max   16, largest micro-batch handed to the batcher
   --batch-wait-ms  2, how long the batcher waits for companion requests
   --queue-cap   256 queued predicts before the server answers 429
 ";
@@ -1100,7 +1100,7 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     ),
     (
         "batch-max",
-        "largest micro-batch handed to predict_batch (default 16)",
+        "largest micro-batch handed to the batcher (default 16)",
     ),
     (
         "batch-wait-ms",

@@ -15,12 +15,12 @@
 //!    ~2× slower than the in-process loop (see `EXPERIMENTS.md`).
 //! 2. **Admission queue + micro-batching.** `POST /v1/predict` bodies do
 //!    not run inference on the connection worker; they enter a bounded
-//!    admission queue that a batcher thread drains into
-//!    [`Pigeon::predict_batch`] micro-batches sized by current queue
-//!    depth (bounded companion wait, default 2 ms, cut short at
-//!    `batch_max`). Past `queue_cap` waiting jobs the server answers
-//!    `429` with `Retry-After` and the stable code `overloaded` instead
-//!    of accepting unbounded work.
+//!    admission queue that a batcher thread drains into micro-batches
+//!    sized by current queue depth (bounded companion wait, default
+//!    2 ms, cut short at `batch_max`), predicting and rendering each
+//!    job's response body in one parallel map. Past `queue_cap`
+//!    waiting jobs the server answers `429` with `Retry-After` and the
+//!    stable code `overloaded` instead of accepting unbounded work.
 //! 3. **Versioned model registry with atomic hot swap.** The model given
 //!    at startup is version 1; `POST /v1/models` loads a new model —
 //!    JSON or a compiled `.pgnc` artifact, sniffed by magic —
@@ -47,8 +47,9 @@
 //! originating in the facade.
 //!
 //! * `POST /v1/predict` — body `{"source": "<program text>"}`; responds
-//!   `{"model_version": N, "predictions": [{"current_name",
-//!   "predicted_name", "candidates": [[name, score], …]}, …]}`.
+//!   `{"model_version": N, "predictions": […]}`, one object per
+//!   predicted name with its current name and ranked `[name, score]`
+//!   candidates (rendered by `render_predictions` in `src/lib.rs`).
 //! * `POST /v1/predict_batch` — body `{"sources": ["<program>", …]}`;
 //!   responds `{"model_version": N, "results": [<per-source predict
 //!   response>, …]}` in request order (per-source failures inline as
@@ -85,13 +86,13 @@
 //! returning.
 
 use crate::http::{self, FrameError};
-use crate::{Pigeon, PigeonConfig, PigeonError, Prediction};
+use crate::{Pigeon, PigeonConfig, PigeonError};
 use pigeon_corpus::Language;
 use pigeon_eval::coordinator::{
     cache_key, config_fingerprint, corpus_shard_fingerprint, Lease, ShardBoard,
 };
 use pigeon_eval::partial::{config_knobs, decode_partial, knob_mismatch, PartialMeta};
-use pigeon_eval::{shard_range, ElementClass};
+use pigeon_eval::{parallel_map_indexed, shard_range, ElementClass};
 use pigeon_telemetry as telemetry;
 use pigeon_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
@@ -135,8 +136,7 @@ pub struct ServeConfig {
     /// Requests served on one connection before the server closes it
     /// (bounds per-connection resource pinning).
     pub max_conn_requests: usize,
-    /// Largest micro-batch the admission queue hands to
-    /// [`Pigeon::predict_batch`].
+    /// Largest micro-batch the admission queue hands to the batcher.
     pub batch_max: usize,
     /// How long the batcher waits for companion requests after the first
     /// job of a batch arrives (cut short once `batch_max` are queued).
@@ -283,7 +283,7 @@ struct Stats {
     reassignments: Arc<Counter>,
     /// Jobs currently waiting in the admission queue.
     queue_depth: Arc<Gauge>,
-    /// Micro-batch sizes handed to `predict_batch`.
+    /// Micro-batch sizes the admission queue handed to the batcher.
     batch_size: Arc<Histogram>,
     /// Time jobs spent queued before their batch started, microseconds.
     queue_wait: Arc<Histogram>,
@@ -329,7 +329,7 @@ impl Stats {
         );
         registry.describe(
             "pigeon_batch_size",
-            "Micro-batch sizes the admission queue handed to predict_batch",
+            "Micro-batch sizes the admission queue handed to the batcher",
         );
         registry.describe(
             "pigeon_queue_wait_micros",
@@ -515,14 +515,15 @@ impl ModelVersion {
         }
     }
 
-    fn record(&self, result: &Result<Vec<Prediction>, PigeonError>) {
+    /// Counts one predicted program: `Some(n)` names predicted, or
+    /// `None` when it failed.
+    fn record(&self, predictions: Option<usize>) {
         self.predict_requests.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(p) => {
-                self.predictions
-                    .fetch_add(p.len() as u64, Ordering::Relaxed);
+        match predictions {
+            Some(n) => {
+                self.predictions.fetch_add(n as u64, Ordering::Relaxed);
             }
-            Err(_) => {
+            None => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -619,10 +620,9 @@ struct Job {
     reply: mpsc::Sender<JobReply>,
 }
 
-struct JobReply {
-    result: Result<Vec<Prediction>, PigeonError>,
-    model_version: u64,
-}
+/// A predicted job: its whole response body and how many names it
+/// predicted, or the error to answer instead.
+type JobReply = Result<(String, usize), PigeonError>;
 
 #[derive(Debug)]
 enum SubmitError {
@@ -738,10 +738,11 @@ struct ServerCtx {
     coord: Option<CoordState>,
 }
 
-/// The batcher: drains the admission queue into `predict_batch` calls
-/// against the currently active model version. A panic inside inference
-/// answers every job in the batch with a coded internal error instead of
-/// killing the thread.
+/// The batcher: drains the admission queue into micro-batches against
+/// the currently active model version, predicting and rendering each
+/// job's response body inside one parallel map over the batch. A panic
+/// inside inference answers every job in the batch with a coded internal
+/// error instead of killing the thread.
 fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
     while let Some(batch) = ctx.queue.next_batch(cfg.batch_max.max(1), cfg.batch_wait) {
         let Some(entry) = ctx.models.active() else {
@@ -751,10 +752,9 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
             // cannot today — versions are append-only — but the batcher
             // must never panic on the invariant).
             for job in &batch {
-                let _ = job.reply.send(JobReply {
-                    result: Err(PigeonError::internal("no model loaded")),
-                    model_version: 0,
-                });
+                let _ = job
+                    .reply
+                    .send(Err(PigeonError::internal("no model loaded")));
             }
             continue;
         };
@@ -764,30 +764,27 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
             let waited = now.saturating_duration_since(job.enqueued).as_micros() as u64;
             ctx.stats.queue_wait.observe(waited);
         }
-        let sources: Vec<&str> = batch.iter().map(|j| j.source.as_str()).collect();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            entry.model.predict_batch(&sources, ctx.infer_jobs)
+            parallel_map_indexed(&batch, ctx.infer_jobs, |_, job| {
+                let mut body = open_predict_body(entry.version, "predictions");
+                let n = entry.model.predict_json(&job.source, &mut body)?;
+                body.push('}');
+                Ok((body, n))
+            })
         }));
         match outcome {
-            Ok(results) => {
-                for (job, result) in batch.iter().zip(results) {
-                    entry.record(&result);
-                    let _ = job.reply.send(JobReply {
-                        result,
-                        model_version: entry.version,
-                    });
+            Ok(replies) => {
+                for (job, reply) in batch.iter().zip(replies) {
+                    entry.record(reply.as_ref().ok().map(|&(_, n)| n));
+                    let _ = job.reply.send(reply);
                 }
             }
             Err(_) => {
                 for job in &batch {
-                    let result = Err(PigeonError::internal(
+                    entry.record(None);
+                    let _ = job.reply.send(Err(PigeonError::internal(
                         "prediction panicked; the server recovered",
-                    ));
-                    entry.record(&result);
-                    let _ = job.reply.send(JobReply {
-                        result,
-                        model_version: entry.version,
-                    });
+                    )));
                 }
             }
         }
@@ -939,7 +936,8 @@ enum Payload {
     Json(serde_json::Value),
     Metrics(String),
     /// `(content type, body)` — served verbatim (`GET /v1/partials/…`,
-    /// `GET /v1/train-jobs/…/model`).
+    /// `GET /v1/train-jobs/…/model`, and the predict routes' bodies,
+    /// rendered straight from the inference result).
     Bytes(&'static str, Vec<u8>),
 }
 
@@ -968,7 +966,7 @@ fn render_head(
 }
 
 /// Stamps the v1 API version field onto a JSON object response.
-fn with_api(value: serde_json::Value) -> serde_json::Value {
+pub(crate) fn with_api(value: serde_json::Value) -> serde_json::Value {
     match value {
         serde_json::Value::Object(mut map) => {
             map.insert(
@@ -979,6 +977,44 @@ fn with_api(value: serde_json::Value) -> serde_json::Value {
         }
         other => other,
     }
+}
+
+/// Opens a predict route's response body up to its list: `{"api":
+/// "pigeon/1", "model_version": N, "<key>": ` without whitespace, the
+/// keys [`with_api`] and the JSON printer's sorted maps put first. The
+/// caller appends the list and the closing `}`.
+pub(crate) fn open_predict_body(model_version: u64, key: &str) -> String {
+    let mut out = String::from("{\"api\":");
+    serde_json::write_string(&mut out, API_VERSION);
+    out.push_str(",\"model_version\":");
+    serde_json::write_number(&mut out, serde_json::Number::PosInt(model_version));
+    out.push(',');
+    serde_json::write_string(&mut out, key);
+    out.push(':');
+    out
+}
+
+/// Appends one `/v1/predict_batch` result: `{"predictions": […]}` as
+/// `predict` renders it, or, when it fails, the error in place as
+/// `{"code", "error"}` with the same stable code as a top-level error
+/// body, so one bad program does not void the rest of the batch.
+/// Returns how many names were predicted.
+pub(crate) fn push_batch_entry(
+    body: &mut String,
+    predict: impl FnOnce(&mut String) -> Result<usize, PigeonError>,
+) -> Option<usize> {
+    let start = body.len();
+    body.push_str("{\"predictions\":");
+    let predicted = predict(body);
+    if let Err(e) = &predicted {
+        body.truncate(start);
+        body.push_str("{\"code\":");
+        serde_json::write_string(body, e.code());
+        body.push_str(",\"error\":");
+        serde_json::write_string(body, &e.to_string());
+    }
+    body.push('}');
+    predicted.ok()
 }
 
 /// The last-resort error body. Even when JSON rendering itself fails,
@@ -1068,26 +1104,6 @@ fn read_request(
         body,
         wants_close,
     }))
-}
-
-fn predictions_to_json(predictions: &[Prediction]) -> serde_json::Value {
-    serde_json::Value::Array(
-        predictions
-            .iter()
-            .map(|p| {
-                serde_json::json!({
-                    "current_name": p.current_name,
-                    "predicted_name": p.predicted_name,
-                    "candidates": serde_json::Value::Array(
-                        p.candidates
-                            .iter()
-                            .map(|(name, score)| serde_json::json!([name, score]))
-                            .collect(),
-                    ),
-                })
-            })
-            .collect(),
-    )
 }
 
 fn parse_json_body(body: &[u8]) -> Result<serde_json::Value, HttpError> {
@@ -1691,7 +1707,7 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
             // Inference runs on the batcher, not here: the job enters the
             // admission queue (bounded — the 429 path is the backpressure
             // contract) and this worker blocks until its micro-batch
-            // completes.
+            // completes, with this job's body rendered.
             let reply = match ctx.queue.submit(source.to_owned()) {
                 Ok(rx) => rx.recv().map_err(|_| HttpError::internal())?,
                 Err(SubmitError::Full) => {
@@ -1707,15 +1723,12 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
                     ));
                 }
             };
-            let predictions = reply.result.map_err(|e| {
+            let (body, predicted) = reply.map_err(|e| {
                 HttpError::new(422, "Unprocessable Entity", e.code(), e.to_string())
             })?;
-            stats.predictions.add(predictions.len() as u64);
+            stats.predictions.add(predicted as u64);
             stats.record_latency(t.elapsed());
-            Ok(Payload::Json(serde_json::json!({
-                "model_version": reply.model_version,
-                "predictions": predictions_to_json(&predictions),
-            })))
+            Ok(Payload::Bytes("application/json", body.into_bytes()))
         }
         ("POST", "/v1/predict_batch") => {
             let t = Instant::now();
@@ -1739,29 +1752,20 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
                 .map(serde_json::Value::as_str)
                 .collect::<Option<_>>()
                 .ok_or_else(|| HttpError::bad_request("`sources` must hold strings".to_owned()))?;
-            let mut results = Vec::with_capacity(sources.len());
-            for source in sources {
-                // Per-source failures are reported in place so one bad
-                // program does not void the rest of the batch; they carry
-                // the same stable `code` as top-level error bodies.
-                let result = entry.model.predict(source);
-                entry.record(&result);
-                results.push(match result {
-                    Ok(predictions) => {
-                        stats.predictions.add(predictions.len() as u64);
-                        serde_json::json!({ "predictions": predictions_to_json(&predictions) })
-                    }
-                    Err(e) => serde_json::json!({
-                        "code": e.code(),
-                        "error": e.to_string(),
-                    }),
-                });
+            let mut body = open_predict_body(entry.version, "results");
+            body.push('[');
+            for (i, source) in sources.into_iter().enumerate() {
+                if i > 0 {
+                    body.push(',');
+                }
+                let predicted =
+                    push_batch_entry(&mut body, |body| entry.model.predict_json(source, body));
+                entry.record(predicted);
+                stats.predictions.add(predicted.unwrap_or(0) as u64);
             }
+            body.push_str("]}");
             stats.record_latency(t.elapsed());
-            Ok(Payload::Json(serde_json::json!({
-                "model_version": entry.version,
-                "results": serde_json::Value::Array(results),
-            })))
+            Ok(Payload::Bytes("application/json", body.into_bytes()))
         }
         ("POST", "/v1/models") => {
             // The body is either a model JSON in the `pigeon train
