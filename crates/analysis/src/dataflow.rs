@@ -39,7 +39,7 @@
 
 use crate::cfg::{build_cfgs, Cfg, ENTRY};
 use crate::diag::{Diagnostic, Severity};
-use crate::scopes::{resolve, ResolvedGroup, ScopeTree};
+use crate::scopes::{resolve_in, ResolvedGroup, ScopeTree};
 use pigeon_ast::{Ast, NodeId};
 use pigeon_core::{FlowEdge, FlowKind};
 use pigeon_corpus::Language;
@@ -385,9 +385,9 @@ fn collect<'a>(
     groups: &[&ResolvedGroup],
     extras: &[Vec<NodeId>],
     cfg: &'a Cfg,
+    var_of: &mut [u32],
 ) -> Func<'a> {
     let nvars = groups.len();
-    let mut var_of = vec![u32::MAX; ast.len()];
     let mut read_count = vec![0u32; nvars];
     let mut captured = vec![false; nvars];
     let mut binding_exempt = vec![false; nvars];
@@ -488,6 +488,12 @@ fn collect<'a>(
     let mut var_reads: Vec<Bits> = vec![Bits::new(read_leaf.len()); nvars];
     for (r, &v) in read_var.iter().enumerate() {
         var_reads[v as usize].set(r);
+    }
+    // Leave the shared table clean for the next function.
+    for (g, extra) in groups.iter().zip(extras) {
+        for &leaf in g.occurrences.iter().chain(extra) {
+            var_of[leaf.index()] = u32::MAX;
+        }
     }
 
     Func {
@@ -656,7 +662,7 @@ struct Hit {
 fn analyze(language: Language, ast: &Ast, lint: bool) -> (Vec<Hit>, Vec<FlowEdge>) {
     let t0 = Instant::now();
     let tree = ScopeTree::build(language, ast);
-    let resolution = resolve(language, ast);
+    let resolution = resolve_in(language, ast, &tree);
     let cfgs = build_cfgs(language, ast, &tree);
     telemetry::observe(
         DATAFLOW_MICROS,
@@ -683,7 +689,8 @@ fn analyze(language: Language, ast: &Ast, lint: bool) -> (Vec<Hit>, Vec<FlowEdge
         for &leaf in &g.occurrences {
             let mut cur = Some(tree.scope_of(leaf));
             while let Some(s) = cur {
-                if scopes.contains(&s) {
+                // Groups come in (name, scope) order, so `scopes` is sorted.
+                if scopes.binary_search(&s).is_ok() {
                     nested.entry((g.name.as_str(), s)).or_default().push(leaf);
                     break;
                 }
@@ -695,12 +702,18 @@ fn analyze(language: Language, ast: &Ast, lint: bool) -> (Vec<Hit>, Vec<FlowEdge
     let t1 = Instant::now();
     let mut hits = Vec::new();
     let mut edges = Vec::new();
+    // Each scope's variable groups, in resolution order.
+    let mut groups_of: Vec<Vec<&ResolvedGroup>> = vec![Vec::new(); tree.scopes().len()];
+    for g in &resolution.groups {
+        if let Some(scope) = g.scope {
+            groups_of[scope].push(g);
+        }
+    }
+    // One occurrence → variable table for every function, reset after
+    // each.
+    let mut var_of = vec![u32::MAX; ast.len()];
     for cfg in &cfgs {
-        let groups: Vec<&ResolvedGroup> = resolution
-            .groups
-            .iter()
-            .filter(|g| g.scope == Some(cfg.scope))
-            .collect();
+        let groups = &groups_of[cfg.scope];
         if groups.is_empty() {
             continue;
         }
@@ -713,7 +726,7 @@ fn analyze(language: Language, ast: &Ast, lint: bool) -> (Vec<Hit>, Vec<FlowEdge
                     .unwrap_or_default()
             })
             .collect();
-        let func = collect(language, ast, &tree, &groups, &extras, cfg);
+        let func = collect(language, ast, &tree, groups, &extras, cfg, &mut var_of);
         solve_function(&func, lint.then_some(&mut hits), &mut edges);
     }
     edges.sort_unstable();

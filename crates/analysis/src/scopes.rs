@@ -101,6 +101,9 @@ impl ScopeTree {
     pub fn build(language: Language, ast: &Ast) -> ScopeTree {
         let opening = scope_opening_kinds(language);
         let mut governing = vec![0usize; ast.len()];
+        // The scope each function node opens, once its first child is
+        // reached.
+        let mut opened = vec![usize::MAX; ast.len()];
         let mut scopes = vec![Scope {
             node: ast.root(),
             parent: None,
@@ -113,16 +116,14 @@ impl ScopeTree {
                 Some(parent) => {
                     if opening.contains(&ast.kind(parent).as_str()) {
                         // The parent node opens a scope; find or create it.
-                        match scopes.iter().position(|s| s.node == parent) {
-                            Some(i) => i,
-                            None => {
-                                scopes.push(Scope {
-                                    node: parent,
-                                    parent: Some(governing[parent.index()]),
-                                });
-                                scopes.len() - 1
-                            }
+                        if opened[parent.index()] == usize::MAX {
+                            opened[parent.index()] = scopes.len();
+                            scopes.push(Scope {
+                                node: parent,
+                                parent: Some(governing[parent.index()]),
+                            });
                         }
+                        opened[parent.index()]
                     } else {
                         governing[parent.index()]
                     }
@@ -168,7 +169,11 @@ pub struct Resolution {
 
 /// Resolves every identifier occurrence in `ast` to a binding group.
 pub fn resolve(language: Language, ast: &Ast) -> Resolution {
-    let tree = ScopeTree::build(language, ast);
+    resolve_in(language, ast, &ScopeTree::build(language, ast))
+}
+
+/// [`resolve`] against an already-built scope tree of `ast`.
+pub(crate) fn resolve_in(language: Language, ast: &Ast, tree: &ScopeTree) -> Resolution {
     // Declaration sites per (name, scope), in deterministic name order.
     let mut declared: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for &leaf in ast.leaves() {

@@ -16,24 +16,9 @@ use pigeon::ast::Ast;
 use pigeon::core::{Abstraction, ExtractionConfig};
 use pigeon::corpus::{generate, CorpusConfig, Language};
 use pigeon::eval::{extract_edge_features, Representation};
-use pigeon_bench::{bench_files, Section};
-use std::time::Instant;
+use pigeon_bench::{bench_files, median_ratio, summarize, time, Section};
 
 const ITERATIONS: usize = 20;
-
-/// Runs `f` once and returns its wall time in microseconds.
-fn time<T>(f: impl FnOnce() -> T) -> f64 {
-    let t = Instant::now();
-    std::hint::black_box(f());
-    t.elapsed().as_secs_f64() * 1e6
-}
-
-/// `(median, p95)` of a set of timings.
-fn summarize(mut micros: Vec<f64>) -> (f64, f64) {
-    micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let p95 = micros[((micros.len() - 1) * 95) / 100];
-    (micros[micros.len() / 2], p95)
-}
 
 fn main() {
     let files = bench_files(300);
@@ -102,10 +87,7 @@ fn main() {
         let i = names.iter().position(|n| *n == name);
         &times[i.expect("path measured above")]
     };
-    let ratio = |num: &str, den: &str| {
-        let per_iteration = timings(num).iter().zip(timings(den)).map(|(n, d)| n / d);
-        summarize(per_iteration.collect()).0
-    };
+    let ratio = |num: &str, den: &str| median_ratio(timings(num), timings(den));
     let on_vs_off = ratio("extract_on", "extract_off");
     let dataflow_vs_ast_paths = ratio("dataflow_contexts", "ast_paths");
     let rows: Vec<(&str, f64, f64)> = names

@@ -1,33 +1,30 @@
 //! Serving-path latency: `POST /v1/predict` over one-shot
 //! (`Connection: close`) vs keep-alive connections, and the
 //! micro-batched `POST /v1/predict_batch` per-source cost, measured
-//! against an in-process server on an ephemeral port.
+//! against an in-process server on an ephemeral port with no
+//! micro-batch companion wait.
 //!
 //! Writes `BENCH_SERVE.json` at the repo root (override with
 //! `PIGEON_BENCH_OUT`). CI's perf gate guards the dimensionless
 //! `ratios` — keep-alive vs close and batch vs single — which divide
-//! out the host's absolute speed.
+//! out the host's absolute speed. The three paths are timed
+//! interleaved, one request of each per iteration, and each ratio is
+//! the median of the per-iteration ratios: the requests of one
+//! iteration ran back to back, so their quotient cancels what the host
+//! did at that moment.
 
 use pigeon::corpus::{generate, CorpusConfig, Language};
 use pigeon::http;
 use pigeon::serve::{bind, request_shutdown, ServeConfig};
 use pigeon::{Pigeon, PigeonConfig};
-use pigeon_bench::{bench_files, Section};
+use pigeon_bench::{bench_files, median_ratio, summarize, time, Section};
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const CLOSE_ITERATIONS: usize = 200;
-const KEEPALIVE_ITERATIONS: usize = 200;
-const BATCH_ITERATIONS: usize = 30;
+const ITERATIONS: usize = 200;
 const BATCH_SIZE: usize = 16;
 const SOURCE: &str = "function f(a, b) { b.send(a); return a + b; }";
-
-fn percentiles(mut micros: Vec<f64>) -> (f64, f64) {
-    micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let p95 = micros[((micros.len() - 1) * 95) / 100];
-    (micros[micros.len() / 2], p95)
-}
 
 /// Writes one request and reads its response off a buffered
 /// connection through the library's HTTP framing, asserting a 200.
@@ -69,8 +66,14 @@ fn main() {
         Pigeon::train_variable_namer(Language::JavaScript, &sources, &PigeonConfig::default())
             .expect("trains");
 
+    // No companion wait: a single request's time is then the serving
+    // path's own work, as a batch's is, so the host's speed cancels in
+    // their ratio. With the default 2 ms window, the single request
+    // timed mostly that sleep and the ratio tracked the batch's absolute
+    // cost.
     let bound = bind(&ServeConfig {
         port: 0,
+        batch_wait: Duration::ZERO,
         ..ServeConfig::default()
     })
     .expect("binds");
@@ -86,39 +89,33 @@ fn main() {
         roundtrip(&mut connect(addr), "/v1/predict", &predict, true);
     }
 
-    let close: Vec<f64> = (0..CLOSE_ITERATIONS)
-        .map(|_| {
-            let t = Instant::now();
-            roundtrip(&mut connect(addr), "/v1/predict", &predict, true);
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    let (close_median, close_p95) = percentiles(close);
-
+    // The three paths run interleaved: each iteration times one one-shot
+    // request, one keep-alive request and one batch back to back, so
+    // host drift over the run lands on all of them alike and cancels in
+    // the ratios instead of skewing them.
     let mut conn = connect(addr);
-    let keepalive: Vec<f64> = (0..KEEPALIVE_ITERATIONS)
-        .map(|_| {
-            let t = Instant::now();
-            roundtrip(&mut conn, "/v1/predict", &predict, false);
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    let (keepalive_median, keepalive_p95) = percentiles(keepalive);
-
-    let per_source: Vec<f64> = (0..BATCH_ITERATIONS)
-        .map(|_| {
-            let t = Instant::now();
-            roundtrip(&mut conn, "/v1/predict_batch", &batch, false);
-            t.elapsed().as_secs_f64() * 1e6 / BATCH_SIZE as f64
-        })
-        .collect();
-    let (batch_median, batch_p95) = percentiles(per_source);
+    let mut times: [Vec<f64>; 3] = Default::default();
+    for _ in 0..ITERATIONS {
+        let [close_t, keepalive_t, per_source_t] = &mut times;
+        close_t.push(time(|| {
+            roundtrip(&mut connect(addr), "/v1/predict", &predict, true)
+        }));
+        keepalive_t.push(time(|| {
+            roundtrip(&mut conn, "/v1/predict", &predict, false)
+        }));
+        per_source_t.push(
+            time(|| roundtrip(&mut conn, "/v1/predict_batch", &batch, false)) / BATCH_SIZE as f64,
+        );
+    }
 
     request_shutdown();
     server.join().expect("server thread").expect("clean exit");
 
-    let keepalive_speedup = close_median / keepalive_median;
-    let batch_speedup = keepalive_median / batch_median;
+    let [close_t, keepalive_t, per_source_t] = &times;
+    let keepalive_speedup = median_ratio(close_t, keepalive_t);
+    let batch_speedup = median_ratio(keepalive_t, per_source_t);
+    let [(close_median, close_p95), (keepalive_median, keepalive_p95), (batch_median, batch_p95)] =
+        times.map(summarize);
     println!("{:<22} {:>14} {:>14}", "Path", "Median (µs)", "p95 (µs)");
     for (name, median, p95) in [
         ("predict_close", close_median, close_p95),
@@ -132,8 +129,7 @@ fn main() {
 
     let report = format!(
         "{{\n  \"bench\": \"serve\",\n  \"corpus_files\": {files},\n  \
-         \"iterations\": {{\"close\": {CLOSE_ITERATIONS}, \"keepalive\": {KEEPALIVE_ITERATIONS}, \
-         \"batch\": {BATCH_ITERATIONS}}},\n  \"batch_size\": {BATCH_SIZE},\n  \
+         \"iterations\": {ITERATIONS},\n  \"batch_size\": {BATCH_SIZE},\n  \
          \"host\": {{\"os\": \"{}\", \"arch\": \"{}\", \"cores\": {}}},\n  \"paths\": {{\n    \
          \"predict_close\": {{\"median_micros\": {close_median:.1}, \"p95_micros\": {close_p95:.1}}},\n    \
          \"predict_keepalive\": {{\"median_micros\": {keepalive_median:.1}, \"p95_micros\": {keepalive_p95:.1}}},\n    \

@@ -17,22 +17,7 @@ use pigeon::crf::checkpoint::{decode_checkpoint, encode_checkpoint};
 use pigeon::crf::TrainControl;
 use pigeon::eval::ElementClass;
 use pigeon::{Pigeon, PigeonConfig, TrainRun};
-use pigeon_bench::{bench_files, Section};
-use std::time::Instant;
-
-/// Runs `f` once and returns its wall time in microseconds.
-fn time<T>(f: impl FnOnce() -> T) -> f64 {
-    let t = Instant::now();
-    std::hint::black_box(f());
-    t.elapsed().as_secs_f64() * 1e6
-}
-
-/// `(median, p95)` of a set of timings.
-fn summarize(mut micros: Vec<f64>) -> (f64, f64) {
-    micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let p95 = micros[((micros.len() - 1) * 95) / 100];
-    (micros[micros.len() / 2], p95)
-}
+use pigeon_bench::{bench_files, median_ratio, summarize, time, Section};
 
 fn sources_of(corpus: &pigeon::corpus::Corpus) -> Vec<&str> {
     corpus.docs.iter().map(|d| d.source.as_str()).collect()
@@ -147,12 +132,10 @@ fn main() {
         update_t.push(time(|| base.update(&extra_refs).expect("updates")));
         retrain_t.push(time(|| train(&combined)));
     }
-    let ratio =
-        |num: &[f64], den: &[f64]| summarize(num.iter().zip(den).map(|(n, d)| n / d).collect()).0;
     let [small_t, merge_t, resume_t, update_t, retrain_t] = &small_times;
-    let merge_ratio = ratio(merge_t, small_t);
-    let resume_ratio = ratio(resume_t, small_t);
-    let incremental_speedup = ratio(retrain_t, update_t);
+    let merge_ratio = median_ratio(merge_t, small_t);
+    let resume_ratio = median_ratio(resume_t, small_t);
+    let incremental_speedup = median_ratio(retrain_t, update_t);
     let [small_stats, merge_stats, resume_stats, update_stats, retrain_stats] =
         small_times.map(summarize);
 

@@ -18,6 +18,27 @@ pub fn bench_files(default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Runs `f` once and returns its wall time in microseconds.
+pub fn time<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64() * 1e6
+}
+
+/// `(median, p95)` of a set of timings.
+pub fn summarize(mut micros: Vec<f64>) -> (f64, f64) {
+    micros.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    let p95 = micros[((micros.len() - 1) * 95) / 100];
+    (micros[micros.len() / 2], p95)
+}
+
+/// The median of the per-iteration ratios `num[i] / den[i]`: the gated
+/// benches time both paths of a ratio back to back in each iteration,
+/// so each quotient cancels what the host did at that moment.
+pub fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
+    summarize(num.iter().zip(den).map(|(n, d)| n / d).collect()).0
+}
+
 /// Formats a `[0, 1]` accuracy as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)

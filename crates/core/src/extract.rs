@@ -140,53 +140,148 @@ struct PendingPair {
     lca: NodeId,
 }
 
-/// Extracts all leafwise path-contexts of `ast` within the config's
-/// limits. Each unordered pair of terminals is emitted once, oriented
-/// left-to-right in source order; use
-/// [`PathContext::flipped`] for the other orientation.
+/// A map keyed by path *shape* — a kind sequence plus the number of
+/// upward steps that start it, which together fix a path walked through
+/// a lowest common ancestor (see [`shape_path`]). Probes borrow the kind
+/// slice a visitor hands out, so finding a repeat allocates nothing;
+/// only a new entry copies its key. Keys hash with std's keyed hasher,
+/// so shapes crafted from request bytes cannot force collisions.
+#[derive(Debug, Clone)]
+pub struct ShapeMap<V> {
+    /// One map per up-count, keyed by the kind sequence.
+    by_up: Vec<HashMap<Box<[Kind]>, V>>,
+    len: usize,
+}
+
+impl<V> Default for ShapeMap<V> {
+    fn default() -> Self {
+        ShapeMap {
+            by_up: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<V> ShapeMap<V> {
+    /// The value stored for the shape `(kinds, up)`, if any.
+    pub fn get(&self, kinds: &[Kind], up: u32) -> Option<&V> {
+        self.by_up.get(up as usize)?.get(kinds)
+    }
+
+    /// Stores `value` for the shape `(kinds, up)`, replacing any
+    /// earlier value.
+    pub fn insert(&mut self, kinds: &[Kind], up: u32, value: V) {
+        let up = up as usize;
+        if self.by_up.len() <= up {
+            self.by_up.resize_with(up + 1, HashMap::new);
+        }
+        if self.by_up[up].insert(kinds.into(), value).is_none() {
+            self.len += 1;
+        }
+    }
+
+    /// The value stored for `(kinds, up)`, inserting `make()` first when
+    /// there is none.
+    pub fn get_or_insert_with(&mut self, kinds: &[Kind], up: u32, make: impl FnOnce() -> V) -> &V {
+        if self.get(kinds, up).is_none() {
+            self.insert(kinds, up, make());
+        }
+        self.get(kinds, up).expect("inserted above")
+    }
+
+    /// Number of shapes stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no shape is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// Interns the paths of one extraction: every repeat of a shape gets a
+/// clone of one shared [`AstPath`].
+#[derive(Default)]
+struct PathCache(ShapeMap<AstPath>);
+
+impl PathCache {
+    fn path(&mut self, kinds: &[Kind], up: u32) -> AstPath {
+        self.0
+            .get_or_insert_with(kinds, up, || shape_path(kinds, up))
+            .clone()
+    }
+}
+
+/// The concrete path of a shape: `kinds` walked with `up` upward steps
+/// followed by downward ones — the only direction pattern a walk
+/// through the lowest common ancestor produces.
+pub fn shape_path(kinds: &[Kind], up: u32) -> AstPath {
+    let mut dirs = Vec::with_capacity(kinds.len() - 1);
+    dirs.extend(std::iter::repeat_n(Direction::Up, up as usize));
+    dirs.extend(std::iter::repeat_n(
+        Direction::Down,
+        kinds.len() - 1 - up as usize,
+    ));
+    AstPath::new(kinds.to_vec(), dirs)
+}
+
+/// Walks every leafwise pair of `ast` within the config's limits and
+/// hands each to `visit(left, right, up, kinds)`: the two leaves in
+/// source order, the number of edges from `left` up to their lowest
+/// common ancestor, and the path's kind sequence (from a buffer reused
+/// between calls, so a visitor that keeps it must copy it). Pairs come
+/// sorted by (left, right) leaf position — the order
+/// [`leaf_pair_contexts`] returns them in. This is the one leaf-pair
+/// walk: the context extractor, the feature renderers and prediction's
+/// feature-id resolution all consume it.
 ///
 /// Implementation: a single bottom-up merge pass. Every node carries the
 /// leaves of its subtree (with their distance to the node) capped at
 /// `max_length - 1` edges; at each nonterminal, leaves from distinct
 /// children pair up exactly when their combined distance fits
 /// `max_length` and the children's sibling gap fits `max_width` — the
-/// node is their lowest common ancestor by construction. Pairs are
-/// pruned *before* any path is allocated, and identical kind-sequences
-/// are interned through a per-AST cache, unlike the former
-/// [`path_between`]-per-pair loop which re-walked the tree and
-/// re-allocated for all `O(leaves²)` candidates.
-pub fn leaf_pair_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext> {
+/// node is their lowest common ancestor by construction. A child only
+/// scans the earlier siblings within `max_width` of it, so a node with
+/// many children costs linear time. Pairs are pruned *before* any path
+/// is built, unlike the former [`path_between`]-per-pair loop which
+/// re-walked the tree for all `O(leaves²)` candidates.
+pub fn visit_leaf_pairs(
+    ast: &Ast,
+    cfg: &ExtractionConfig,
+    mut visit: impl FnMut(NodeId, NodeId, u32, &[Kind]),
+) {
     let _span = telemetry::span("extract_doc");
     telemetry::count("pigeon_documents_extracted_total", 1);
     if cfg.max_length < 2 {
         // A leafwise path climbs at least one edge and descends at least
         // one, so nothing can survive.
-        return Vec::new();
+        return;
     }
     let leaves = ast.leaves();
     if leaves.len() < 2 {
-        return Vec::new();
+        return;
     }
     let mut leaf_ordinal = vec![u32::MAX; ast.len()];
     for (i, &l) in leaves.iter().enumerate() {
         leaf_ordinal[l.index()] = i as u32;
     }
 
-    // Per-leaf ancestor kind chains, shared by every pair the leaf joins:
-    // chain[r] is the kind r edges above the leaf (chain[0] = the leaf).
-    // A leaf `max_length - 1` edges below its LCA is the farthest that
-    // can still pair, so deeper ancestors are never needed.
-    let chains: Vec<Vec<Kind>> = leaves
-        .iter()
-        .map(|&l| {
-            let mut chain = Vec::with_capacity(cfg.max_length);
-            chain.push(ast.kind(l));
-            for anc in ast.ancestors(l).take(cfg.max_length - 1) {
-                chain.push(ast.kind(anc));
-            }
-            chain
-        })
-        .collect();
+    // Per-leaf ancestor kind chains, shared by every pair the leaf joins,
+    // flattened with a stride of `max_length`: the chain of leaf `i`
+    // starts at `i * stride`, and its entry `r` is the kind `r` edges
+    // above the leaf (entry 0 = the leaf). A leaf `max_length - 1` edges
+    // below its LCA is the farthest that can still pair, so deeper
+    // ancestors are never needed; entries past the root are padding that
+    // no pair reads.
+    let stride = cfg.max_length;
+    let mut chains: Vec<Kind> = Vec::with_capacity(leaves.len() * stride);
+    for &l in leaves {
+        let start = chains.len();
+        chains.push(ast.kind(l));
+        chains.extend(ast.ancestors(l).take(stride - 1).map(|anc| ast.kind(anc)));
+        chains.resize(start + stride, ast.kind(l));
+    }
 
     // Bottom-up merge. The arena is in preorder, so walking indices in
     // reverse visits every child before its parent. `subtree[v]` holds
@@ -219,9 +314,11 @@ pub fn leaf_pair_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext>
             if child_leaves.is_empty() {
                 continue;
             }
-            for &(ci, ref a_leaves) in &segs {
+            // Nearest sibling first: the first segment past `max_width`
+            // ends the scan, as every earlier one is farther still.
+            for &(ci, ref a_leaves) in segs.iter().rev() {
                 if cj - ci > cfg.max_width {
-                    continue;
+                    break;
                 }
                 for &(a_ord, a_rel) in a_leaves {
                     for &(b_ord, b_rel) in &child_leaves {
@@ -246,38 +343,41 @@ pub fn leaf_pair_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext>
         subtree[v.index()] = merged;
     }
 
-    // Materialize in the order the former pairwise loop produced:
-    // sorted by (left ordinal, right ordinal).
+    // Hand out in the order the former pairwise loop produced: sorted by
+    // (left ordinal, right ordinal). Each unordered pair meets at exactly
+    // one LCA, so the keys are distinct and the order is total.
     pending.sort_unstable_by_key(|p| (p.a, p.b));
-    let mut cache: HashMap<(Vec<Kind>, u32), AstPath> = HashMap::new();
-    let mut out = Vec::with_capacity(pending.len());
-    for p in pending {
-        let (a, b) = (p.a as usize, p.b as usize);
-        let mut kinds = Vec::with_capacity(p.up as usize + p.down as usize + 1);
-        kinds.extend_from_slice(&chains[a][..p.up as usize]);
+    let mut kinds = Vec::with_capacity(2 * cfg.max_length);
+    for p in &pending {
+        let (a, b) = (p.a as usize * stride, p.b as usize * stride);
+        kinds.clear();
+        kinds.extend_from_slice(&chains[a..a + p.up as usize]);
         kinds.push(ast.kind(p.lca));
-        kinds.extend(chains[b][..p.down as usize].iter().rev().copied());
-        let path = cache
-            .entry((kinds, p.up))
-            .or_insert_with_key(|(kinds, up)| {
-                let mut dirs = Vec::with_capacity(kinds.len() - 1);
-                dirs.extend(std::iter::repeat_n(Direction::Up, *up as usize));
-                dirs.extend(std::iter::repeat_n(
-                    Direction::Down,
-                    kinds.len() - 1 - *up as usize,
-                ));
-                AstPath::new(kinds.clone(), dirs)
-            })
-            .clone();
-        out.push(PathContext {
-            start: PathEnd::Value(ast.value(leaves[a]).expect("leaves carry values")),
-            path,
-            end: PathEnd::Value(ast.value(leaves[b]).expect("leaves carry values")),
-            start_node: leaves[a],
-            end_node: leaves[b],
-        });
+        kinds.extend(chains[b..b + p.down as usize].iter().rev());
+        visit(leaves[p.a as usize], leaves[p.b as usize], p.up, &kinds);
     }
-    telemetry::count_with(PATHS_TOTAL, &[("kind", "leaf_pair")], out.len() as u64);
+    telemetry::count_with(PATHS_TOTAL, &[("kind", "leaf_pair")], pending.len() as u64);
+}
+
+/// Extracts all leafwise path-contexts of `ast` within the config's
+/// limits. Each unordered pair of terminals is emitted once, oriented
+/// left-to-right in source order; use
+/// [`PathContext::flipped`] for the other orientation.
+///
+/// A thin consumer of [`visit_leaf_pairs`]: identical kind-sequences
+/// share one interned [`AstPath`].
+pub fn leaf_pair_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext> {
+    let mut paths = PathCache::default();
+    let mut out = Vec::new();
+    visit_leaf_pairs(ast, cfg, |a, b, up, kinds| {
+        out.push(PathContext {
+            start: PathEnd::Value(ast.value(a).expect("leaves carry values")),
+            path: paths.path(kinds, up),
+            end: PathEnd::Value(ast.value(b).expect("leaves carry values")),
+            start_node: a,
+            end_node: b,
+        });
+    });
     out
 }
 
@@ -332,7 +432,7 @@ pub fn contexts_to_node(ast: &Ast, target: NodeId, cfg: &ExtractionConfig) -> Ve
     }
     let end = path_end(ast, target);
 
-    let mut cache: HashMap<(Vec<Kind>, u32), AstPath> = HashMap::new();
+    let mut cache = PathCache::default();
     let mut out = Vec::new();
     for &leaf in ast.leaves() {
         if leaf == target {
@@ -376,18 +476,7 @@ pub fn contexts_to_node(ast: &Ast, target: NodeId, cfg: &ExtractionConfig) -> Ve
         }
         kinds.push(ast.kind(lca));
         kinds.extend(chain[..down as usize].iter().rev().map(|&n| ast.kind(n)));
-        let path = cache
-            .entry((kinds, up))
-            .or_insert_with_key(|(kinds, up)| {
-                let mut dirs = Vec::with_capacity(kinds.len() - 1);
-                dirs.extend(std::iter::repeat_n(Direction::Up, *up as usize));
-                dirs.extend(std::iter::repeat_n(
-                    Direction::Down,
-                    kinds.len() - 1 - *up as usize,
-                ));
-                AstPath::new(kinds.clone(), dirs)
-            })
-            .clone();
+        let path = cache.path(&kinds, up);
         out.push(PathContext {
             start: PathEnd::Value(ast.value(leaf).expect("leaves carry values")),
             path,
@@ -402,63 +491,97 @@ pub fn contexts_to_node(ast: &Ast, target: NodeId, cfg: &ExtractionConfig) -> Ve
     out
 }
 
-/// Turns typed data-flow edges (from the analysis engine) into
-/// edge-typed path-contexts.
+/// Walks the AST paths of typed data-flow edges (from the analysis
+/// engine) and hands each kept edge to `visit(edge, up, kinds)`: the
+/// number of edges from `edge.from` up to the lowest common ancestor,
+/// and the path's kind sequence from `from` to `to` (from a buffer
+/// reused between calls). This is the one flow-path walk behind
+/// [`flow_contexts`] and prediction's feature-id resolution.
 ///
-/// Each edge becomes the concrete AST path between its two occurrence
-/// leaves, tagged with the edge's [`FlowKind`]. Because the edges are
-/// already semantically filtered (an edge only exists between
-/// occurrences of *one* variable linked by the flow analysis), the
-/// syntactic pruning of §4.2 is relaxed: the width limit does not apply,
-/// and the length budget is doubled — a last-write half a function away
-/// is exactly the signal the AST path family cannot afford to keep.
-/// Self-edges (a loop makes an occurrence reach itself) are skipped.
+/// Because the edges are already semantically filtered (an edge only
+/// exists between occurrences of *one* variable linked by the flow
+/// analysis), the syntactic pruning of §4.2 is relaxed: the width limit
+/// does not apply, and the length budget is doubled — a last-write half
+/// a function away is exactly the signal the AST path family cannot
+/// afford to keep. Self-edges (a loop makes an occurrence reach itself)
+/// are skipped. Edges come in input order; callers sort the edge list,
+/// so the walk is deterministic and jobs-invariant.
 ///
-/// The output order follows the input edge order; callers sort the edge
-/// list, so the result is deterministic and jobs-invariant.
+/// Both ends climb to their lowest common ancestor together, by depth,
+/// into two reused buffers, and a climb that passes the length budget
+/// stops there.
+pub fn visit_flow_paths(
+    ast: &Ast,
+    edges: &[FlowEdge],
+    cfg: &ExtractionConfig,
+    mut visit: impl FnMut(&FlowEdge, u32, &[Kind]),
+) {
+    let budget = cfg.max_length * 2;
+    // Kinds strictly below the LCA on each side, each in climbing order.
+    let mut up_side: Vec<Kind> = Vec::new();
+    let mut down_side: Vec<Kind> = Vec::new();
+    let mut kinds: Vec<Kind> = Vec::new();
+    let (mut last_use, mut last_write) = (0u64, 0u64);
+    'edges: for e in edges {
+        if e.from == e.to {
+            continue;
+        }
+        up_side.clear();
+        down_side.clear();
+        let (mut a, mut b) = (e.from, e.to);
+        let (mut da, mut db) = (ast.depth(a), ast.depth(b));
+        while a != b {
+            if da >= db {
+                up_side.push(ast.kind(a));
+                a = ast.parent(a).expect("nodes in one tree share a root");
+                da -= 1;
+            } else {
+                down_side.push(ast.kind(b));
+                b = ast.parent(b).expect("nodes in one tree share a root");
+                db -= 1;
+            }
+            if up_side.len() + down_side.len() > budget {
+                continue 'edges;
+            }
+        }
+        kinds.clear();
+        kinds.extend_from_slice(&up_side);
+        kinds.push(ast.kind(a));
+        kinds.extend(down_side.iter().rev());
+        match e.kind {
+            FlowKind::LastUse => last_use += 1,
+            FlowKind::LastWrite => last_write += 1,
+        }
+        visit(e, up_side.len() as u32, &kinds);
+    }
+    for (label, n) in [("last_use", last_use), ("last_write", last_write)] {
+        telemetry::count_with(DATAFLOW_CONTEXTS_TOTAL, &[("kind", label)], n);
+    }
+}
+
+/// Turns typed data-flow edges into edge-typed path-contexts: each edge
+/// [`visit_flow_paths`] keeps becomes the concrete AST path between its
+/// two occurrence leaves, tagged with the edge's [`FlowKind`], in edge
+/// order. Identical kind-sequences share one interned [`AstPath`].
 pub fn flow_contexts(
     ast: &Ast,
     edges: &[FlowEdge],
     cfg: &ExtractionConfig,
 ) -> Vec<(FlowKind, PathContext)> {
-    let mut cache: HashMap<(Vec<Kind>, u32), AstPath> = HashMap::new();
+    let mut paths = PathCache::default();
     let mut out = Vec::new();
-    for e in edges {
-        if e.from == e.to {
-            continue;
-        }
-        let (path, _width) = path_between(ast, e.from, e.to);
-        if path.len() > cfg.max_length * 2 {
-            continue;
-        }
-        // Intern identical kind-sequences like the other extractors.
-        let ups = path
-            .directions()
-            .iter()
-            .filter(|&&d| d == Direction::Up)
-            .count() as u32;
-        let path = cache
-            .entry((path.kinds().to_vec(), ups))
-            .or_insert(path)
-            .clone();
+    visit_flow_paths(ast, edges, cfg, |e, up, kinds| {
         out.push((
             e.kind,
             PathContext {
                 start: path_end(ast, e.from),
-                path,
+                path: paths.path(kinds, up),
                 end: path_end(ast, e.to),
                 start_node: e.from,
                 end_node: e.to,
             },
         ));
-    }
-    for (kind, label) in [
-        (FlowKind::LastUse, "last_use"),
-        (FlowKind::LastWrite, "last_write"),
-    ] {
-        let n = out.iter().filter(|(k, _)| *k == kind).count();
-        telemetry::count_with(DATAFLOW_CONTEXTS_TOTAL, &[("kind", label)], n as u64);
-    }
+    });
     out
 }
 

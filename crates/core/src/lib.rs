@@ -63,7 +63,8 @@ pub use context::{FlowEdge, FlowKind, PathContext, PathEnd};
 pub use element::element_occurrences;
 pub use extract::{
     contexts_to_node, extract, flow_contexts, leaf_pair_contexts, path_between, semi_path_contexts,
-    ExtractionConfig, DATAFLOW_CONTEXTS_TOTAL,
+    shape_path, visit_flow_paths, visit_leaf_pairs, ExtractionConfig, ShapeMap,
+    DATAFLOW_CONTEXTS_TOTAL,
 };
 pub use fingerprint::{fnv64, normalized_fingerprint, Fnv64};
 pub use nwise::{triple_contexts, NWiseContext};

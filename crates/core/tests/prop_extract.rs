@@ -3,7 +3,8 @@
 
 use pigeon_ast::{Ast, AstBuilder};
 use pigeon_core::{
-    extract, leaf_pair_contexts, path_between, Abstraction, Direction, ExtractionConfig, PathVocab,
+    extract, flow_contexts, leaf_pair_contexts, path_between, Abstraction, Direction,
+    ExtractionConfig, FlowEdge, FlowKind, PathVocab,
 };
 use proptest::prelude::*;
 
@@ -151,6 +152,46 @@ proptest! {
         let merged = leaf_pair_contexts(&ast, &cfg);
         prop_assert_eq!(merged.len(), reference.len());
         for (ctx, (a, path, b)) in merged.iter().zip(&reference) {
+            prop_assert_eq!(ctx.start_node, *a);
+            prop_assert_eq!(ctx.end_node, *b);
+            prop_assert_eq!(&ctx.path, path);
+        }
+    }
+
+    /// The flow-path walk agrees with the naive reference: calling
+    /// [`path_between`] on every edge and keeping the paths within twice
+    /// the length limit. Same contexts, same order.
+    #[test]
+    fn flow_walk_matches_path_between_reference(
+        ops in ops_strategy(),
+        picks in prop::collection::vec((0usize..64, 0usize..64, any::<bool>()), 0..24),
+        len in 0usize..6,
+    ) {
+        let ast = build(&ops);
+        let leaves = ast.leaves();
+        if leaves.is_empty() {
+            return Ok(());
+        }
+        let cfg = ExtractionConfig::with_limits(len, 1);
+        let edges: Vec<FlowEdge> = picks
+            .iter()
+            .map(|&(a, b, write)| FlowEdge {
+                kind: if write { FlowKind::LastWrite } else { FlowKind::LastUse },
+                from: leaves[a % leaves.len()],
+                to: leaves[b % leaves.len()],
+            })
+            .collect();
+        let mut reference = Vec::new();
+        for e in edges.iter().filter(|e| e.from != e.to) {
+            let (path, _) = path_between(&ast, e.from, e.to);
+            if path.len() <= 2 * cfg.max_length {
+                reference.push((e.kind, e.from, path, e.to));
+            }
+        }
+        let walked = flow_contexts(&ast, &edges, &cfg);
+        prop_assert_eq!(walked.len(), reference.len());
+        for ((kind, ctx), (k, a, path, b)) in walked.iter().zip(&reference) {
+            prop_assert_eq!(kind, k);
             prop_assert_eq!(ctx.start_node, *a);
             prop_assert_eq!(ctx.end_node, *b);
             prop_assert_eq!(&ctx.path, path);

@@ -150,9 +150,10 @@ pub fn classify_elements(language: Language, ast: &Ast) -> Vec<Element> {
             var_scopes.iter().map(|&s| (s, Vec::new())).collect();
         for &leaf in &occurrences {
             let scope = scope_of(language, ast, leaf);
-            match per_scope.iter_mut().find(|(s, _)| *s == scope) {
-                Some((_, bucket)) => bucket.push(leaf),
-                None => residual.push(leaf),
+            // `per_scope` follows the sorted `var_scopes`.
+            match per_scope.binary_search_by_key(&scope, |(s, _)| *s) {
+                Ok(i) => per_scope[i].1.push(leaf),
+                Err(_) => residual.push(leaf),
             }
         }
         for (_, bucket) in per_scope {

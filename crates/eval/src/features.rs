@@ -18,10 +18,8 @@
 //!   the paper's Fig. 3 pair indistinguishable.
 
 use pigeon_ast::{Ast, Kind, NodeId};
-use pigeon_core::{leaf_pair_contexts, Abstraction, AstPath, ExtractionConfig, PathContext};
+use pigeon_core::{shape_path, visit_leaf_pairs, Abstraction, AstPath, ExtractionConfig, ShapeMap};
 use pigeon_corpus::Language;
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
 
 /// A relation between two leaves, rendered as an opaque feature string.
 /// Rendered strings keep every representation in one vocabulary type.
@@ -93,25 +91,6 @@ impl Representation {
             Representation::Relations => "relations (UnuglifyJS-style)".to_owned(),
         }
     }
-}
-
-/// `render(key)` for each of `keys`, in order, formatting every distinct
-/// key once: a repeat gets a clone of its first rendering. A document's
-/// contexts repeat a few distinct paths many times over (the extractor
-/// hands every repeat the same interned path), and formatting those
-/// repeats was most of the cost of extraction.
-pub fn render_once<K: Hash + Eq>(
-    keys: impl IntoIterator<Item = K>,
-    render: impl Fn(&K) -> String,
-) -> impl Iterator<Item = String> {
-    let mut rendered: HashMap<K, String> = HashMap::new();
-    keys.into_iter().map(move |key| match rendered.entry(key) {
-        Entry::Occupied(e) => e.get().clone(),
-        Entry::Vacant(e) => {
-            let feature = render(e.key());
-            e.insert(feature).clone()
-        }
-    })
 }
 
 /// Statement-level node kinds per language, used by
@@ -187,32 +166,29 @@ pub fn extract_edge_features(
         Representation::AstPaths(Abstraction::NoPath) => {
             extract_edge_features(language, ast, Representation::NoPaths, cfg)
         }
-        Representation::AstPaths(abstraction) => {
-            path_features(&leaf_pair_contexts(ast, cfg), |path| {
-                abstraction.apply(path).to_string()
-            })
-        }
-        Representation::NoPaths => leaf_pair_contexts(ast, cfg)
-            .into_iter()
-            .flat_map(|c| {
+        Representation::AstPaths(abstraction) => shape_features(
+            ast,
+            cfg,
+            |_| true,
+            |path| abstraction.apply(path).to_string(),
+        ),
+        Representation::NoPaths => {
+            let mut out = Vec::new();
+            visit_leaf_pairs(ast, cfg, |a, b, _, _| {
                 // The paper's no-path baseline is a *bag* of near
                 // identifiers: the relation carries no direction. Emitting
                 // both orientations makes the CRF feature symmetric, so
                 // source order cannot leak through factor orientation.
-                [
-                    EdgeFeature {
-                        a: c.start_node,
-                        b: c.end_node,
-                        feature: "rel".to_owned(),
-                    },
-                    EdgeFeature {
-                        a: c.end_node,
-                        b: c.start_node,
-                        feature: "rel".to_owned(),
-                    },
-                ]
-            })
-            .collect(),
+                for (a, b) in [(a, b), (b, a)] {
+                    out.push(EdgeFeature {
+                        a,
+                        b,
+                        feature: NO_PATH_FEATURE.to_owned(),
+                    });
+                }
+            });
+            out
+        }
         Representation::NGram { window } => {
             let leaves = ast.leaves();
             let mut out = Vec::new();
@@ -229,44 +205,51 @@ pub fn extract_edge_features(
         }
         Representation::Relations => {
             let stmts = statement_kinds(language);
-            let contexts: Vec<_> = leaf_pair_contexts(ast, cfg)
-                .into_iter()
-                .filter(|c| {
-                    // Interior nodes only: a path that climbs through a
-                    // statement-level construct relates two different
-                    // statements and is out of reach for single-statement
-                    // relation extractors.
-                    c.path.kinds()[1..c.path.kinds().len() - 1]
-                        .iter()
-                        .all(|k| !stmts.contains(k))
-                })
-                .collect();
-            path_features(&contexts, AstPath::to_string)
+            shape_features(
+                ast,
+                cfg,
+                // Interior nodes only: a path that climbs through a
+                // statement-level construct relates two different
+                // statements and is out of reach for single-statement
+                // relation extractors.
+                |kinds| kinds[1..kinds.len() - 1].iter().all(|k| !stmts.contains(k)),
+                AstPath::to_string,
+            )
         }
     }
 }
 
-/// One feature per context, its path rendered by `render` once per
-/// distinct path.
-fn path_features(
-    contexts: &[PathContext],
+/// The feature every leaf pair carries under the no-path baseline, in
+/// both orientations.
+pub const NO_PATH_FEATURE: &str = "rel";
+
+/// One feature per leaf pair whose kind sequence passes `keep`, its
+/// path rendered by `render` once per distinct shape: a document's pairs
+/// repeat a few shapes many times over, and formatting those repeats
+/// was most of the cost of extraction.
+fn shape_features(
+    ast: &Ast,
+    cfg: &ExtractionConfig,
+    keep: impl Fn(&[Kind]) -> bool,
     render: impl Fn(&AstPath) -> String,
 ) -> Vec<EdgeFeature> {
-    let features = render_once(contexts.iter().map(|c| &c.path), |path| render(path));
-    contexts
-        .iter()
-        .zip(features)
-        .map(|(c, feature)| EdgeFeature {
-            a: c.start_node,
-            b: c.end_node,
-            feature,
-        })
-        .collect()
+    let mut rendered: ShapeMap<String> = ShapeMap::default();
+    let mut out = Vec::new();
+    visit_leaf_pairs(ast, cfg, |a, b, up, kinds| {
+        if keep(kinds) {
+            let feature = rendered
+                .get_or_insert_with(kinds, up, || render(&shape_path(kinds, up)))
+                .clone();
+            out.push(EdgeFeature { a, b, feature });
+        }
+    });
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pigeon_core::leaf_pair_contexts;
 
     fn js_ast(src: &str) -> Ast {
         pigeon_js::parse(src).unwrap()

@@ -17,7 +17,6 @@ use pigeon_ast::{Ast, NodeId};
 use pigeon_core::{contexts_to_node, Abstraction, ExtractionConfig, Interner};
 use pigeon_corpus::{Language, TypeTruth};
 use pigeon_crf::{Instance, Node};
-use std::collections::HashMap;
 
 /// Shared label and feature vocabularies for one experiment.
 #[derive(Debug, Clone, Default)]
@@ -169,15 +168,59 @@ pub fn build_name_graph_lookup(
     build_name_graph_with(language, ast, target, features, VocabMode::Lookup(vocabs))
 }
 
+/// [`build_name_graph_lookup`] from features already resolved to ids:
+/// `(leaf, leaf, feature id)` triples in the order the string entry
+/// points would see their features, with unseen features left out. The
+/// graph is the one `build_name_graph_lookup` builds from the rendered
+/// strings — the same core builds both.
+pub fn build_name_graph_ids(
+    language: Language,
+    ast: &Ast,
+    target: ElementClass,
+    features: &[(NodeId, NodeId, u32)],
+    vocabs: &Vocabs,
+) -> DocGraph {
+    build_name_graph_core(
+        language,
+        ast,
+        target,
+        features.iter().copied(),
+        VocabMode::Lookup(vocabs),
+        |_, id| Some(id),
+    )
+}
+
 fn build_name_graph_with(
     language: Language,
     ast: &Ast,
     target: ElementClass,
     features: &[EdgeFeature],
+    vocabs: VocabMode<'_>,
+) -> DocGraph {
+    build_name_graph_core(
+        language,
+        ast,
+        target,
+        features.iter().map(|ef| (ef.a, ef.b, ef.feature.as_str())),
+        vocabs,
+        |vocabs, feature| vocabs.feature_id(feature),
+    )
+}
+
+/// The one name-graph builder. `feature_id` resolves a triple's feature
+/// (interning it when training) only once both of its leaves belong to
+/// elements, so training vocabularies grow in the order they always
+/// have.
+fn build_name_graph_core<F>(
+    language: Language,
+    ast: &Ast,
+    target: ElementClass,
+    features: impl IntoIterator<Item = (NodeId, NodeId, F)>,
     mut vocabs: VocabMode<'_>,
+    mut feature_id: impl FnMut(&mut VocabMode<'_>, F) -> Option<u32>,
 ) -> DocGraph {
     let elements = classify_elements(language, ast);
-    let leaf_to_element = leaf_index(&elements);
+    let leaf_to_element = leaf_index(ast, &elements);
 
     let mut nodes = Vec::with_capacity(elements.len());
     let mut node_names = Vec::with_capacity(elements.len());
@@ -210,11 +253,11 @@ fn build_name_graph_with(
     }
 
     let mut instance = Instance::new(nodes);
-    for ef in features {
-        let (Some(&a), Some(&b)) = (leaf_to_element.get(&ef.a), leaf_to_element.get(&ef.b)) else {
+    for (a, b, feature) in features {
+        let (Some(a), Some(b)) = (leaf_to_element.element(a), leaf_to_element.element(b)) else {
             continue;
         };
-        let Some(feature) = vocabs.feature_id(&ef.feature) else {
+        let Some(feature) = feature_id(&mut vocabs, feature) else {
             continue;
         };
         let a_unknown = elements[a].class == target;
@@ -290,9 +333,9 @@ fn add_semi_paths_with(
     mut mode: VocabMode<'_>,
 ) {
     let elements = classify_elements(language, ast);
-    let leaf_to_element = leaf_index(&elements);
+    let leaf_to_element = leaf_index(ast, &elements);
     for nf in semis {
-        let Some(&e) = leaf_to_element.get(&nf.leaf) else {
+        let Some(e) = leaf_to_element.element(nf.leaf) else {
             continue;
         };
         if elements[e].class != target {
@@ -350,7 +393,7 @@ fn build_type_graph_with(
     mut mode: VocabMode<'_>,
 ) -> DocGraph {
     let elements = classify_elements(Language::Java, ast);
-    let leaf_to_element = leaf_index(&elements);
+    let leaf_to_element = leaf_index(ast, &elements);
 
     let mut nodes = Vec::with_capacity(elements.len() + truths.len());
     let mut node_names = Vec::with_capacity(elements.len() + truths.len());
@@ -383,7 +426,7 @@ fn build_type_graph_with(
     let mut instance = Instance::new(nodes);
     for (idx, init) in type_targets {
         for ctx in contexts_to_node(ast, init, extraction) {
-            let Some(&leaf_elem) = leaf_to_element.get(&ctx.start_node) else {
+            let Some(leaf_elem) = leaf_to_element.element(ctx.start_node) else {
                 continue;
             };
             if !usable[leaf_elem] {
@@ -404,14 +447,26 @@ fn build_type_graph_with(
     }
 }
 
-fn leaf_index(elements: &[Element]) -> HashMap<NodeId, usize> {
-    let mut map = HashMap::new();
-    for (i, e) in elements.iter().enumerate() {
-        for &leaf in &e.occurrences {
-            map.insert(leaf, i);
+/// The element each leaf belongs to, as a dense table over node ids.
+struct LeafIndex(Vec<u32>);
+
+impl LeafIndex {
+    fn element(&self, leaf: NodeId) -> Option<usize> {
+        match self.0.get(leaf.index()) {
+            Some(&e) if e != u32::MAX => Some(e as usize),
+            _ => None,
         }
     }
-    map
+}
+
+fn leaf_index(ast: &Ast, elements: &[Element]) -> LeafIndex {
+    let mut index = vec![u32::MAX; ast.len()];
+    for (i, e) in elements.iter().enumerate() {
+        for &leaf in &e.occurrences {
+            index[leaf.index()] = i as u32;
+        }
+    }
+    LeafIndex(index)
 }
 
 #[cfg(test)]

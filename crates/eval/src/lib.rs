@@ -41,12 +41,12 @@ mod w2v;
 pub use breakdown::{role_breakdown, RoleScore};
 pub use elements::{classify_elements, find_initializer, Element, ElementClass};
 pub use features::{
-    extract_edge_features, extract_node_features, render_once, EdgeFeature, NodeFeature,
-    Representation,
+    extract_edge_features, extract_node_features, EdgeFeature, NodeFeature, Representation,
+    NO_PATH_FEATURE,
 };
 pub use graph::{
-    add_semi_paths, add_semi_paths_lookup, build_name_graph, build_name_graph_lookup,
-    build_type_graph, build_type_graph_lookup, DocGraph, Vocabs,
+    add_semi_paths, add_semi_paths_lookup, build_name_graph, build_name_graph_ids,
+    build_name_graph_lookup, build_type_graph, build_type_graph_lookup, DocGraph, Vocabs,
 };
 pub use metrics::{exact_match, normalize_name, subtoken_prf, subtokens, Scoreboard};
 pub use partial::{

@@ -57,16 +57,18 @@ pub use pigeon_telemetry as telemetry;
 pub use pigeon_word2vec as word2vec;
 
 pub mod distrib;
+mod feature_ids;
 pub mod http;
 pub mod serve;
 
+use feature_ids::FeatureMemo;
 use pigeon_core::{derive_seed, downsample, Abstraction, ExtractionConfig, DOWNSAMPLE_SEED};
 use pigeon_corpus::Language;
 use pigeon_crf::artifact::ArtifactMeta;
 use pigeon_crf::{CrfConfig, CrfModel, RawStatistics, TrainControl, TrainOutcome, TrainState};
 use pigeon_eval::partial::{replay, DocPartial, PartialMeta, TrainPartial};
 use pigeon_eval::{
-    build_name_graph, build_name_graph_lookup, extract_edge_features, parallel_map_indexed,
+    build_name_graph, build_name_graph_ids, extract_edge_features, parallel_map_indexed,
     shard_range, DocGraph, ElementClass, Representation, Vocabs,
 };
 use rand::rngs::SmallRng;
@@ -386,6 +388,8 @@ pub struct Pigeon {
     config: PigeonConfig,
     vocabs: Vocabs,
     model: CrfModel,
+    /// Feature ids of the path shapes inference has met; empty at load.
+    feature_ids: FeatureMemo,
 }
 
 impl Pigeon {
@@ -470,6 +474,7 @@ impl Pigeon {
                 config: config.clone(),
                 vocabs,
                 model: *model,
+                feature_ids: FeatureMemo::default(),
             })),
             TrainOutcome::Interrupted(state) => TrainRun::Interrupted(state),
         })
@@ -568,6 +573,7 @@ impl Pigeon {
             config,
             vocabs: merged.vocabs,
             model,
+            feature_ids: FeatureMemo::default(),
         })
     }
 
@@ -608,6 +614,7 @@ impl Pigeon {
             config: self.config.clone(),
             vocabs,
             model,
+            feature_ids: FeatureMemo::default(),
         })
     }
 
@@ -700,6 +707,7 @@ impl Pigeon {
             config,
             vocabs,
             model,
+            feature_ids: FeatureMemo::default(),
         })
     }
 
@@ -746,6 +754,7 @@ impl Pigeon {
             config,
             vocabs,
             model: art.model,
+            feature_ids: FeatureMemo::default(),
         })
     }
 
@@ -811,28 +820,32 @@ impl Pigeon {
     }
 
     /// The one inference routine behind [`Pigeon::predict`] and
-    /// [`Pigeon::predict_json`]: parse, extract, build the lookup-only
-    /// graph, then one joint ICM inference plus ranking.
+    /// [`Pigeon::predict_json`]: parse, resolve each leaf pair's and
+    /// data-flow path's feature id through the model's memo (no feature
+    /// strings for shapes it has met), build the graph from the ids, then
+    /// one joint ICM inference plus ranking. The graph is the one the
+    /// string pipeline (`extract_edge_features`, `dataflow_edge_features`,
+    /// `build_name_graph_lookup`) builds.
     fn infer(&self, source: &str) -> Result<Inference, PigeonError> {
         let _span = telemetry::span("predict");
         let ast = self.language.parse(source).map_err(PigeonError::parse)?;
-        let rep = Representation::AstPaths(self.config.abstraction);
-        let mut features = extract_edge_features(self.language, &ast, rep, &self.config.extraction);
-        if self.config.dataflow_contexts {
-            // A model trained with flow features must see them at
-            // prediction time too, or its `lw:`/`lu:` weights go unused.
-            features.extend(dataflow_edge_features(
-                self.language,
-                &ast,
-                &self.config.extraction,
-                self.config.abstraction,
-            ));
-        }
+        // A model trained with flow features must see them at prediction
+        // time too, or its `lw:`/`lu:` weights go unused.
+        let flow = self
+            .config
+            .dataflow_contexts
+            .then(|| pigeon_analysis::flow_edges(self.language, &ast));
+        let features = self.feature_ids.feature_ids(
+            &ast,
+            flow.as_deref(),
+            &self.config.extraction,
+            self.config.abstraction,
+            &self.vocabs,
+        );
         // Lookup-only graph build: prediction never grows the
         // vocabularies, so the hot path borrows them directly — no
         // per-call clone, and `&self` stays shareable across threads.
-        let graph =
-            build_name_graph_lookup(self.language, &ast, self.target, &features, &self.vocabs);
+        let graph = build_name_graph_ids(self.language, &ast, self.target, &features, &self.vocabs);
         // One span per program around its single inference plus ranking;
         // the engine's `infer` carries none, since training runs it for
         // every instance in every epoch.
@@ -1004,20 +1017,7 @@ pub fn dataflow_edge_features(
     abstraction: Abstraction,
 ) -> Vec<pigeon_eval::EdgeFeature> {
     let edges = pigeon_analysis::flow_edges(language, ast);
-    let contexts = pigeon_core::flow_contexts(ast, &edges, extraction);
-    let features = pigeon_eval::render_once(
-        contexts.iter().map(|(kind, c)| (kind.tag(), &c.path)),
-        |(tag, path)| format!("{tag}:{}", abstraction.apply(path)),
-    );
-    contexts
-        .iter()
-        .zip(features)
-        .map(|((_, c), feature)| pigeon_eval::EdgeFeature {
-            a: c.start_node,
-            b: c.end_node,
-            feature,
-        })
-        .collect()
+    feature_ids::flow_edge_features(ast, &edges, extraction, abstraction)
 }
 
 /// The [`PartialMeta`] a shard worker stamps on its partial for this
@@ -1275,5 +1275,197 @@ mod tests {
             }));
             prop_assert_eq!(&batch, &serde_json::to_string(&tree).unwrap());
         }
+    }
+
+    /// The string pipeline's graph of `source` under `model`: rendered
+    /// features looked up one by one.
+    fn string_graph(model: &Pigeon, source: &str) -> DocGraph {
+        let ast = model.language.parse(source).unwrap();
+        let rep = Representation::AstPaths(model.config.abstraction);
+        let mut features =
+            extract_edge_features(model.language, &ast, rep, &model.config.extraction);
+        if model.config.dataflow_contexts {
+            features.extend(dataflow_edge_features(
+                model.language,
+                &ast,
+                &model.config.extraction,
+                model.config.abstraction,
+            ));
+        }
+        pigeon_eval::build_name_graph_lookup(
+            model.language,
+            &ast,
+            model.target,
+            &features,
+            &model.vocabs,
+        )
+    }
+
+    /// `(current, predicted, [(candidate, score bits)])` per unknown.
+    type Named = Vec<(String, String, Vec<(String, u32)>)>;
+
+    fn named(model: &Pigeon, graph: &DocGraph) -> Named {
+        let (labels, ranked) =
+            model
+                .model
+                .predict_top_k(&graph.instance, &graph.unknown_nodes, model.config.top_k);
+        let inference = Inference {
+            graph: DocGraph {
+                instance: graph.instance.clone(),
+                node_names: graph.node_names.clone(),
+                unknown_nodes: graph.unknown_nodes.clone(),
+            },
+            labels,
+            ranked,
+        };
+        inference
+            .rows(&model.vocabs)
+            .map(|(current, predicted, candidates)| {
+                (
+                    current.to_owned(),
+                    predicted.to_owned(),
+                    candidates
+                        .map(|(name, score)| (name.to_owned(), score.to_bits()))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn predicted(model: &Pigeon, source: &str) -> Named {
+        model
+            .predict(source)
+            .unwrap()
+            .into_iter()
+            .map(|p| {
+                (
+                    p.current_name,
+                    p.predicted_name,
+                    p.candidates
+                        .into_iter()
+                        .map(|(name, score)| (name, score.to_bits()))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_same_graph(a: &DocGraph, b: &DocGraph, what: &str) {
+        assert_eq!(a.instance.nodes, b.instance.nodes, "{what}: nodes");
+        assert_eq!(a.instance.pairwise, b.instance.pairwise, "{what}: pairwise");
+        assert_eq!(a.instance.unary, b.instance.unary, "{what}: unary");
+        assert_eq!(a.node_names, b.node_names, "{what}: names");
+        assert_eq!(a.unknown_nodes, b.unknown_nodes, "{what}: unknowns");
+    }
+
+    /// Fills `model`'s memo to its bound with shapes no tree has.
+    fn fill_memo(model: &Pigeon) {
+        let cap = model.vocabs.features.len() + feature_ids::MEMO_SLACK;
+        let filler = ast::Kind::new("MemoFiller");
+        let mut i = 0u32;
+        while model.feature_ids.len() < cap {
+            let kinds = [filler, ast::Kind::new(&format!("Filler{i}")), filler];
+            model.feature_ids.insert_for_tests(&kinds, 1);
+            i += 1;
+        }
+    }
+
+    /// The id path builds the string pipeline's graph and predicts the
+    /// same names and score bits, in all four languages, under every
+    /// abstraction (the no-path baseline's two orientations included),
+    /// with data flow off and on — with the memo cold, warm and full.
+    #[test]
+    fn feature_ids_build_the_string_pipelines_graph() {
+        use pigeon_corpus::{generate, CorpusConfig};
+        for language in Language::ALL {
+            let corpus = generate(language, &CorpusConfig::default().with_files(8));
+            let sources: Vec<&str> = corpus.docs.iter().map(|d| d.source.as_str()).collect();
+            let (train, held_out) = sources.split_at(6);
+            for abstraction in Abstraction::ALL {
+                for dataflow in [false, true] {
+                    let config = PigeonConfig::builder()
+                        .abstraction(abstraction)
+                        .dataflow_contexts(dataflow)
+                        .crf(CrfConfig {
+                            epochs: 2,
+                            ..CrfConfig::default()
+                        })
+                        .build()
+                        .unwrap();
+                    let model = Pigeon::train_variable_namer(language, train, &config).unwrap();
+                    for state in ["cold", "warm", "full"] {
+                        if state == "full" {
+                            fill_memo(&model);
+                        }
+                        for source in held_out.iter().chain(&train[..2]) {
+                            let what = format!(
+                                "{} {abstraction} flow={dataflow} {state}",
+                                language.name()
+                            );
+                            let expected = string_graph(&model, source);
+                            let graph = model.infer(source).unwrap().graph;
+                            assert_same_graph(&graph, &expected, &what);
+                            assert_eq!(
+                                predicted(&model, source),
+                                named(&model, &expected),
+                                "{what}"
+                            );
+                        }
+                    }
+                    let cap = model.vocabs.features.len() + feature_ids::MEMO_SLACK;
+                    assert_eq!(model.feature_ids.len(), cap);
+                }
+            }
+        }
+    }
+
+    /// Shapes the model never saw, well past the memo's bound, never
+    /// grow it beyond the model's feature count plus the slack, and
+    /// every graph stays the string pipeline's.
+    #[test]
+    fn the_memo_stays_bounded_under_unseen_shapes() {
+        use pigeon_corpus::{generate, CorpusConfig};
+        let corpus = generate(Language::JavaScript, &CorpusConfig::default().with_files(6));
+        let sources: Vec<&str> = corpus.docs.iter().map(|d| d.source.as_str()).collect();
+        let model =
+            Pigeon::train_variable_namer(Language::JavaScript, &sources, &PigeonConfig::default())
+                .unwrap();
+        let cap = model.vocabs.features.len() + feature_ids::MEMO_SLACK;
+        let mut seen = 0;
+        for doc in 0..40 {
+            // Each statement's two leaves meet under a kind of their own,
+            // so every pair is a shape the model has no feature for.
+            let mut b = ast::AstBuilder::new("Toplevel");
+            for stmt in 0..150 {
+                b.start_node(format!("Unseen{doc}x{stmt}").as_str());
+                b.token("SymbolVar", "x");
+                b.token("SymbolRef", "y");
+                b.finish_node();
+            }
+            let tree = b.finish();
+            let extraction = model.config.extraction;
+            let ids = model.feature_ids.feature_ids(
+                &tree,
+                None,
+                &extraction,
+                model.config.abstraction,
+                &model.vocabs,
+            );
+            assert!(ids.is_empty(), "unseen shapes resolve to no feature");
+            seen += 150;
+            assert!(
+                model.feature_ids.len() <= cap,
+                "{} > {cap}",
+                model.feature_ids.len()
+            );
+        }
+        assert!(seen > cap, "the test must push past the bound");
+        assert_eq!(model.feature_ids.len(), cap);
+        for source in &sources {
+            let expected = string_graph(&model, source);
+            assert_same_graph(&model.infer(source).unwrap().graph, &expected, "full memo");
+            assert_eq!(predicted(&model, source), named(&model, &expected));
+        }
+        assert_eq!(model.feature_ids.len(), cap);
     }
 }

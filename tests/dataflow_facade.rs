@@ -232,3 +232,48 @@ fn dataflow_rendering_equals_rendering_every_context() {
         }
     }
 }
+
+/// Whole files cost time linear in their function count: prediction
+/// with a data-flow model and the data-flow lints on a file of `8n`
+/// one-line functions take far less than the 64× of the `n`-function
+/// file a quadratic pass would (linear is 8×; the bound leaves room for
+/// timer noise). Each size keeps its fastest of three runs.
+#[test]
+fn whole_file_cost_is_linear_in_function_count() {
+    let config = PigeonConfig::builder()
+        .dataflow_contexts(true)
+        .build()
+        .expect("valid");
+    let model = train(
+        Language::JavaScript,
+        &sources(Language::JavaScript, 20),
+        &config,
+    );
+    let file = |n: usize| -> String {
+        (0..n)
+            .map(|k| format!("function f{k}(a){{return a;}}\n"))
+            .collect()
+    };
+    let cost = |source: &str| -> std::time::Duration {
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let predictions = model.predict(source).expect("parses");
+                let ast = pigeon::js::parse(source).expect("parses");
+                let lints = pigeon::analysis::audit_ast(Language::JavaScript, "f.js", &ast);
+                assert!(!predictions.is_empty());
+                assert!(lints.is_empty(), "{lints:?}");
+                start.elapsed()
+            })
+            .min()
+            .expect("three runs")
+    };
+    let n = 500;
+    let (small, large) = (cost(&file(n)), cost(&file(8 * n)));
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio <= 20.0,
+        "{n} functions took {small:?}, {} took {large:?}: {ratio:.1}×",
+        8 * n
+    );
+}
