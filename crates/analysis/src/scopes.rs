@@ -57,7 +57,7 @@ pub(crate) fn declares_variable(language: Language, ast: &Ast, leaf: NodeId) -> 
         Language::Java => matches!(kind, "NameParam" | "NameVar"),
         Language::Python => {
             matches!(kind, "NameParam" | "NameStore")
-                && ast.value(leaf).is_some_and(|v| v.as_str() != "self")
+                && ast.value(leaf).is_some_and(|v| v != "self")
         }
         Language::CSharp => {
             if kind != "Identifier" {
@@ -178,9 +178,9 @@ pub(crate) fn resolve_in(language: Language, ast: &Ast, tree: &ScopeTree) -> Res
     let mut declared: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     for &leaf in ast.leaves() {
         if declares_variable(language, ast, leaf) {
-            if let Some(value) = ast.value(leaf) {
+            if let Some(name) = ast.value(leaf) {
                 declared
-                    .entry(value.as_str())
+                    .entry(name)
                     .or_default()
                     .insert(tree.scope_of(leaf));
             }
@@ -192,10 +192,9 @@ pub(crate) fn resolve_in(language: Language, ast: &Ast, tree: &ScopeTree) -> Res
     let mut variable_groups: BTreeMap<(&str, usize), Vec<NodeId>> = BTreeMap::new();
     let mut residual_groups: BTreeMap<&str, Vec<NodeId>> = BTreeMap::new();
     for &leaf in ast.leaves() {
-        let Some(value) = ast.value(leaf) else {
+        let Some(name) = ast.value(leaf) else {
             continue;
         };
-        let name = value.as_str();
         let scope = tree.scope_of(leaf);
         match declared.get(name) {
             Some(scopes) if scopes.contains(&scope) => {
@@ -293,9 +292,7 @@ pub fn cross_check(
                     unit,
                     format!(
                         "leaf {:?} is in no element group",
-                        ast.value(leaf)
-                            .map(|v| v.as_str().to_string())
-                            .unwrap_or_default()
+                        ast.value(leaf).unwrap_or_default()
                     ),
                 )
                 .with_language(language)
@@ -308,9 +305,7 @@ pub fn cross_check(
                     unit,
                     format!(
                         "leaf {:?} appears in {n} element groups",
-                        ast.value(leaf)
-                            .map(|v| v.as_str().to_string())
-                            .unwrap_or_default()
+                        ast.value(leaf).unwrap_or_default()
                     ),
                 )
                 .with_language(language)

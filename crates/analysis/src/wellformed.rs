@@ -559,7 +559,7 @@ fn check_grammar(language: Language, unit: &str, ast: &Ast, diags: &mut Vec<Diag
                     unit,
                     format!(
                         "kind {kind} is a {language:?} interior kind but the node carries value {:?}",
-                        ast.value(id).map(|v| v.as_str().to_string()).unwrap_or_default()
+                        ast.value(id).unwrap_or_default()
                     ),
                 )
                 .with_language(language)
@@ -605,16 +605,13 @@ fn check_grammar(language: Language, unit: &str, ast: &Ast, diags: &mut Vec<Diag
             }
         } else if let Some(value) = ast.value(id) {
             let dotted = ident_dotted.contains(&kind);
-            if (ident_plain.contains(&kind) || dotted) && !is_identifier(value.as_str(), dotted) {
+            if (ident_plain.contains(&kind) || dotted) && !is_identifier(value, dotted) {
                 diags.push(
                     Diagnostic::new(
                         "ast-ident-shape",
                         Severity::Error,
                         unit,
-                        format!(
-                            "kind {kind} carries non-identifier value {:?}",
-                            value.as_str()
-                        ),
+                        format!("kind {kind} carries non-identifier value {value:?}"),
                     )
                     .with_language(language)
                     .with_node(id.index() as u32),

@@ -6,7 +6,7 @@
 //! is a plain owned tree that such parsers assemble freely and then lower
 //! into an [`Ast`] arena in one pass.
 
-use crate::symbol::{Kind, Symbol};
+use crate::symbol::Kind;
 use crate::tree::{Ast, AstBuilder};
 
 /// An owned, freely composable AST node, lowered to an [`Ast`] with
@@ -27,7 +27,7 @@ pub struct TreeNode {
     /// The node's grammar symbol.
     pub kind: Kind,
     /// The terminal value; `Some` makes this node a leaf.
-    pub value: Option<Symbol>,
+    pub value: Option<Box<str>>,
     /// Child subtrees (must be empty when `value` is `Some`).
     pub children: Vec<TreeNode>,
 }
@@ -43,7 +43,7 @@ impl TreeNode {
     }
 
     /// A childless terminal carrying `value`.
-    pub fn leaf(kind: impl Into<Kind>, value: impl Into<Symbol>) -> Self {
+    pub fn leaf(kind: impl Into<Kind>, value: impl Into<Box<str>>) -> Self {
         TreeNode {
             kind: kind.into(),
             value: Some(value.into()),
@@ -60,14 +60,8 @@ impl TreeNode {
         }
     }
 
-    /// Appends a child and returns `self`, for fluent construction.
-    pub fn with_child(mut self, child: TreeNode) -> Self {
-        debug_assert!(self.value.is_none(), "terminals cannot have children");
-        self.children.push(child);
-        self
-    }
-
-    /// Lowers this tree into an arena [`Ast`] rooted at this node.
+    /// Lowers this tree into an arena [`Ast`] rooted at this node,
+    /// copying the leaf values into the tree's own text buffer.
     ///
     /// # Panics
     ///
@@ -89,7 +83,7 @@ fn lower(b: &mut AstBuilder, node: TreeNode) {
     match node.value {
         Some(v) => {
             assert!(node.children.is_empty(), "terminals cannot have children");
-            b.token(node.kind, v);
+            b.token(node.kind, &v);
         }
         None => {
             b.start_node(node.kind);
@@ -121,27 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn with_child_appends_in_order() {
-        let t = TreeNode::inner("Call", vec![])
-            .with_child(TreeNode::leaf("SymbolRef", "f"))
-            .with_child(TreeNode::leaf("Number", "1"));
-        assert_eq!(t.children.len(), 2);
-        let ast = t.into_ast();
-        assert_eq!(
-            ast.leaves()
-                .iter()
-                .map(|&l| ast.value(l).unwrap().as_str())
-                .collect::<Vec<_>>(),
-            ["f", "1"]
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "terminals cannot have children")]
     fn terminal_with_children_panics_on_lowering() {
         let bad = TreeNode {
             kind: Kind::new("X"),
-            value: Some(Symbol::new("v")),
+            value: Some("v".into()),
             children: vec![TreeNode::nullary("Y")],
         };
         let _ = TreeNode::inner("Root", vec![bad]).into_ast();

@@ -30,7 +30,7 @@ fn render(ast: &Ast, id: NodeId, indent: usize, out: &mut String) {
     }
     match ast.value(id) {
         Some(v) => {
-            let _ = writeln!(out, "{} {:?}", ast.kind(id), v.as_str());
+            let _ = writeln!(out, "{} {:?}", ast.kind(id), v);
         }
         None => {
             let _ = writeln!(out, "{}", ast.kind(id));
@@ -59,7 +59,7 @@ pub fn sexp(ast: &Ast) -> String {
 fn render_sexp(ast: &Ast, id: NodeId, out: &mut String) {
     match ast.value(id) {
         Some(v) => {
-            let _ = write!(out, "({} {})", ast.kind(id), v.as_str());
+            let _ = write!(out, "({} {})", ast.kind(id), v);
         }
         None => {
             let _ = write!(out, "({}", ast.kind(id));

@@ -1,14 +1,15 @@
-//! Global string interning for node kinds and terminal values.
+//! Global string interning for node kinds.
 //!
-//! Both [`Kind`] (the grammar symbol of a node, e.g. `While` or `SymbolRef`)
-//! and [`Symbol`] (the value of a terminal, e.g. an identifier name) are
-//! lightweight indices into a process-wide interner. Interning makes node
-//! kinds and terminal values `Copy`, cheap to hash and compare, and lets
-//! path representations be packed into small integer sequences.
+//! A [`Kind`] (the grammar symbol of a node, e.g. `While` or `SymbolRef`)
+//! is a lightweight index into a process-wide interner. Interning makes
+//! kinds `Copy`, cheap to hash and compare, and lets path representations
+//! be packed into small integer sequences.
 //!
-//! The interner is append-only and never frees strings; this mirrors the
-//! lifetime of a vocabulary in a learning pipeline, where every observed
-//! kind or value may later be needed to render a prediction.
+//! The interner is append-only and never frees strings. Kind names come
+//! from the fixed tables of the frontends and analyses, so the table is
+//! bounded by the grammars, not by the programs parsed. Terminal values
+//! (identifiers and literals) are not interned: each [`Ast`](crate::Ast)
+//! owns its own.
 //!
 //! Reads take no lock. Id `i`'s string sits in a segmented table whose
 //! segments are allocated once and never move, each slot a `OnceLock`
@@ -104,7 +105,7 @@ fn intern_global(s: &str) -> u32 {
     let id = u32::try_from(ids.len())
         .ok()
         .filter(|&id| id < u32::MAX)
-        .expect("symbol interner full");
+        .expect("kind interner full");
     // Leaking is deliberate: interned strings live for the process.
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     let (segment, offset) = locate(id);
@@ -179,53 +180,6 @@ impl From<&str> for Kind {
     }
 }
 
-/// An interned terminal value: an identifier, literal text, or other token
-/// payload attached to a leaf of the AST (the set `X` in Definition 4.1).
-///
-/// ```
-/// use pigeon_ast::Symbol;
-/// let s = Symbol::new("done");
-/// assert_eq!(s.as_str(), "done");
-/// assert_eq!(s, Symbol::new("done"));
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Symbol(u32);
-
-impl Symbol {
-    /// Interns `text` and returns its symbol.
-    pub fn new(text: &str) -> Self {
-        Symbol(intern(text))
-    }
-
-    /// The string this symbol was interned from.
-    pub fn as_str(self) -> &'static str {
-        resolve(self.0)
-    }
-
-    /// The raw interner index, stable for the lifetime of the process.
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Debug for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Symbol({})", self.as_str())
-    }
-}
-
-impl fmt::Display for Symbol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl From<&str> for Symbol {
-    fn from(s: &str) -> Self {
-        Symbol::new(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,22 +195,11 @@ mod tests {
     #[test]
     fn distinct_strings_get_distinct_ids() {
         assert_ne!(Kind::new("If"), Kind::new("While"));
-        assert_ne!(Symbol::new("x"), Symbol::new("y"));
-    }
-
-    #[test]
-    fn kinds_and_symbols_share_one_namespace_without_colliding_semantically() {
-        // A Kind and a Symbol interned from the same text resolve to the
-        // same string but remain different Rust types.
-        let k = Kind::new("name");
-        let s = Symbol::new("name");
-        assert_eq!(k.as_str(), s.as_str());
     }
 
     #[test]
     fn display_matches_source_text() {
         assert_eq!(Kind::new("Assign=").to_string(), "Assign=");
-        assert_eq!(Symbol::new("total_count").to_string(), "total_count");
     }
 
     #[test]
@@ -298,10 +241,9 @@ mod tests {
                         start.wait();
                         mine.into_iter()
                             .map(|w| {
-                                let symbol = Symbol::new(w);
-                                assert_eq!(symbol.as_str(), w);
-                                assert_eq!(Kind::new(w).index(), symbol.index());
-                                (w.clone(), symbol.index())
+                                let kind = Kind::new(w);
+                                assert_eq!(kind.as_str(), w);
+                                (w.clone(), kind.index())
                             })
                             .collect::<Vec<_>>()
                     })
@@ -320,8 +262,8 @@ mod tests {
         let distinct: std::collections::HashSet<u32> = ids.values().copied().collect();
         assert_eq!(distinct.len(), ids.len(), "distinct strings share an id");
         for (word, &id) in &ids {
-            assert_eq!(Symbol::new(word).index(), id);
-            assert_eq!(Symbol::new(word).as_str(), word);
+            assert_eq!(Kind::new(word).index(), id);
+            assert_eq!(Kind::new(word).as_str(), word);
         }
     }
 
@@ -335,29 +277,28 @@ mod tests {
             .take(500)
             .collect();
         let before = slow_path_count();
-        let symbols: Vec<Symbol> = words.iter().map(|w| Symbol::new(w)).collect();
+        let kinds: Vec<Kind> = words.iter().map(|w| Kind::new(w)).collect();
         assert_eq!(
             slow_path_count(),
             before + 500,
             "each new string takes the lock once"
         );
         let before = slow_path_count();
-        for (word, &symbol) in words.iter().zip(&symbols) {
-            assert_eq!(symbol.as_str(), word);
-            assert_eq!(Symbol::new(word), symbol);
-            assert_eq!(Kind::new(word).as_str(), word);
+        for (word, &kind) in words.iter().zip(&kinds) {
+            assert_eq!(kind.as_str(), word);
+            assert_eq!(Kind::new(word), kind);
         }
         assert_eq!(slow_path_count(), before);
 
         // A string another thread interned is read without a lock, and
         // costs this thread one lookup in the global map, then none.
-        let elsewhere = std::thread::spawn(|| Symbol::new("interned-elsewhere"))
+        let elsewhere = std::thread::spawn(|| Kind::new("interned-elsewhere"))
             .join()
             .expect("interning thread");
         assert_eq!(elsewhere.as_str(), "interned-elsewhere");
         assert_eq!(slow_path_count(), before);
-        assert_eq!(Symbol::new("interned-elsewhere"), elsewhere);
-        assert_eq!(Symbol::new("interned-elsewhere"), elsewhere);
+        assert_eq!(Kind::new("interned-elsewhere"), elsewhere);
+        assert_eq!(Kind::new("interned-elsewhere"), elsewhere);
         assert_eq!(slow_path_count(), before + 1);
     }
 

@@ -6,8 +6,7 @@
 //! node sets in one arena; [`Ast::children`] is `δ`, [`Ast::parent`] is the
 //! inverse `π`, and [`Ast::value`] is `val`.
 
-use crate::symbol::{Kind, Symbol};
-use crate::Span;
+use crate::symbol::Kind;
 use std::fmt;
 
 /// Index of a node inside an [`Ast`] arena.
@@ -47,14 +46,17 @@ struct Node {
     /// Position of this node in its parent's child list; 0 for the root.
     child_index: u32,
     children: Vec<NodeId>,
-    value: Option<Symbol>,
-    span: Span,
+    /// For a terminal, its position in [`Ast::leaves`], which also
+    /// locates its value.
+    leaf: Option<u32>,
 }
 
 /// An abstract syntax tree for one compilation unit.
 ///
 /// Construct with [`AstBuilder`]; a built tree is immutable, which lets the
-/// extraction layer cache leaf lists and depths.
+/// extraction layer cache leaf lists and depths. The tree owns its
+/// terminal values: they live in one text buffer, so a tree's names are
+/// freed with the tree.
 ///
 /// ```
 /// use pigeon_ast::{Ast, AstBuilder};
@@ -73,6 +75,10 @@ pub struct Ast {
     depths: Vec<u32>,
     /// Terminal nodes in left-to-right source order.
     leaves: Vec<NodeId>,
+    /// Every terminal's value, back to back in leaf order.
+    text: String,
+    /// Leaf `i`'s value is `text[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
 }
 
 impl Ast {
@@ -111,18 +117,14 @@ impl Ast {
     }
 
     /// The value `val(id)` if `id` is a terminal carrying one.
-    pub fn value(&self, id: NodeId) -> Option<Symbol> {
-        self.nodes[id.index()].value
-    }
-
-    /// The source range this node covers, if the frontend recorded one.
-    pub fn span(&self, id: NodeId) -> Span {
-        self.nodes[id.index()].span
+    pub fn value(&self, id: NodeId) -> Option<&str> {
+        let leaf = self.nodes[id.index()].leaf? as usize;
+        Some(&self.text[self.bounds[leaf]..self.bounds[leaf + 1]])
     }
 
     /// Whether `id` is a terminal (carries a value, has no children).
     pub fn is_terminal(&self, id: NodeId) -> bool {
-        self.nodes[id.index()].value.is_some()
+        self.nodes[id.index()].leaf.is_some()
     }
 
     /// The position of `id` among its siblings (0 for the root).
@@ -180,7 +182,7 @@ impl Ast {
     }
 
     /// All terminal node ids whose value equals `value`.
-    pub fn leaves_with_value(&self, value: Symbol) -> Vec<NodeId> {
+    pub fn leaves_with_value(&self, value: &str) -> Vec<NodeId> {
         self.leaves
             .iter()
             .copied()
@@ -283,8 +285,8 @@ impl Iterator for Ancestors<'_> {
 /// ```
 #[derive(Debug)]
 pub struct AstBuilder {
-    nodes: Vec<Node>,
-    depths: Vec<u32>,
+    /// The tree so far; every node but the root hangs off `stack`.
+    ast: Ast,
     stack: Vec<NodeId>,
 }
 
@@ -296,40 +298,42 @@ impl AstBuilder {
             parent: None,
             child_index: 0,
             children: Vec::new(),
-            value: None,
-            span: Span::default(),
+            leaf: None,
         };
         AstBuilder {
-            nodes: vec![root],
-            depths: vec![0],
+            ast: Ast {
+                nodes: vec![root],
+                depths: vec![0],
+                leaves: Vec::new(),
+                text: String::new(),
+                bounds: vec![0],
+            },
             stack: vec![NodeId(0)],
         }
     }
 
-    fn attach(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
+    fn attach(&mut self, kind: Kind, leaf: Option<u32>) -> NodeId {
+        let ast = &mut self.ast;
+        let id = NodeId(ast.nodes.len() as u32);
         let parent = *self.stack.last().expect("builder stack never empty");
-        let depth = self.depths[parent.index()] + 1;
-        let mut node = node;
-        node.parent = Some(parent);
-        node.child_index = self.nodes[parent.index()].children.len() as u32;
-        self.nodes[parent.index()].children.push(id);
-        self.nodes.push(node);
-        self.depths.push(depth);
+        let siblings = &mut ast.nodes[parent.index()].children;
+        let child_index = siblings.len() as u32;
+        siblings.push(id);
+        ast.nodes.push(Node {
+            kind,
+            parent: Some(parent),
+            child_index,
+            children: Vec::new(),
+            leaf,
+        });
+        ast.depths.push(ast.depths[parent.index()] + 1);
         id
     }
 
     /// Opens a nonterminal child of the current node; subsequent nodes are
     /// attached under it until [`finish_node`](AstBuilder::finish_node).
     pub fn start_node(&mut self, kind: impl Into<Kind>) -> NodeId {
-        let id = self.attach(Node {
-            kind: kind.into(),
-            parent: None,
-            child_index: 0,
-            children: Vec::new(),
-            value: None,
-            span: Span::default(),
-        });
+        let id = self.attach(kind.into(), None);
         self.stack.push(id);
         id
     }
@@ -345,38 +349,25 @@ impl AstBuilder {
         self.stack.pop();
     }
 
-    /// Adds a terminal child carrying `value` to the current node.
-    pub fn token(&mut self, kind: impl Into<Kind>, value: impl Into<Symbol>) -> NodeId {
-        self.attach(Node {
-            kind: kind.into(),
-            parent: None,
-            child_index: 0,
-            children: Vec::new(),
-            value: Some(value.into()),
-            span: Span::default(),
-        })
-    }
-
-    /// Adds a terminal child with an explicit source span.
-    pub fn token_spanned(
-        &mut self,
-        kind: impl Into<Kind>,
-        value: impl Into<Symbol>,
-        span: Span,
-    ) -> NodeId {
-        let id = self.token(kind, value);
-        self.nodes[id.index()].span = span;
+    /// Adds a terminal child carrying `value` to the current node. The
+    /// tree keeps its own copy of `value`.
+    pub fn token(&mut self, kind: impl Into<Kind>, value: &str) -> NodeId {
+        let id = self.attach(kind.into(), Some(self.ast.leaves.len() as u32));
+        let ast = &mut self.ast;
+        ast.leaves.push(id);
+        ast.text.push_str(value);
+        ast.bounds.push(ast.text.len());
         id
     }
 
     /// Number of nodes attached so far (including the root).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.ast.len()
     }
 
     /// Whether only the root exists so far.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.ast.is_empty()
     }
 
     /// Completes the tree.
@@ -391,18 +382,7 @@ impl AstBuilder {
             "finish called with {} unclosed node(s)",
             self.stack.len() - 1
         );
-        let leaves = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.value.is_some())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        Ast {
-            nodes: self.nodes,
-            depths: self.depths,
-            leaves,
-        }
+        self.ast
     }
 }
 
@@ -443,7 +423,7 @@ mod tests {
         let values: Vec<_> = ast
             .leaves()
             .iter()
-            .map(|&l| ast.value(l).unwrap().as_str())
+            .map(|&l| ast.value(l).unwrap())
             .collect();
         assert_eq!(values, ["d", "someCondition", "d", "true"]);
     }
@@ -461,8 +441,7 @@ mod tests {
     #[test]
     fn lca_of_d_occurrences_is_while() {
         let ast = fig1_ast();
-        let d = Symbol::new("d");
-        let occ = ast.leaves_with_value(d);
+        let occ = ast.leaves_with_value("d");
         assert_eq!(occ.len(), 2);
         let lca = ast.lowest_common_ancestor(occ[0], occ[1]);
         assert_eq!(ast.kind(lca).as_str(), "While");
@@ -508,14 +487,6 @@ mod tests {
     fn overpopped_builder_panics() {
         let mut b = AstBuilder::new("Toplevel");
         b.finish_node();
-    }
-
-    #[test]
-    fn spans_round_trip() {
-        let mut b = AstBuilder::new("Toplevel");
-        let t = b.token_spanned("SymbolRef", "x", Span::new(3, 4));
-        let ast = b.finish();
-        assert_eq!(ast.span(t), Span::new(3, 4));
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub enum Abstraction {
     Full,
     /// The full kind sequence, without the up/down symbols.
     NoArrows,
-    /// An unordered bag of the kinds on the path.
+    /// An unordered bag of the kinds on the path, listed by name.
     ForgetOrder,
     /// Only the first, top (turning-point) and last kinds.
     FirstTopLast,
@@ -76,8 +76,11 @@ impl Abstraction {
                 elems.extend(path.kinds().iter().map(|&k| PathElem::Kind(k)));
             }
             Abstraction::ForgetOrder => {
+                // By name, not by interner id: ids follow the order a
+                // process first met each kind, so they would make the
+                // rendered bag depend on what the process parsed first.
                 let mut kinds: Vec<Kind> = path.kinds().to_vec();
-                kinds.sort();
+                kinds.sort_unstable_by_key(|k| k.as_str());
                 elems.extend(kinds.into_iter().map(PathElem::Kind));
             }
             Abstraction::FirstTopLast => {
@@ -196,6 +199,20 @@ mod tests {
         assert_eq!(
             Abstraction::ForgetOrder.apply(&p1),
             Abstraction::ForgetOrder.apply(&p2)
+        );
+    }
+
+    #[test]
+    fn forget_order_lists_kinds_by_name_not_by_interning_order() {
+        // Interned here first, in reverse name order, so their ids run
+        // against their names.
+        let later = k("ForgetOrderZulu");
+        let earlier = k("ForgetOrderAlpha");
+        assert!(later.index() < earlier.index());
+        let p = AstPath::new(vec![later, earlier], vec![Direction::Up]);
+        assert_eq!(
+            Abstraction::ForgetOrder.apply(&p).to_string(),
+            "ForgetOrderAlpha ForgetOrderZulu"
         );
     }
 

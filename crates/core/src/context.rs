@@ -8,22 +8,23 @@
 //! covers both cases.
 
 use crate::path::AstPath;
-use pigeon_ast::{Kind, NodeId, Symbol};
+use pigeon_ast::{Kind, NodeId};
 use std::fmt;
 
 /// One end of a path-context: either a terminal's value or a nonterminal's
-/// kind (for semi-paths and leaf-to-nonterminal paths).
+/// kind (for semi-paths and leaf-to-nonterminal paths). A value is
+/// borrowed from the tree it was extracted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PathEnd {
+pub enum PathEnd<'a> {
     /// The end is a terminal; carries `val(n)`.
-    Value(Symbol),
+    Value(&'a str),
     /// The end is a nonterminal; carries its grammar symbol.
     Node(Kind),
 }
 
-impl PathEnd {
+impl<'a> PathEnd<'a> {
     /// The terminal value, if this end is a terminal.
-    pub fn value(self) -> Option<Symbol> {
+    pub fn value(self) -> Option<&'a str> {
         match self {
             PathEnd::Value(v) => Some(v),
             PathEnd::Node(_) => None,
@@ -32,40 +33,41 @@ impl PathEnd {
 
     /// A display string: the value for terminals, the kind for
     /// nonterminals.
-    pub fn as_str(self) -> &'static str {
+    pub fn as_str(self) -> &'a str {
         match self {
-            PathEnd::Value(v) => v.as_str(),
+            PathEnd::Value(v) => v,
             PathEnd::Node(k) => k.as_str(),
         }
     }
 }
 
-impl fmt::Display for PathEnd {
+impl fmt::Display for PathEnd<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// A concrete path-context `⟨x_s, p, x_f⟩` extracted from one tree.
+/// A concrete path-context `⟨x_s, p, x_f⟩` extracted from one tree,
+/// which it borrows its values from.
 ///
 /// Besides the triple itself, the context remembers *which* nodes it
 /// connects (`start_node`, `end_node`) so that downstream consumers can
 /// group contexts by program element and distinguish occurrences.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PathContext {
+pub struct PathContext<'a> {
     /// The value or kind at the start of the path.
-    pub start: PathEnd,
+    pub start: PathEnd<'a>,
     /// The syntactic path connecting the two ends.
     pub path: AstPath,
     /// The value or kind at the end of the path.
-    pub end: PathEnd,
+    pub end: PathEnd<'a>,
     /// The tree node the path starts at.
     pub start_node: NodeId,
     /// The tree node the path ends at.
     pub end_node: NodeId,
 }
 
-impl PathContext {
+impl<'a> PathContext<'a> {
     /// Renders the triple in the paper's notation:
     /// `⟨item, SymbolVar ↑ VarDef ↓ Sub ↓ SymbolRef, array⟩`.
     pub fn display_triple(&self) -> String {
@@ -75,7 +77,7 @@ impl PathContext {
     /// The same context viewed from the other end (path reversed, ends
     /// swapped). Extraction emits each unordered pair once; consumers that
     /// need both orientations call this.
-    pub fn flipped(&self) -> PathContext {
+    pub fn flipped(&self) -> PathContext<'a> {
         PathContext {
             start: self.end,
             path: self.path.reversed(),
@@ -142,9 +144,9 @@ mod tests {
             vec![Direction::Up, Direction::Down, Direction::Down],
         );
         let ctx = PathContext {
-            start: PathEnd::Value(Symbol::new("item")),
+            start: PathEnd::Value("item"),
             path,
-            end: PathEnd::Value(Symbol::new("array")),
+            end: PathEnd::Value("array"),
             start_node: NodeId::from_raw(0),
             end_node: NodeId::from_raw(1),
         };
@@ -158,7 +160,7 @@ mod tests {
     fn flip_is_involutive() {
         let path = AstPath::new(vec![Kind::new("A"), Kind::new("B")], vec![Direction::Up]);
         let ctx = PathContext {
-            start: PathEnd::Value(Symbol::new("x")),
+            start: PathEnd::Value("x"),
             path,
             end: PathEnd::Node(Kind::new("B")),
             start_node: NodeId::from_raw(0),
@@ -169,10 +171,7 @@ mod tests {
 
     #[test]
     fn path_end_value_accessor() {
-        assert_eq!(
-            PathEnd::Value(Symbol::new("x")).value(),
-            Some(Symbol::new("x"))
-        );
+        assert_eq!(PathEnd::Value("x").value(), Some("x"));
         assert_eq!(PathEnd::Node(Kind::new("If")).value(), None);
     }
 }

@@ -5,7 +5,7 @@
 //! provides the occurrence grouping; the learning layers decide which
 //! elements are unknown (to be predicted) and which are given.
 
-use pigeon_ast::{Ast, NodeId, Symbol};
+use pigeon_ast::{Ast, NodeId};
 use std::collections::HashMap;
 
 /// The occurrences of each distinct terminal value in `ast`, keyed by
@@ -23,12 +23,12 @@ use std::collections::HashMap;
 ///
 /// let occ = element_occurrences(&ast);
 /// assert_eq!(occ.len(), 2);
-/// assert_eq!(occ[0].0.as_str(), "d");
+/// assert_eq!(occ[0].0, "d");
 /// assert_eq!(occ[0].1.len(), 2);
 /// ```
-pub fn element_occurrences(ast: &Ast) -> Vec<(Symbol, Vec<NodeId>)> {
-    let mut index: HashMap<Symbol, usize> = HashMap::new();
-    let mut groups: Vec<(Symbol, Vec<NodeId>)> = Vec::new();
+pub fn element_occurrences(ast: &Ast) -> Vec<(&str, Vec<NodeId>)> {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut groups: Vec<(&str, Vec<NodeId>)> = Vec::new();
     for &leaf in ast.leaves() {
         let value = ast.value(leaf).expect("leaves carry values");
         match index.get(&value) {
@@ -55,7 +55,7 @@ mod tests {
         }
         let ast = b.finish();
         let occ = element_occurrences(&ast);
-        let names: Vec<_> = occ.iter().map(|(s, _)| s.as_str()).collect();
+        let names: Vec<_> = occ.iter().map(|&(s, _)| s).collect();
         assert_eq!(names, ["b", "a", "c"]);
         let counts: Vec<_> = occ.iter().map(|(_, o)| o.len()).collect();
         assert_eq!(counts, [3, 2, 1]);

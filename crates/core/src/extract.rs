@@ -72,7 +72,7 @@ impl Default for ExtractionConfig {
     }
 }
 
-fn path_end(ast: &Ast, id: NodeId) -> PathEnd {
+fn path_end(ast: &Ast, id: NodeId) -> PathEnd<'_> {
     match ast.value(id) {
         Some(v) => PathEnd::Value(v),
         None => PathEnd::Node(ast.kind(id)),
@@ -366,7 +366,7 @@ pub fn visit_leaf_pairs(
 ///
 /// A thin consumer of [`visit_leaf_pairs`]: identical kind-sequences
 /// share one interned [`AstPath`].
-pub fn leaf_pair_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext> {
+pub fn leaf_pair_contexts<'a>(ast: &'a Ast, cfg: &ExtractionConfig) -> Vec<PathContext<'a>> {
     let mut paths = PathCache::default();
     let mut out = Vec::new();
     visit_leaf_pairs(ast, cfg, |a, b, up, kinds| {
@@ -384,7 +384,7 @@ pub fn leaf_pair_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext>
 /// Extracts semi-paths: for every terminal, the pure-up path to each of
 /// its proper ancestors, up to `max_length` edges. The far end of a
 /// semi-path is the ancestor's kind.
-pub fn semi_path_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext> {
+pub fn semi_path_contexts<'a>(ast: &'a Ast, cfg: &ExtractionConfig) -> Vec<PathContext<'a>> {
     let mut out = Vec::new();
     for &leaf in ast.leaves() {
         let value = ast.value(leaf).expect("leaves carry values");
@@ -421,7 +421,11 @@ pub fn semi_path_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext>
 /// width limits are pruned before any path is allocated. Identical
 /// kind-sequences are interned through the same per-call cache the
 /// leafwise merge pass uses, so repeated shapes share one `AstPath`.
-pub fn contexts_to_node(ast: &Ast, target: NodeId, cfg: &ExtractionConfig) -> Vec<PathContext> {
+pub fn contexts_to_node<'a>(
+    ast: &'a Ast,
+    target: NodeId,
+    cfg: &ExtractionConfig,
+) -> Vec<PathContext<'a>> {
     // `chain[d]` is the node `d` edges above the target (chain[0] = the
     // target); `chain_depth` inverts it for O(1) LCA detection.
     let mut chain: Vec<NodeId> = vec![target];
@@ -563,11 +567,11 @@ pub fn visit_flow_paths(
 /// [`visit_flow_paths`] keeps becomes the concrete AST path between its
 /// two occurrence leaves, tagged with the edge's [`FlowKind`], in edge
 /// order. Identical kind-sequences share one interned [`AstPath`].
-pub fn flow_contexts(
-    ast: &Ast,
+pub fn flow_contexts<'a>(
+    ast: &'a Ast,
     edges: &[FlowEdge],
     cfg: &ExtractionConfig,
-) -> Vec<(FlowKind, PathContext)> {
+) -> Vec<(FlowKind, PathContext<'a>)> {
     let mut paths = PathCache::default();
     let mut out = Vec::new();
     visit_flow_paths(ast, edges, cfg, |e, up, kinds| {
@@ -602,7 +606,7 @@ pub fn flow_contexts(
 /// assert_eq!(ctxs.len(), 1);
 /// assert_eq!(ctxs[0].display_triple(), "⟨d, SymbolRef ↑ Assign= ↓ True, true⟩");
 /// ```
-pub fn extract(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext> {
+pub fn extract<'a>(ast: &'a Ast, cfg: &ExtractionConfig) -> Vec<PathContext<'a>> {
     let mut out = leaf_pair_contexts(ast, cfg);
     if cfg.semi_paths {
         out.extend(semi_path_contexts(ast, cfg));
@@ -613,7 +617,7 @@ pub fn extract(ast: &Ast, cfg: &ExtractionConfig) -> Vec<PathContext> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pigeon_ast::{AstBuilder, Symbol};
+    use pigeon_ast::AstBuilder;
 
     /// The AST of Fig. 1: `while (!d) { if (someCondition()) { d = true; } }`
     fn fig1_ast() -> Ast {
@@ -648,7 +652,7 @@ mod tests {
         b.finish()
     }
 
-    fn context_between(ast: &Ast, a: &str, b: &str) -> Vec<PathContext> {
+    fn context_between<'a>(ast: &'a Ast, a: &str, b: &str) -> Vec<PathContext<'a>> {
         let cfg = ExtractionConfig::with_limits(16, 16);
         leaf_pair_contexts(ast, &cfg)
             .into_iter()
@@ -766,11 +770,11 @@ mod tests {
     /// The pre-rewrite `contexts_to_node`: one [`path_between`] walk per
     /// leaf, filtered after materialization. Kept as the behavioural
     /// reference for the chain-walk implementation.
-    fn contexts_to_node_reference(
-        ast: &Ast,
+    fn contexts_to_node_reference<'a>(
+        ast: &'a Ast,
         target: NodeId,
         cfg: &ExtractionConfig,
-    ) -> Vec<PathContext> {
+    ) -> Vec<PathContext<'a>> {
         let mut out = Vec::new();
         for &leaf in ast.leaves() {
             if leaf == target {
@@ -832,7 +836,6 @@ mod tests {
     #[test]
     fn element_occurrence_values_survive_extraction() {
         let ast = fig1_ast();
-        let d = Symbol::new("d");
-        assert_eq!(ast.leaves_with_value(d).len(), 2);
+        assert_eq!(ast.leaves_with_value("d").len(), 2);
     }
 }

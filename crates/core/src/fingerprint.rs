@@ -98,7 +98,7 @@ pub fn normalized_fingerprint(ast: &Ast) -> u64 {
         h.write_u64(ast.children(id).len() as u64);
         if let Some(value) = ast.value(id) {
             let next = first_seen.len() as u64;
-            let ordinal = *first_seen.entry(value.as_str()).or_insert(next);
+            let ordinal = *first_seen.entry(value).or_insert(next);
             h.write_u64(ordinal);
         }
     }

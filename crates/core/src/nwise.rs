@@ -16,16 +16,16 @@ use pigeon_ast::{Ast, NodeId};
 /// An n-wise path context: `n` end values and the star of paths from the
 /// first end to each other end (all sharing the top node).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NWiseContext {
+pub struct NWiseContext<'a> {
     /// The end values, in source order.
-    pub ends: Vec<PathEnd>,
+    pub ends: Vec<PathEnd<'a>>,
     /// The end nodes, in source order.
     pub nodes: Vec<NodeId>,
     /// Paths from the first end to each subsequent end.
     pub paths: Vec<AstPath>,
 }
 
-impl NWiseContext {
+impl NWiseContext<'_> {
     /// Number of ends (`n`).
     pub fn arity(&self) -> usize {
         self.ends.len()
@@ -43,7 +43,7 @@ impl NWiseContext {
 /// within the configured limits. Consecutive triples keep the count
 /// linear in the number of leaves while still capturing the
 /// "three elements in one construct" signal pairwise paths miss.
-pub fn triple_contexts(ast: &Ast, cfg: &ExtractionConfig) -> Vec<NWiseContext> {
+pub fn triple_contexts<'a>(ast: &'a Ast, cfg: &ExtractionConfig) -> Vec<NWiseContext<'a>> {
     let leaves = ast.leaves();
     let mut out = Vec::new();
     if leaves.len() < 3 {

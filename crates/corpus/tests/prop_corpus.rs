@@ -31,9 +31,7 @@ proptest! {
                 prop_assert!(ast.check_invariants().is_ok());
                 // Every ground-truth name occurs in the tree.
                 for v in &doc.truth.vars {
-                    let found = ast.leaves().iter().any(|&l| {
-                        ast.value(l).is_some_and(|s| s.as_str() == v.name)
-                    });
+                    let found = ast.leaves().iter().any(|&l| ast.value(l) == Some(v.name.as_str()));
                     prop_assert!(found, "{}: `{}` missing", language, v.name);
                 }
             }
@@ -72,7 +70,7 @@ proptest! {
 /// A declaration leaf named `var` exists (NameVar under a declarator) —
 /// local re-implementation to keep this crate independent of pigeon-eval.
 fn pigeon_eval_free_find(ast: &pigeon_ast::Ast, var: &str) -> bool {
-    ast.leaves().iter().any(|&l| {
-        ast.kind(l).as_str() == "NameVar" && ast.value(l).is_some_and(|s| s.as_str() == var)
-    })
+    ast.leaves()
+        .iter()
+        .any(|&l| ast.kind(l).as_str() == "NameVar" && ast.value(l) == Some(var))
 }

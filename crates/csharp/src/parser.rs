@@ -37,14 +37,14 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
         p.expect(";")?;
         children.push(TreeNode::inner(
             "UsingDirective",
-            vec![TreeNode::leaf("Name", name.as_str())],
+            vec![TreeNode::leaf("Name", name)],
         ));
     }
     while !p.at_eof() {
         if p.at("namespace") {
             p.bump();
             let name = p.qualified_name()?;
-            let mut ns = vec![TreeNode::leaf("Name", name.as_str())];
+            let mut ns = vec![TreeNode::leaf("Name", name)];
             p.expect("{")?;
             while !p.at("}") {
                 ns.push(p.type_decl()?);
@@ -100,7 +100,7 @@ impl Parser {
                 )
             {
                 let m = self.bump().text;
-                mods.push(TreeNode::leaf("Modifier", m.as_str()));
+                mods.push(TreeNode::leaf("Modifier", m));
             } else {
                 return mods;
             }
@@ -141,7 +141,7 @@ impl Parser {
         // Constructor: `ClassName (`.
         if self.peek().text == class_name && self.peek_at(1).text == "(" {
             let name = self.ident()?;
-            children.push(TreeNode::leaf("Identifier", name.as_str()));
+            children.push(TreeNode::leaf("Identifier", name));
             children.push(self.parameter_list()?);
             children.push(self.block()?);
             return Ok(TreeNode::inner("ConstructorDeclaration", children));
@@ -150,7 +150,7 @@ impl Parser {
         let name = self.ident()?;
         if self.at("(") {
             children.push(ty);
-            children.push(TreeNode::leaf("Identifier", name.as_str()));
+            children.push(TreeNode::leaf("Identifier", name));
             children.push(self.parameter_list()?);
             if self.eat(";") {
                 // Interface/abstract method.
@@ -168,7 +168,7 @@ impl Parser {
         if self.at("{") {
             // Property with accessor list.
             children.push(ty);
-            children.push(TreeNode::leaf("Identifier", name.as_str()));
+            children.push(TreeNode::leaf("Identifier", name));
             self.bump();
             let mut accessors = Vec::new();
             while !self.at("}") {
@@ -196,7 +196,7 @@ impl Parser {
         }
         // Field declaration.
         children.push(ty);
-        let mut decl = vec![TreeNode::leaf("Identifier", name.as_str())];
+        let mut decl = vec![TreeNode::leaf("Identifier", name)];
         if self.eat("=") {
             decl.push(TreeNode::inner(
                 "EqualsValueClause",
@@ -206,7 +206,7 @@ impl Parser {
         let mut declarators = vec![TreeNode::inner("VariableDeclarator", decl)];
         while self.eat(",") {
             let n = self.ident()?;
-            let mut d = vec![TreeNode::leaf("Identifier", n.as_str())];
+            let mut d = vec![TreeNode::leaf("Identifier", n)];
             if self.eat("=") {
                 d.push(TreeNode::inner(
                     "EqualsValueClause",
@@ -230,7 +230,7 @@ impl Parser {
             let name = self.ident()?;
             params.push(TreeNode::inner(
                 "Parameter",
-                vec![ty, TreeNode::leaf("Identifier", name.as_str())],
+                vec![ty, TreeNode::leaf("Identifier", name)],
             ));
             if !self.eat(",") {
                 break;
@@ -269,7 +269,7 @@ impl Parser {
         let t = self.peek().clone();
         if t.kind == TokenKind::Ident && PREDEFINED_TYPES.contains(&t.text.as_str()) {
             self.bump();
-            return Ok(TreeNode::leaf("PredefinedType", t.text.as_str()));
+            return Ok(TreeNode::leaf("PredefinedType", t.text));
         }
         let name = self.qualified_name()?;
         if self.at("<") {
@@ -285,12 +285,12 @@ impl Parser {
             return Ok(TreeNode::inner(
                 "GenericName",
                 vec![
-                    TreeNode::leaf("TypeName", name.as_str()),
+                    TreeNode::leaf("TypeName", name),
                     TreeNode::inner("TypeArgumentList", args),
                 ],
             ));
         }
-        Ok(TreeNode::leaf("TypeName", name.as_str()))
+        Ok(TreeNode::leaf("TypeName", name))
     }
 
     fn try_decl_head(&mut self) -> Option<(TreeNode, String)> {
@@ -378,12 +378,7 @@ impl Parser {
             let body = self.statement()?;
             return Ok(TreeNode::inner(
                 "ForEachStatement",
-                vec![
-                    ty,
-                    TreeNode::leaf("Identifier", name.as_str()),
-                    iterable,
-                    body,
-                ],
+                vec![ty, TreeNode::leaf("Identifier", name), iterable, body],
             ));
         }
         if self.at("return") {
@@ -418,7 +413,7 @@ impl Parser {
             return self.switch_statement();
         }
         if let Some((ty, name)) = self.try_decl_head() {
-            let mut decl = vec![TreeNode::leaf("Identifier", name.as_str())];
+            let mut decl = vec![TreeNode::leaf("Identifier", name)];
             if self.eat("=") {
                 decl.push(TreeNode::inner(
                     "EqualsValueClause",
@@ -428,7 +423,7 @@ impl Parser {
             let mut declarators = vec![TreeNode::inner("VariableDeclarator", decl)];
             while self.eat(",") {
                 let n = self.ident()?;
-                let mut d = vec![TreeNode::leaf("Identifier", n.as_str())];
+                let mut d = vec![TreeNode::leaf("Identifier", n)];
                 if self.eat("=") {
                     d.push(TreeNode::inner(
                         "EqualsValueClause",
@@ -456,7 +451,7 @@ impl Parser {
         let mut children = Vec::new();
         if !self.at(";") {
             if let Some((ty, name)) = self.try_decl_head() {
-                let mut decl = vec![TreeNode::leaf("Identifier", name.as_str())];
+                let mut decl = vec![TreeNode::leaf("Identifier", name)];
                 if self.eat("=") {
                     decl.push(TreeNode::inner(
                         "EqualsValueClause",
@@ -494,7 +489,7 @@ impl Parser {
                 let ty = self.type_node()?;
                 c.push(ty);
                 if !self.at(")") {
-                    c.push(TreeNode::leaf("Identifier", self.ident()?.as_str()));
+                    c.push(TreeNode::leaf("Identifier", self.ident()?));
                 }
                 self.expect(")")?;
             }
@@ -664,7 +659,7 @@ impl Parser {
                 let name = self.ident()?;
                 e = TreeNode::inner(
                     "SimpleMemberAccessExpression",
-                    vec![e, TreeNode::leaf("IdentifierName", name.as_str())],
+                    vec![e, TreeNode::leaf("IdentifierName", name)],
                 );
             } else if self.at("(") {
                 self.deepen()?;
@@ -694,15 +689,15 @@ impl Parser {
         match t.kind {
             TokenKind::Number => {
                 self.bump();
-                Ok(TreeNode::leaf("NumericLiteral", t.text.as_str()))
+                Ok(TreeNode::leaf("NumericLiteral", t.text))
             }
             TokenKind::String => {
                 self.bump();
-                Ok(TreeNode::leaf("StringLiteral", t.text.as_str()))
+                Ok(TreeNode::leaf("StringLiteral", t.text))
             }
             TokenKind::Char => {
                 self.bump();
-                Ok(TreeNode::leaf("CharacterLiteral", t.text.as_str()))
+                Ok(TreeNode::leaf("CharacterLiteral", t.text))
             }
             TokenKind::Ident => match t.text.as_str() {
                 "true" => {
@@ -753,16 +748,13 @@ impl Parser {
                         return Ok(TreeNode::inner(
                             "SimpleLambdaExpression",
                             vec![
-                                TreeNode::inner(
-                                    "Parameter",
-                                    vec![TreeNode::leaf("Identifier", p.as_str())],
-                                ),
+                                TreeNode::inner("Parameter", vec![TreeNode::leaf("Identifier", p)]),
                                 body,
                             ],
                         ));
                     }
                     self.bump();
-                    Ok(TreeNode::leaf("IdentifierName", t.text.as_str()))
+                    Ok(TreeNode::leaf("IdentifierName", t.text))
                 }
             },
             TokenKind::Punct if t.text == "(" => {
@@ -773,7 +765,7 @@ impl Parser {
                         let p = self.ident()?;
                         params.push(TreeNode::inner(
                             "Parameter",
-                            vec![TreeNode::leaf("Identifier", p.as_str())],
+                            vec![TreeNode::leaf("Identifier", p)],
                         ));
                         if !self.eat(",") {
                             break;

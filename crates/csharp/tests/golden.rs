@@ -1,7 +1,5 @@
 //! Golden tests: realistic C# programs parse to stable shapes.
 
-use pigeon_ast::Symbol;
-
 #[test]
 fn service_class_with_properties() {
     let src = r#"
@@ -50,8 +48,8 @@ namespace App.Services {
         "(ThrowStatement (ObjectCreationExpression (TypeName \
                            ArgumentException)"
     ));
-    assert_eq!(ast.leaves_with_value(Symbol::new("pending")).len(), 3);
-    assert_eq!(ast.leaves_with_value(Symbol::new("order")).len(), 7);
+    assert_eq!(ast.leaves_with_value("pending").len(), 3);
+    assert_eq!(ast.leaves_with_value("order").len(), 7);
     let methods = ast
         .preorder()
         .filter(|&n| ast.kind(n).as_str() == "MethodDeclaration")

@@ -58,7 +58,7 @@ fn is_var_decl(language: Language, ast: &Ast, leaf: NodeId) -> bool {
                 return false;
             }
             // `self` is a convention, not a choice worth predicting.
-            ast.value(leaf).is_some_and(|v| v.as_str() != "self")
+            ast.value(leaf).is_some_and(|v| v != "self")
         }
         Language::CSharp => {
             if kind != "Identifier" {
@@ -134,8 +134,7 @@ fn scope_of(language: Language, ast: &Ast, leaf: NodeId) -> NodeId {
 /// literals, API calls) group file-wide.
 pub fn classify_elements(language: Language, ast: &Ast) -> Vec<Element> {
     let mut out = Vec::new();
-    for (value, occurrences) in pigeon_core::element_occurrences(ast) {
-        let name = value.as_str();
+    for (name, occurrences) in pigeon_core::element_occurrences(ast) {
         // Scopes in which this name is declared as a variable.
         let mut var_scopes: Vec<NodeId> = occurrences
             .iter()
@@ -185,9 +184,7 @@ pub fn classify_elements(language: Language, ast: &Ast) -> Vec<Element> {
 pub fn find_initializer(ast: &Ast, var: &str) -> Option<NodeId> {
     let declarator_kind = Kind::new("VariableDeclarator");
     for &leaf in ast.leaves() {
-        if ast.value(leaf).is_some_and(|v| v.as_str() == var)
-            && ast.kind(leaf).as_str() == "NameVar"
-        {
+        if ast.value(leaf) == Some(var) && ast.kind(leaf).as_str() == "NameVar" {
             let parent = ast.parent(leaf)?;
             if ast.kind(parent) == declarator_kind {
                 let children = ast.children(parent);

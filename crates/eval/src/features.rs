@@ -271,10 +271,7 @@ mod tests {
         let feature_set = |ast: &Ast, rep| {
             let mut fs: Vec<String> = extract_edge_features(Language::JavaScript, ast, rep, &cfg())
                 .into_iter()
-                .filter(|e| {
-                    ast.value(e.a).unwrap().as_str() == "d"
-                        || ast.value(e.b).unwrap().as_str() == "d"
-                })
+                .filter(|e| ast.value(e.a) == Some("d") || ast.value(e.b) == Some("d"))
                 .map(|e| {
                     format!(
                         "{}|{}|{}",

@@ -538,11 +538,11 @@ fn declared_type(ast: &Ast, decl: NodeId) -> Option<String> {
 
 fn type_simple_name(ast: &Ast, ty: NodeId) -> Option<String> {
     match ast.kind(ty).as_str() {
-        "PrimitiveType" => Some(ast.value(ty)?.as_str().to_owned()),
+        "PrimitiveType" => Some(ast.value(ty)?.to_owned()),
         "ArrayType" => type_simple_name(ast, *ast.children(ty).first()?),
         "ClassType" => {
             let name_leaf = *ast.children(ty).first()?;
-            let full = ast.value(name_leaf)?.as_str();
+            let full = ast.value(name_leaf)?;
             Some(full.rsplit('.').next().unwrap_or(full).to_owned())
         }
         _ => None,

@@ -39,7 +39,7 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
         p.expect(";")?;
         children.push(TreeNode::inner(
             "PackageDecl",
-            vec![TreeNode::leaf("Name", name.as_str())],
+            vec![TreeNode::leaf("Name", name)],
         ));
     }
     while p.at("import") {
@@ -48,7 +48,7 @@ pub fn parse(source: &str) -> Result<Ast, ParseError> {
         p.expect(";")?;
         children.push(TreeNode::inner(
             "Import",
-            vec![TreeNode::leaf("Name", name.as_str())],
+            vec![TreeNode::leaf("Name", name)],
         ));
     }
     while !p.at_eof() {
@@ -105,7 +105,7 @@ impl Parser {
                 )
             {
                 let m = self.bump().text;
-                mods.push(TreeNode::leaf("Modifier", m.as_str()));
+                mods.push(TreeNode::leaf("Modifier", m));
             } else {
                 return mods;
             }
@@ -148,7 +148,7 @@ impl Parser {
         // Constructor: `ClassName (`.
         if self.peek().text == class_name && self.peek_at(1).text == "(" {
             let name = self.ident()?;
-            children.push(TreeNode::leaf("NameMethod", name.as_str()));
+            children.push(TreeNode::leaf("NameMethod", name));
             self.params_and_body(&mut children)?;
             return Ok(TreeNode::inner("ConstructorDecl", children));
         }
@@ -156,20 +156,20 @@ impl Parser {
         let name = self.ident()?;
         if self.at("(") {
             children.push(ty);
-            children.push(TreeNode::leaf("NameMethod", name.as_str()));
+            children.push(TreeNode::leaf("NameMethod", name));
             self.params_and_body(&mut children)?;
             return Ok(TreeNode::inner("MethodDecl", children));
         }
         // Field declaration (possibly several declarators).
         children.push(ty);
-        let mut first = vec![TreeNode::leaf("NameField", name.as_str())];
+        let mut first = vec![TreeNode::leaf("NameField", name)];
         if self.eat("=") {
             first.push(self.expression()?);
         }
         children.push(TreeNode::inner("VariableDeclarator", first));
         while self.eat(",") {
             let n = self.ident()?;
-            let mut d = vec![TreeNode::leaf("NameField", n.as_str())];
+            let mut d = vec![TreeNode::leaf("NameField", n)];
             if self.eat("=") {
                 d.push(self.expression()?);
             }
@@ -186,7 +186,7 @@ impl Parser {
             let name = self.ident()?;
             children.push(TreeNode::inner(
                 "Parameter",
-                vec![ty, TreeNode::leaf("NameParam", name.as_str())],
+                vec![ty, TreeNode::leaf("NameParam", name)],
             ));
             if !self.eat(",") {
                 break;
@@ -232,10 +232,10 @@ impl Parser {
         let t = self.peek().clone();
         let base = if t.kind == TokenKind::Ident && PRIMITIVES.contains(&t.text.as_str()) {
             self.bump();
-            TreeNode::leaf("PrimitiveType", t.text.as_str())
+            TreeNode::leaf("PrimitiveType", t.text)
         } else {
             let name = self.qualified_name()?;
-            let mut children = vec![TreeNode::leaf("TypeName", name.as_str())];
+            let mut children = vec![TreeNode::leaf("TypeName", name)];
             if self.at("<") {
                 self.bump();
                 let mut args = Vec::new();
@@ -363,14 +363,14 @@ impl Parser {
         }
         // Local variable declaration or expression statement.
         if let Some((ty, name)) = self.try_decl_head() {
-            let mut decl = vec![TreeNode::leaf("NameVar", name.as_str())];
+            let mut decl = vec![TreeNode::leaf("NameVar", name)];
             if self.eat("=") {
                 decl.push(self.expression()?);
             }
             let mut children = vec![ty, TreeNode::inner("VariableDeclarator", decl)];
             while self.eat(",") {
                 let n = self.ident()?;
-                let mut d = vec![TreeNode::leaf("NameVar", n.as_str())];
+                let mut d = vec![TreeNode::leaf("NameVar", n)];
                 if self.eat("=") {
                     d.push(self.expression()?);
                 }
@@ -395,11 +395,11 @@ impl Parser {
                 let body = self.statement()?;
                 return Ok(TreeNode::inner(
                     "ForEach",
-                    vec![ty, TreeNode::leaf("NameVar", name.as_str()), iterable, body],
+                    vec![ty, TreeNode::leaf("NameVar", name), iterable, body],
                 ));
             }
             // Classic for with a declaration initialiser.
-            let mut decl = vec![TreeNode::leaf("NameVar", name.as_str())];
+            let mut decl = vec![TreeNode::leaf("NameVar", name)];
             if self.eat("=") {
                 decl.push(self.expression()?);
             }
@@ -447,7 +447,7 @@ impl Parser {
             let body = self.block()?;
             children.push(TreeNode::inner(
                 "Catch",
-                vec![ty, TreeNode::leaf("NameParam", name.as_str()), body],
+                vec![ty, TreeNode::leaf("NameParam", name), body],
             ));
         }
         if self.eat("finally") {
@@ -610,14 +610,11 @@ impl Parser {
                 let name = self.ident()?;
                 if self.at("(") {
                     let args = self.call_args()?;
-                    let mut children = vec![e, TreeNode::leaf("NameCall", name.as_str())];
+                    let mut children = vec![e, TreeNode::leaf("NameCall", name)];
                     children.extend(args);
                     e = TreeNode::inner("MethodCall", children);
                 } else {
-                    e = TreeNode::inner(
-                        "FieldAccess",
-                        vec![e, TreeNode::leaf("NameField", name.as_str())],
-                    );
+                    e = TreeNode::inner("FieldAccess", vec![e, TreeNode::leaf("NameField", name)]);
                 }
             } else if self.at("[") {
                 self.deepen()?;
@@ -653,20 +650,20 @@ impl Parser {
         match t.kind {
             TokenKind::Number => {
                 self.bump();
-                Ok(TreeNode::leaf("IntLit", t.text.as_str()))
+                Ok(TreeNode::leaf("IntLit", t.text))
             }
             TokenKind::String => {
                 self.bump();
-                Ok(TreeNode::leaf("StringLit", t.text.as_str()))
+                Ok(TreeNode::leaf("StringLit", t.text))
             }
             TokenKind::Char => {
                 self.bump();
-                Ok(TreeNode::leaf("CharLit", t.text.as_str()))
+                Ok(TreeNode::leaf("CharLit", t.text))
             }
             TokenKind::Ident => match t.text.as_str() {
                 "true" | "false" => {
                     self.bump();
-                    Ok(TreeNode::leaf("BooleanLit", t.text.as_str()))
+                    Ok(TreeNode::leaf("BooleanLit", t.text))
                 }
                 "null" => {
                     self.bump();
@@ -698,11 +695,11 @@ impl Parser {
                     if self.at("(") {
                         // Unqualified call: `foo(args)`.
                         let args = self.call_args()?;
-                        let mut children = vec![TreeNode::leaf("NameCall", t.text.as_str())];
+                        let mut children = vec![TreeNode::leaf("NameCall", t.text)];
                         children.extend(args);
                         return Ok(TreeNode::inner("MethodCall", children));
                     }
-                    Ok(TreeNode::leaf("NameRef", t.text.as_str()))
+                    Ok(TreeNode::leaf("NameRef", t.text))
                 }
             },
             TokenKind::Punct if t.text == "(" => {

@@ -1,7 +1,5 @@
 //! Golden tests: realistic Java programs parse to stable shapes.
 
-use pigeon_ast::Symbol;
-
 #[test]
 fn paper_fig9_count_exact_shape() {
     let src = "class C {\n    int count(List<Integer> values, int value) {\n        int \
@@ -63,8 +61,8 @@ public class UserRepository {
 "#;
     let ast = pigeon_java::parse(src).unwrap();
     ast.check_invariants().unwrap();
-    assert_eq!(ast.leaves_with_value(Symbol::new("cache")).len(), 3);
-    assert_eq!(ast.leaves_with_value(Symbol::new("database")).len(), 5);
+    assert_eq!(ast.leaves_with_value("cache").len(), 3);
+    assert_eq!(ast.leaves_with_value("database").len(), 5);
     let methods = ast
         .preorder()
         .filter(|&n| ast.kind(n).as_str() == "MethodDecl")

@@ -143,7 +143,7 @@ impl Parser {
         let mut defs = Vec::new();
         loop {
             let name = self.ident()?;
-            let mut def = vec![TreeNode::leaf("SymbolVar", name.as_str())];
+            let mut def = vec![TreeNode::leaf("SymbolVar", name)];
             if self.eat("=") {
                 def.push(self.assignment()?);
             }
@@ -166,14 +166,14 @@ impl Parser {
             } else {
                 "SymbolLambda"
             };
-            children.push(TreeNode::leaf(name_kind, name.as_str()));
+            children.push(TreeNode::leaf(name_kind, name));
         } else if is_decl {
             return Err(self.error("function declaration requires a name"));
         }
         self.expect("(")?;
         while !self.at(")") {
             let arg = self.ident()?;
-            children.push(TreeNode::leaf("SymbolFunarg", arg.as_str()));
+            children.push(TreeNode::leaf("SymbolFunarg", arg));
             if !self.eat(",") {
                 break;
             }
@@ -216,12 +216,9 @@ impl Parser {
         if in_or_of {
             let binding = if decl_kw {
                 self.bump();
-                TreeNode::inner(
-                    "VarDef",
-                    vec![TreeNode::leaf("SymbolVar", self.ident()?.as_str())],
-                )
+                TreeNode::inner("VarDef", vec![TreeNode::leaf("SymbolVar", self.ident()?)])
             } else {
-                TreeNode::leaf("SymbolRef", self.ident()?.as_str())
+                TreeNode::leaf("SymbolRef", self.ident()?)
             };
             let kind = if self.eat("in") {
                 "ForIn"
@@ -294,7 +291,7 @@ impl Parser {
         if self.eat("catch") {
             let mut catch = Vec::new();
             if self.eat("(") {
-                catch.push(TreeNode::leaf("SymbolCatch", self.ident()?.as_str()));
+                catch.push(TreeNode::leaf("SymbolCatch", self.ident()?));
                 self.expect(")")?;
             }
             catch.push(self.block()?);
@@ -442,7 +439,7 @@ impl Parser {
             if self.eat(".") {
                 self.deepen()?;
                 let prop = self.property_name()?;
-                e = TreeNode::inner("Dot", vec![e, TreeNode::leaf("Property", prop.as_str())]);
+                e = TreeNode::inner("Dot", vec![e, TreeNode::leaf("Property", prop)]);
             } else if self.eat("[") {
                 self.deepen()?;
                 let index = self.expression()?;
@@ -491,11 +488,11 @@ impl Parser {
         match t.kind {
             TokenKind::Number => {
                 self.bump();
-                Ok(TreeNode::leaf("Number", t.text.as_str()))
+                Ok(TreeNode::leaf("Number", t.text))
             }
             TokenKind::String => {
                 self.bump();
-                Ok(TreeNode::leaf("String", t.text.as_str()))
+                Ok(TreeNode::leaf("String", t.text))
             }
             TokenKind::Ident => match t.text.as_str() {
                 "true" => {
@@ -522,10 +519,10 @@ impl Parser {
                     // Single-parameter arrow: `x => body`.
                     if self.peek_at(1).text == "=>" && self.peek_at(1).kind == TokenKind::Punct {
                         let p = self.ident()?;
-                        return self.arrow_body(vec![TreeNode::leaf("SymbolFunarg", p.as_str())]);
+                        return self.arrow_body(vec![TreeNode::leaf("SymbolFunarg", p)]);
                     }
                     self.bump();
-                    Ok(TreeNode::leaf("SymbolRef", t.text.as_str()))
+                    Ok(TreeNode::leaf("SymbolRef", t.text))
                 }
             },
             TokenKind::Punct => match t.text.as_str() {
@@ -535,7 +532,7 @@ impl Parser {
                         let mut params = Vec::new();
                         while !self.at(")") {
                             let p = self.ident()?;
-                            params.push(TreeNode::leaf("SymbolFunarg", p.as_str()));
+                            params.push(TreeNode::leaf("SymbolFunarg", p));
                             if !self.eat(",") {
                                 break;
                             }
@@ -569,7 +566,7 @@ impl Parser {
                         let value = self.assignment()?;
                         props.push(TreeNode::inner(
                             "ObjectKeyVal",
-                            vec![TreeNode::leaf("Key", key.as_str()), value],
+                            vec![TreeNode::leaf("Key", key), value],
                         ));
                         if !self.eat(",") {
                             break;

@@ -1,6 +1,6 @@
 //! Golden tests: realistic JavaScript programs parse to stable shapes.
 
-use pigeon_ast::{pretty, Symbol};
+use pigeon_ast::pretty;
 
 #[test]
 fn paper_fig1a_full_pretty() {
@@ -52,8 +52,8 @@ function emit(name, payload) {
     let ast = pigeon_js::parse(src).unwrap();
     ast.check_invariants().unwrap();
     // Structural spot-checks instead of a full dump.
-    assert_eq!(ast.leaves_with_value(Symbol::new("registry")).len(), 4);
-    assert_eq!(ast.leaves_with_value(Symbol::new("handlers")).len(), 5);
+    assert_eq!(ast.leaves_with_value("registry").len(), 4);
+    assert_eq!(ast.leaves_with_value("handlers").len(), 5);
     let kinds: Vec<&str> = ast
         .preorder()
         .map(|n| ast.kind(n).as_str())

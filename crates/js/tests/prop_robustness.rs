@@ -44,7 +44,7 @@ proptest! {
             prop_assert!(ast
                 .leaves()
                 .iter()
-                .any(|&l| ast.value(l).unwrap().as_str() == n));
+                .any(|&l| ast.value(l).unwrap() == n));
         }
     }
 }

@@ -103,7 +103,7 @@ impl Parser {
             let ctx = self.expression()?;
             let mut children = vec![ctx];
             if self.eat("as") {
-                children.push(TreeNode::leaf("NameStore", self.ident()?.as_str()));
+                children.push(TreeNode::leaf("NameStore", self.ident()?));
             }
             children.extend(self.suite()?);
             return Ok(TreeNode::inner("With", children));
@@ -119,11 +119,11 @@ impl Parser {
     fn function_def(&mut self) -> PResult {
         self.expect("def")?;
         let name = self.ident()?;
-        let mut children = vec![TreeNode::leaf("NameFunc", name.as_str())];
+        let mut children = vec![TreeNode::leaf("NameFunc", name)];
         self.expect("(")?;
         while !self.at(")") {
             let p = self.ident()?;
-            let mut param = TreeNode::leaf("NameParam", p.as_str());
+            let mut param = TreeNode::leaf("NameParam", p);
             if self.eat("=") {
                 let default = self.expression()?;
                 param = TreeNode::inner("DefaultParam", vec![param, default]);
@@ -141,7 +141,7 @@ impl Parser {
     fn class_def(&mut self) -> PResult {
         self.expect("class")?;
         let name = self.ident()?;
-        let mut children = vec![TreeNode::leaf("NameClass", name.as_str())];
+        let mut children = vec![TreeNode::leaf("NameClass", name)];
         if self.eat("(") {
             while !self.at(")") {
                 children.push(TreeNode::inner("Base", vec![self.expression()?]));
@@ -182,7 +182,7 @@ impl Parser {
             if !self.at(":") {
                 h.push(TreeNode::inner("ExceptType", vec![self.expression()?]));
                 if self.eat("as") {
-                    h.push(TreeNode::leaf("NameStore", self.ident()?.as_str()));
+                    h.push(TreeNode::leaf("NameStore", self.ident()?));
                 }
             }
             h.extend(self.suite()?);
@@ -225,9 +225,9 @@ impl Parser {
             return self.import_statement();
         }
         if self.eat("global") {
-            let mut names = vec![TreeNode::leaf("Name", self.ident()?.as_str())];
+            let mut names = vec![TreeNode::leaf("Name", self.ident()?)];
             while self.eat(",") {
-                names.push(TreeNode::leaf("Name", self.ident()?.as_str()));
+                names.push(TreeNode::leaf("Name", self.ident()?));
             }
             return Ok(TreeNode::inner("Global", names));
         }
@@ -264,10 +264,10 @@ impl Parser {
         if self.eat("from") {
             let module = self.dotted_name()?;
             self.expect("import")?;
-            let mut children = vec![TreeNode::leaf("ModuleName", module.as_str())];
+            let mut children = vec![TreeNode::leaf("ModuleName", module)];
             loop {
                 let n = self.ident()?;
-                children.push(TreeNode::leaf("Name", n.as_str()));
+                children.push(TreeNode::leaf("Name", n));
                 if !self.eat(",") {
                     break;
                 }
@@ -278,9 +278,9 @@ impl Parser {
         let mut children = Vec::new();
         loop {
             let n = self.dotted_name()?;
-            children.push(TreeNode::leaf("ModuleName", n.as_str()));
+            children.push(TreeNode::leaf("ModuleName", n));
             if self.eat("as") {
-                children.push(TreeNode::leaf("NameStore", self.ident()?.as_str()));
+                children.push(TreeNode::leaf("NameStore", self.ident()?));
             }
             if !self.eat(",") {
                 break;
@@ -301,13 +301,13 @@ impl Parser {
 
     /// A `for` target: a name or a tuple of names.
     fn target(&mut self) -> PResult {
-        let first = TreeNode::leaf("NameStore", self.ident()?.as_str());
+        let first = TreeNode::leaf("NameStore", self.ident()?);
         if !self.at(",") {
             return Ok(first);
         }
         let mut parts = vec![first];
         while self.eat(",") {
-            parts.push(TreeNode::leaf("NameStore", self.ident()?.as_str()));
+            parts.push(TreeNode::leaf("NameStore", self.ident()?));
         }
         Ok(TreeNode::inner("TupleStore", parts))
     }
@@ -463,10 +463,7 @@ impl Parser {
                 self.bump();
                 // Attribute names admit keywords rarely; identifiers only.
                 let name = self.ident()?;
-                e = TreeNode::inner(
-                    "Attribute",
-                    vec![e, TreeNode::leaf("AttrName", name.as_str())],
-                );
+                e = TreeNode::inner("Attribute", vec![e, TreeNode::leaf("AttrName", name)]);
             } else if self.at("(") {
                 self.deepen()?;
                 self.bump();
@@ -484,7 +481,7 @@ impl Parser {
                         let value = self.expression()?;
                         children.push(TreeNode::inner(
                             "Keyword",
-                            vec![TreeNode::leaf("KeywordName", kw.as_str()), value],
+                            vec![TreeNode::leaf("KeywordName", kw), value],
                         ));
                     } else {
                         children.push(self.expression()?);
@@ -537,22 +534,22 @@ impl Parser {
         match t.kind {
             TokenKind::Number => {
                 self.bump();
-                Ok(TreeNode::leaf("Num", t.text.as_str()))
+                Ok(TreeNode::leaf("Num", t.text))
             }
             TokenKind::String => {
                 self.bump();
-                Ok(TreeNode::leaf("Str", t.text.as_str()))
+                Ok(TreeNode::leaf("Str", t.text))
             }
             TokenKind::Ident => match t.text.as_str() {
                 "True" | "False" | "None" => {
                     self.bump();
-                    Ok(TreeNode::leaf("NameConstant", t.text.as_str()))
+                    Ok(TreeNode::leaf("NameConstant", t.text))
                 }
                 "lambda" => {
                     self.bump();
                     let mut children = Vec::new();
                     while !self.at(":") {
-                        children.push(TreeNode::leaf("NameParam", self.ident()?.as_str()));
+                        children.push(TreeNode::leaf("NameParam", self.ident()?));
                         if !self.eat(",") {
                             break;
                         }
@@ -566,7 +563,7 @@ impl Parser {
                 }
                 _ => {
                     self.bump();
-                    Ok(TreeNode::leaf("Name", t.text.as_str()))
+                    Ok(TreeNode::leaf("Name", t.text))
                 }
             },
             TokenKind::Punct => match t.text.as_str() {
@@ -620,7 +617,7 @@ fn to_store(node: TreeNode) -> TreeNode {
     let tuple_kind = pigeon_ast::Kind::new("Tuple");
     if node.kind == name_kind {
         if let Some(v) = node.value {
-            return TreeNode::leaf("NameStore", v.as_str());
+            return TreeNode::leaf("NameStore", v);
         }
     }
     if node.kind == tuple_kind {

@@ -1,7 +1,5 @@
 //! Golden tests: realistic Python programs parse to stable shapes.
 
-use pigeon_ast::Symbol;
-
 #[test]
 fn paper_fig7_sh3_full_pipeline() {
     // The paper's Fig. 7 Popen wrapper (predicted names column).
@@ -22,7 +20,7 @@ fn paper_fig7_sh3_full_pipeline() {
         "(Return (Tuple (Call (Attribute (Name out) (AttrName rstrip))) (Call \
          (Attribute (Name err) (AttrName rstrip)))))"
     ));
-    assert_eq!(ast.leaves_with_value(Symbol::new("process")).len(), 3);
+    assert_eq!(ast.leaves_with_value("process").len(), 3);
 }
 
 #[test]

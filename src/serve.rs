@@ -487,34 +487,20 @@ impl Stats {
     }
 }
 
-/// One loaded model: an immutable `Arc<Pigeon>` plus per-version request
-/// accounting for the `/v1/stats` slices. In-flight batches hold their
-/// own `Arc<ModelVersion>`, so activating a new version never drops a
-/// model out from under a running prediction.
+/// One model version's record for `GET /v1/models` and the `/v1/stats`
+/// slices: where it came from and its request accounting. The registry
+/// keeps every version's record, but only the active version's model.
 struct ModelVersion {
     version: u64,
     language: &'static str,
     /// Where this version came from: `"startup"` or `"api"`.
     origin: String,
-    model: Arc<Pigeon>,
     predict_requests: AtomicU64,
     predictions: AtomicU64,
     errors: AtomicU64,
 }
 
 impl ModelVersion {
-    fn new(version: u64, model: Pigeon, origin: &str) -> Self {
-        ModelVersion {
-            version,
-            language: model.language().name(),
-            origin: origin.to_owned(),
-            model: Arc::new(model),
-            predict_requests: AtomicU64::new(0),
-            predictions: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-        }
-    }
-
     /// Counts one predicted program: `Some(n)` names predicted, or
     /// `None` when it failed.
     fn record(&self, predictions: Option<usize>) {
@@ -530,36 +516,38 @@ impl ModelVersion {
     }
 }
 
+/// A model that can serve, with its version's record. In-flight batches
+/// hold their own `Arc<LoadedModel>`, so activating a new version never
+/// drops a model out from under a running prediction, and a replaced
+/// model is freed when the last batch using it ends.
+struct LoadedModel {
+    model: Pigeon,
+    meta: Arc<ModelVersion>,
+}
+
 /// The versioned model registry behind `POST /v1/models`: an append-only
-/// version list plus an atomically swappable active handle. A
+/// list of version records plus an atomically swappable active model. A
 /// model-less coordinator starts with no model at all — the predict
 /// routes answer a coded 409 until a model is installed (via `POST
 /// /v1/models` or a finished train job).
+#[derive(Default)]
 struct ModelRegistry {
     versions: RwLock<Vec<Arc<ModelVersion>>>,
-    active: RwLock<Option<Arc<ModelVersion>>>,
+    active: RwLock<Option<Arc<LoadedModel>>>,
 }
 
 impl ModelRegistry {
     fn new(model: Option<Pigeon>, origin: &str) -> Self {
-        match model {
-            Some(model) => {
-                let entry = Arc::new(ModelVersion::new(1, model, origin));
-                ModelRegistry {
-                    versions: RwLock::new(vec![Arc::clone(&entry)]),
-                    active: RwLock::new(Some(entry)),
-                }
-            }
-            None => ModelRegistry {
-                versions: RwLock::new(Vec::new()),
-                active: RwLock::new(None),
-            },
+        let registry = ModelRegistry::default();
+        if let Some(model) = model {
+            registry.install(model, origin);
         }
+        registry
     }
 
-    /// The version new work should run against. Callers keep the `Arc`
+    /// The model new work should run against. Callers keep the `Arc`
     /// for the whole batch, so a concurrent swap cannot unload it.
-    fn active(&self) -> Option<Arc<ModelVersion>> {
+    fn active(&self) -> Option<Arc<LoadedModel>> {
         self.active
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -567,16 +555,35 @@ impl ModelRegistry {
     }
 
     /// Registers `model` as the next version and atomically makes it
-    /// active. Returns the new entry.
+    /// active. Returns the new version's record.
     fn install(&self, model: Pigeon, origin: &str) -> Arc<ModelVersion> {
         let mut versions = self
             .versions
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let entry = Arc::new(ModelVersion::new(versions.len() as u64 + 1, model, origin));
-        versions.push(Arc::clone(&entry));
-        *self.active.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&entry));
-        entry
+        let meta = Arc::new(ModelVersion {
+            version: versions.len() as u64 + 1,
+            language: model.language().name(),
+            origin: origin.to_owned(),
+            predict_requests: AtomicU64::new(0),
+            predictions: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+        });
+        versions.push(Arc::clone(&meta));
+        let loaded = Arc::new(LoadedModel {
+            model,
+            meta: Arc::clone(&meta),
+        });
+        let replaced = self
+            .active
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(loaded);
+        // Unless a batch still holds it, the replaced model is freed
+        // here, after both locks.
+        drop(versions);
+        drop(replaced);
+        meta
     }
 
     /// One version by number (`GET /v1/models/<version>`).
@@ -591,7 +598,7 @@ impl ModelRegistry {
 
     /// `(active version, all versions in load order)`.
     fn snapshot(&self) -> (Option<u64>, Vec<Arc<ModelVersion>>) {
-        let active = self.active().map(|m| m.version);
+        let active = self.active().map(|m| m.meta.version);
         let versions = self
             .versions
             .read()
@@ -766,7 +773,7 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
         }
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             parallel_map_indexed(&batch, ctx.infer_jobs, |_, job| {
-                let mut body = open_predict_body(entry.version, "predictions");
+                let mut body = open_predict_body(entry.meta.version, "predictions");
                 let n = entry.model.predict_json(&job.source, &mut body)?;
                 body.push('}');
                 Ok((body, n))
@@ -775,13 +782,13 @@ fn run_batcher(ctx: &ServerCtx, cfg: &ServeConfig) {
         match outcome {
             Ok(replies) => {
                 for (job, reply) in batch.iter().zip(replies) {
-                    entry.record(reply.as_ref().ok().map(|&(_, n)| n));
+                    entry.meta.record(reply.as_ref().ok().map(|&(_, n)| n));
                     let _ = job.reply.send(reply);
                 }
             }
             Err(_) => {
                 for job in &batch {
-                    entry.record(None);
+                    entry.meta.record(None);
                     let _ = job.reply.send(Err(PigeonError::internal(
                         "prediction panicked; the server recovered",
                     )));
@@ -1752,7 +1759,7 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
                 .map(serde_json::Value::as_str)
                 .collect::<Option<_>>()
                 .ok_or_else(|| HttpError::bad_request("`sources` must hold strings".to_owned()))?;
-            let mut body = open_predict_body(entry.version, "results");
+            let mut body = open_predict_body(entry.meta.version, "results");
             body.push('[');
             for (i, source) in sources.into_iter().enumerate() {
                 if i > 0 {
@@ -1760,7 +1767,7 @@ fn route(ctx: &ServerCtx, endpoint: &'static str, req: &Request) -> Result<Paylo
                 }
                 let predicted =
                     push_batch_entry(&mut body, |body| entry.model.predict_json(source, body));
-                entry.record(predicted);
+                entry.meta.record(predicted);
                 stats.predictions.add(predicted.unwrap_or(0) as u64);
             }
             body.push_str("]}");
@@ -2150,7 +2157,7 @@ impl BoundServer {
             Some(entry) => println!(
                 "pigeon serve: {} model, listening on http://{addr} ({workers} worker{}, \
                  keep-alive {}, batch-max {}, queue-cap {}{cache_note})",
-                entry.language,
+                entry.meta.language,
                 if workers == 1 { "" } else { "s" },
                 if cfg.keep_alive { "on" } else { "off" },
                 cfg.batch_max,
@@ -2431,8 +2438,8 @@ mod tests {
     fn model_registry_swaps_atomically_and_keeps_old_versions() {
         let registry = ModelRegistry::new_for_tests();
         let v1 = registry.active().expect("startup model is active");
-        assert_eq!(v1.version, 1);
-        assert_eq!(v1.origin, "test");
+        assert_eq!(v1.meta.version, 1);
+        assert_eq!(v1.meta.origin, "test");
         let second = Pigeon::train_variable_namer(
             pigeon_corpus::Language::JavaScript,
             &["function g(x) { send(x); }"],
@@ -2441,15 +2448,24 @@ mod tests {
         .expect("trains");
         let v2 = registry.install(second, "api");
         assert_eq!(v2.version, 2);
-        assert_eq!(registry.active().expect("active").version, 2);
+        assert_eq!(registry.active().expect("active").meta.version, 2);
         // The old handle stays usable after the swap — this is what
         // keeps in-flight batches alive through a hot swap.
         assert!(v1.model.predict("function h(y) { return y; }").is_ok());
+        // Once the last handle goes, the replaced model is freed; only
+        // its record stays listed.
+        let v1_model = Arc::downgrade(&v1);
+        drop(v1);
+        assert!(
+            v1_model.upgrade().is_none(),
+            "a replaced model outlives its last batch"
+        );
         let (active, versions) = registry.snapshot();
         assert_eq!(active, Some(2));
         assert_eq!(
             versions.iter().map(|m| m.version).collect::<Vec<_>>(),
             [1, 2]
         );
+        assert_eq!(registry.get(1).expect("v1 stays listed").origin, "test");
     }
 }
